@@ -1,48 +1,31 @@
-"""Hot-kernel backend selection.
+"""The exact integer kernels behind floors, signs and section counts.
 
-Prefers the compiled Cython core when it was built; falls back to the
-pure-Python twin otherwise.  DIVPOS_PURE=1 forces the fallback (useful
-for benchmarking and debugging).  Both backends are exact: values are
-Python integers either way, only loop overhead differs.
+divpos calls each kernel through this package (``_kernels.floor_quad``),
+never through ``_pure`` directly.  A tracer (``perfbench/spans.py``) can
+then wrap the package attributes alone, timing the calls from the rest of
+divpos without the kernels' per-step calls to each other.  ``BACKEND``
+names the only implementation; the benchmark's environment stamp reads it.
 """
 
-import os
+from divpos._kernels._pure import (
+    floor_multiples_quad,
+    floor_multiples_rat,
+    floor_quad,
+    h0_hirzebruch,
+    h0_p2,
+    sign_quad,
+    weyl_search,
+)
 
-if os.environ.get("DIVPOS_PURE") == "1":
-    from divpos._kernels import _pure as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from divpos._kernels import _core as _impl  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        from divpos._kernels import _pure as _impl  # type: ignore[no-redef]
-
-        BACKEND = "pure"
-
-sign_rat = _impl.sign_rat
-floor_rat = _impl.floor_rat
-sign_quad = _impl.sign_quad
-floor_sqrt_mult = _impl.floor_sqrt_mult
-floor_quad = _impl.floor_quad
-floor_multiples_rat = _impl.floor_multiples_rat
-floor_multiples_quad = _impl.floor_multiples_quad
-weyl_search = _impl.weyl_search
-h0_hirzebruch = _impl.h0_hirzebruch
-h0_p2 = _impl.h0_p2
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",
-    "sign_rat",
-    "floor_rat",
-    "sign_quad",
-    "floor_sqrt_mult",
-    "floor_quad",
-    "floor_multiples_rat",
     "floor_multiples_quad",
-    "weyl_search",
+    "floor_multiples_rat",
+    "floor_quad",
     "h0_hirzebruch",
     "h0_p2",
+    "sign_quad",
+    "weyl_search",
 ]

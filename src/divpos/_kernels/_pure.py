@@ -1,24 +1,14 @@
-"""Pure-Python reference implementation of the hot kernels.
+"""The hot kernels: floor scans of [mD], the Weyl search, section counts.
 
 Everything here works on plain Python integers so results stay exact at
-any size.  A Cython twin (`_core.pyx`) implements the same functions with
-typed loop counters; `divpos._kernels` picks whichever is importable.
+any size.  The rest of divpos reaches these functions through the
+`divpos._kernels` package.
 
 Conventions: a quadratic value is (N + M*sqrt(d)) / Q with N, M, Q
 integers, Q > 0, and d a square-free integer >= 2 whenever M != 0.
 """
 
 from math import isqrt
-
-
-def sign_rat(p: int, q: int) -> int:
-    """Sign of p/q with q > 0."""
-    return (p > 0) - (p < 0)
-
-
-def floor_rat(p: int, q: int) -> int:
-    """floor(p/q) for q > 0 (true floor, not truncation)."""
-    return p // q
 
 
 def sign_quad(N: int, M: int, d: int) -> int:

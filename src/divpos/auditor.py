@@ -211,13 +211,6 @@ def safe_delta(S: SurfaceModel, profile: dict) -> Fraction:
 # per-divisor bounds used by the classification rules
 
 
-def _ceil_div_quad(need: int, slope: QuadExt) -> int:
-    """Least integer m with m*slope >= need, slope > 0."""
-    if need <= 0:
-        return 0
-    return -((QuadExt(-need)) / slope).floor()
-
-
 def _min_effective_coordinate(S: SurfaceModel, D: RDivisor) -> Optional[QuadExt]:
     lam = pos._effective_coordinates(S, D.coefficients(S.basis))
     if lam is None:
@@ -236,7 +229,7 @@ def growth_bound(S: SurfaceModel, D: RDivisor) -> Optional[int]:
     lam = _min_effective_coordinate(S, D)
     if lam is None or lam.sign() <= 0:
         return None
-    return 2 * _ceil_div_quad(16, lam)
+    return 2 * pos.ceil_quotient(16, lam)
 
 
 def boh_bound(S: SurfaceModel, D: RDivisor) -> Optional[int]:
@@ -244,7 +237,7 @@ def boh_bound(S: SurfaceModel, D: RDivisor) -> Optional[int]:
     lam = _min_effective_coordinate(S, D)
     if lam is None or lam.sign() <= 0:
         return None
-    return _ceil_div_quad(1, lam) + 1
+    return pos.ceil_quotient(1, lam) + 1
 
 
 def kodaira_bound(S: SurfaceModel, D: RDivisor, F: ZDivisor) -> Optional[int]:
@@ -252,7 +245,7 @@ def kodaira_bound(S: SurfaceModel, D: RDivisor, F: ZDivisor) -> Optional[int]:
     if lam is None or lam.sign() <= 0:
         return None
     need = max(F.coords) + 1
-    return _ceil_div_quad(need, lam) + 1
+    return pos.ceil_quotient(need, lam) + 1
 
 
 # ---------------------------------------------------------------------------

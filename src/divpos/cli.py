@@ -274,8 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "m_max") and args.m_max is None:
-            args.m_max = _default_m_max()
+        if hasattr(args, "m_max"):
+            if args.m_max is None:
+                args.m_max = _default_m_max()
+            elif args.m_max < 1:
+                raise DivposError(f"--m-max: must be >= 1, got {args.m_max}")
         if getattr(args, "surface", None) is None and args.command == "audit":
             args.surface = ["hirzebruch:2", "p2"]
         return args.func(args)

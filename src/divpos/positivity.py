@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from divpos.divisor import (
     RDivisor,
@@ -590,6 +590,13 @@ def definitive_negative(S: SurfaceModel, D: DivisorLike, kind: str) -> bool:
     return False
 
 
+def ceil_quotient(need: Union[int, Fraction], slope: QuadExt) -> int:
+    """Least integer m with m*slope >= need (slope > 0); 0 when need <= 0."""
+    if need <= 0:
+        return 0
+    return -(quadext(-need) / slope).floor()
+
+
 def onset_bound(S: SurfaceModel, D: DivisorLike, kind: str,
                 twist: Optional[ZDivisor] = None) -> Optional[int]:
     """Effective bound: the predicate holds at G + [mD] for every m past it.
@@ -615,9 +622,7 @@ def onset_bound(S: SurfaceModel, D: DivisorLike, kind: str,
             if need < 0:
                 continue  # condition already slack for every m
             return None
-        # least m with m*slope >= need  (integer m)
-        m_j = -((-quadext(need)) / slope).floor() if need > 0 else 0
-        bound = max(bound, m_j)
+        bound = max(bound, ceil_quotient(need, slope))
     return bound
 
 
@@ -758,6 +763,25 @@ def _scan_result(cid: str, witness_m: Optional[int], m_max: int,
                            note=f"no witness found up to m_max={m_max}; no effective bound applies")
 
 
+def _max_bound(bounds: Iterable[Optional[int]]) -> Optional[int]:
+    """The largest bound, or None when any of them is missing."""
+    bounds = list(bounds)
+    return None if None in bounds else max(bounds)
+
+
+def _twist_scan_result(cid: str, S: SurfaceModel, twists: Sequence[ZDivisor], m_max: int,
+                       scan: Callable[[ZDivisor], Optional[int]],
+                       bound: Optional[int]) -> CriterionResult:
+    """Run scan on every twist; the criterion holds from the latest onset on."""
+    per_twist = {}
+    worst: Optional[int] = 0
+    for G in twists:
+        m = scan(G)
+        per_twist[S.format_z(G)] = m
+        worst = None if (worst is None or m is None) else max(worst, m)
+    return _scan_result(cid, worst, m_max, bound, {"per_twist": per_twist}, proxy=True)
+
+
 def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
                  delta: Fraction = Fraction(1, 1000),
                  twists: Optional[Sequence[ZDivisor]] = None,
@@ -810,32 +834,18 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
         va = None
 
     if have_h0:
-        per_twist = {}
-        worst: Optional[int] = 0
-        bounds = []
-        for G in twists:
-            m1 = vanishing_test(S, rd, G, m_max, _cache=mults)
-            per_twist[S.format_z(G)] = m1
-            bounds.append(onset_bound(S, rd, "vanishing", G))
-            worst = None if (worst is None or m1 is None) else max(worst, m1)
-        bound = None if any(b is None for b in bounds) else max(bounds)
-        verdicts["QI"] = _scan_result("QI", worst, m_max, bound,
-                                      {"per_twist": per_twist}, proxy=True)
+        verdicts["QI"] = _twist_scan_result(
+            "QI", S, twists, m_max,
+            lambda G: vanishing_test(S, rd, G, m_max, _cache=mults),
+            _max_bound(onset_bound(S, rd, "vanishing", G) for G in twists))
     else:
         verdicts["QI"] = CriterionResult("QI", None, False, {}, note="no h0 oracle")
 
     if have_gg:
-        per_twist = {}
-        worst = 0
-        bounds = []
-        for G in twists:
-            m2 = glob_gen_twist_test(S, rd, G, m_max, _cache=mults)
-            per_twist[S.format_z(G)] = m2
-            bounds.append(onset_bound(S, rd, "globally_generated", G))
-            worst = None if (worst is None or m2 is None) else max(worst, m2)
-        bound = None if any(b is None for b in bounds) else max(bounds)
-        verdicts["QII"] = _scan_result("QII", worst, m_max, bound,
-                                       {"per_twist": per_twist}, proxy=True)
+        verdicts["QII"] = _twist_scan_result(
+            "QII", S, twists, m_max,
+            lambda G: glob_gen_twist_test(S, rd, G, m_max, _cache=mults),
+            _max_bound(onset_bound(S, rd, "globally_generated", G) for G in twists))
     else:
         verdicts["QII"] = CriterionResult("QII", None, False, {},
                                           note="no globally_generated oracle")
@@ -879,17 +889,11 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
             note="section-growth surrogate for the birational-map criterion")
         fb = first_big_multiple(S, rd, m_max, _cache=mults)
         verdicts["B3"] = _scan_result("B3", fb, m_max, None)
-        per_twist = {}
-        worst = 0
         h0f = S.require_h0()
-        for G in twists:
-            flags = [h0f(G + mults[m]) > 0 for m in range(m_max + 1)]
-            mg = _tail_start(flags, 0)
-            per_twist[S.format_z(G)] = mg
-            worst = None if (worst is None or mg is None) else max(worst, mg)
-        verdicts["B4"] = _scan_result("B4", worst, m_max,
-                                      onset_bound(S, rd, "h0_positive"),
-                                      {"per_twist": per_twist}, proxy=True)
+        verdicts["B4"] = _twist_scan_result(
+            "B4", S, twists, m_max,
+            lambda G: _tail_start([h0f(G + mults[m]) > 0 for m in range(m_max + 1)], 0),
+            onset_bound(S, rd, "h0_positive"))
     else:
         for cid in ("B2", "B3", "B4"):
             verdicts[cid] = CriterionResult(cid, None, False, {}, note="no h0 oracle")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from divpos.cli import main
 
 
@@ -162,6 +164,16 @@ def test_env_bad_m_max(capsys, monkeypatch):
     code, _, err = run(capsys, "semigroup", "--surface", "p2", "--divisor", "L")
     assert code == 3
     assert "DIVPOS_M_MAX" in err
+
+
+@pytest.mark.parametrize("command", ["check", "growth", "semigroup"])
+@pytest.mark.parametrize("m_max", ["0", "-1"])
+def test_nonpositive_m_max_names_flag(capsys, command, m_max):
+    code, out, err = run(capsys, command, "--surface", "hirzebruch:2",
+                         "--divisor", "C0 + 3*f", "--m-max", m_max)
+    assert code == 3
+    assert out == ""
+    assert "--m-max" in err
 
 
 def test_output_file(tmp_path, capsys):

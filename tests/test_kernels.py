@@ -1,20 +1,12 @@
-"""Kernel correctness and pure/compiled backend agreement."""
+"""Kernel correctness against brute force and exact integer identities."""
 
 from math import isqrt
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+import divpos
 import divpos._kernels as kernels
-from divpos._kernels import _pure
-
-try:
-    from divpos._kernels import _core
-    BACKENDS = [("pure", _pure), ("cython", _core)]
-except ImportError:
-    _core = None
-    BACKENDS = [("pure", _pure)]
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13]
 
@@ -35,48 +27,42 @@ def brute_floor_quad(N, M, d, Q):
     return best
 
 
-@pytest.mark.parametrize("name, impl", BACKENDS)
-class TestBackend:
-    def test_floor_rat(self, name, impl):
-        assert impl.floor_rat(7, 2) == 3
-        assert impl.floor_rat(-7, 2) == -4
-        assert impl.floor_rat(0, 5) == 0
+class TestKernels:
+    def test_sign_quad(self):
+        assert kernels.sign_quad(7, -5, 2) == -1
+        assert kernels.sign_quad(-7, 5, 2) == 1
+        assert kernels.sign_quad(0, 0, 2) == 0
+        assert kernels.sign_quad(3, 1, 2) == 1
+        assert kernels.sign_quad(-3, -1, 2) == -1
 
-    def test_sign_quad(self, name, impl):
-        assert impl.sign_quad(7, -5, 2) == -1
-        assert impl.sign_quad(-7, 5, 2) == 1
-        assert impl.sign_quad(0, 0, 2) == 0
-        assert impl.sign_quad(3, 1, 2) == 1
-        assert impl.sign_quad(-3, -1, 2) == -1
+    def test_floor_quad_examples(self):
+        assert kernels.floor_quad(0, 10, 2, 1) == 14
+        assert kernels.floor_quad(0, -10, 2, 1) == -15
+        assert kernels.floor_quad(3, 2, 2, 2) == 2  # (3 + 2*sqrt(2))/2 = 2.91..
+        assert kernels.floor_quad(5, 0, 2, 2) == 2
 
-    def test_floor_quad_examples(self, name, impl):
-        assert impl.floor_quad(0, 10, 2, 1) == 14
-        assert impl.floor_quad(0, -10, 2, 1) == -15
-        assert impl.floor_quad(3, 2, 2, 2) == 2  # (3 + 2*sqrt(2))/2 = 2.91..
-        assert impl.floor_quad(5, 0, 2, 2) == 2
-
-    def test_floor_multiples_match_single(self, name, impl):
-        out = impl.floor_multiples_quad(1, 3, 5, 4, 60)
+    def test_floor_multiples_match_single(self):
+        out = kernels.floor_multiples_quad(1, 3, 5, 4, 60)
         for m in range(61):
-            assert out[m] == impl.floor_quad(m, 3 * m, 5, 4)
+            assert out[m] == kernels.floor_quad(m, 3 * m, 5, 4)
 
-    def test_weyl_search_basic(self, name, impl):
-        assert impl.weyl_search(0, 1, 2, 1, 1, 10, 1, 10**4) == 5
-        assert impl.weyl_search(0, 1, 2, 1, 1, 2, 1, 10**4) == 1
-        assert impl.weyl_search(0, 1, 2, 1, 1, 100, 1, 3) == -1  # cap too small
+    def test_weyl_search_basic(self):
+        assert kernels.weyl_search(0, 1, 2, 1, 1, 10, 1, 10**4) == 5
+        assert kernels.weyl_search(0, 1, 2, 1, 1, 2, 1, 10**4) == 1
+        assert kernels.weyl_search(0, 1, 2, 1, 1, 100, 1, 3) == -1  # cap too small
 
-    def test_h0_formulas_match_bruteforce(self, name, impl):
+    def test_h0_formulas_match_bruteforce(self):
         for e in (0, 1, 2, 3):
             for a in range(-3, 9):
                 for b in range(-5, 14):
                     brute = 0
                     if a >= 0:
                         brute = sum(max(0, b - j * e + 1) for j in range(a + 1))
-                    assert impl.h0_hirzebruch(e, a, b) == brute, (e, a, b)
+                    assert kernels.h0_hirzebruch(e, a, b) == brute, (e, a, b)
         for n in range(-4, 12):
             brute = sum(1 for i in range(max(n, 0) + 1)
                         for j in range(max(n, 0) + 1) if i + j <= n)
-            assert impl.h0_p2(n) == brute
+            assert kernels.h0_p2(n) == brute
 
 
 @given(
@@ -86,56 +72,15 @@ class TestBackend:
     st.integers(min_value=1, max_value=10**4),
 )
 def test_floor_quad_vs_bruteforce(N, M, d, Q):
-    got = _pure.floor_quad(N, M, d, Q)
+    got = kernels.floor_quad(N, M, d, Q)
     assert got == brute_floor_quad(N, M, d, Q)
     # definitional check: got <= x < got + 1
-    assert _pure.sign_quad(N - got * Q, M, d) >= 0
-    assert _pure.sign_quad(N - (got + 1) * Q, M, d) < 0
-
-
-@pytest.mark.skipif(_core is None, reason="compiled kernels not built")
-@given(
-    st.integers(min_value=-10**12, max_value=10**12),
-    st.integers(min_value=-10**9, max_value=10**9),
-    st.sampled_from(SQUAREFREE),
-    st.integers(min_value=1, max_value=10**6),
-)
-@settings(max_examples=150)
-def test_backends_agree_floor(N, M, d, Q):
-    assert _core.floor_quad(N, M, d, Q) == _pure.floor_quad(N, M, d, Q)
-    assert _core.sign_quad(N, M, d) == _pure.sign_quad(N, M, d)
-
-
-@pytest.mark.skipif(_core is None, reason="compiled kernels not built")
-@given(
-    st.integers(min_value=-50, max_value=50),
-    st.integers(min_value=-50, max_value=50),
-    st.sampled_from(SQUAREFREE),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=300),
-)
-@settings(max_examples=60)
-def test_backends_agree_scans(N, M, d, Q, m_max):
-    assert (_core.floor_multiples_quad(N, M, d, Q, m_max)
-            == _pure.floor_multiples_quad(N, M, d, Q, m_max))
-    assert (_core.floor_multiples_rat(N, Q, m_max)
-            == _pure.floor_multiples_rat(N, Q, m_max))
-
-
-@pytest.mark.skipif(_core is None, reason="compiled kernels not built")
-def test_backends_agree_weyl_and_h0():
-    for (en, ed) in [(1, 10), (1, 100), (1, 7), (2, 9)]:
-        for d in (2, 3, 5):
-            assert (_core.weyl_search(0, 1, d, 1, en, ed, 1, 10**5)
-                    == _pure.weyl_search(0, 1, d, 1, en, ed, 1, 10**5))
-    for e in range(4):
-        for a in range(-2, 30):
-            for b in range(-2, 30):
-                assert _core.h0_hirzebruch(e, a, b) == _pure.h0_hirzebruch(e, a, b)
+    assert kernels.sign_quad(N - got * Q, M, d) >= 0
+    assert kernels.sign_quad(N - (got + 1) * Q, M, d) < 0
 
 
 def test_selected_backend_exported():
-    assert kernels.BACKEND in ("pure", "cython")
+    assert divpos.BACKEND == "pure"
     assert kernels.floor_quad(0, 10, 2, 1) == 14
 
 
@@ -155,18 +100,16 @@ def test_floor_quad_pell_boundaries():
     for p, q in convergents:
         assert abs(p * p - 2 * q * q) == 1
         want = isqrt(q * q * 2)
-        for impl in [impl for _, impl in BACKENDS]:
-            assert impl.floor_quad(0, q, 2, 1) == want
-            # shift so the value sits just above/below an integer
-            assert impl.floor_quad(-want, q, 2, 1) == 0
-            assert impl.floor_quad(-want - 1, q, 2, 1) == -1
+        assert kernels.floor_quad(0, q, 2, 1) == want
+        # shift so the value sits just above/below an integer
+        assert kernels.floor_quad(-want, q, 2, 1) == 0
+        assert kernels.floor_quad(-want - 1, q, 2, 1) == -1
 
 
-@pytest.mark.parametrize("name, impl", BACKENDS)
-def test_floor_multiples_negative_slope(name, impl):
-    out = impl.floor_multiples_quad(1, -3, 5, 4, 50)
+def test_floor_multiples_negative_slope():
+    out = kernels.floor_multiples_quad(1, -3, 5, 4, 50)
     for m in range(51):
-        assert out[m] == impl.floor_quad(m, -3 * m, 5, 4)
+        assert out[m] == kernels.floor_quad(m, -3 * m, 5, 4)
 
 
 def test_weyl_search_with_late_start():
