@@ -28,6 +28,7 @@ from divpos.errors import (
 )
 from divpos.exact_numbers import QuadExt, floor, frac, parse_quadext, sign, sqrt_of, weyl_find
 from divpos.positivity import (
+    Evaluation,
     PositivityReport,
     build_report,
     intersect,
@@ -44,6 +45,7 @@ __all__ = [
     "ConfigError",
     "CurveClass",
     "DivposError",
+    "Evaluation",
     "InternalError",
     "InvalidInput",
     "MixedFieldError",

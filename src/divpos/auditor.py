@@ -33,6 +33,7 @@ from divpos.divisor import (
     RDivisor,
     ZDivisor,
     format_divisor,
+    integral_part,
     integrality_denominator,
 )
 from divpos.errors import ConfigError, InvalidInput
@@ -430,8 +431,7 @@ def _reverify_report(S: SurfaceModel, D: RDivisor, report: pos.PositivityReport,
     p1 = report.verdicts["P1"]
     if p1.holds and S.very_ample is not None:
         m = p1.witness["witness_m"]
-        mults = pos._multiples(S, D, m)
-        if not S.very_ample(mults[m]):
+        if not S.very_ample(integral_part(D.scaled(m), S.basis)):
             out.discrepancies.append(_entry(S, D, "P1", "witness_m failed re-verification",
                                             report.ground_truth))
 
@@ -560,9 +560,9 @@ def audit_bigness(config: AuditConfig, keep_reports: bool = False) -> AuditOutco
             ground = pos.is_big(S, D).big
             if config.fault == "flip_cone":
                 ground = not ground
-            mults = pos._multiples(S, D, config.m_max)
+            ev = pos.Evaluation(S, D, config.m_max)
 
-            growth = pos.big_growth_check(S, D, config.m_max, _cache=mults)
+            growth = pos.big_growth_check(S, ev)
             if growth.passed != ground:
                 gb = growth_bound(S, D)
                 if ground and (gb is None or gb > config.m_max):
@@ -574,7 +574,7 @@ def audit_bigness(config: AuditConfig, keep_reports: bool = False) -> AuditOutco
                         S, D, "lem_b1_growth",
                         f"growth test {growth.passed} vs bigness {ground}", ground))
 
-            m0 = pos.claim_boh_check(S, D, config.m_max, require_big=False, _cache=mults)
+            m0 = pos.claim_boh_check(S, ev, require_big=False)
             if ground and m0 is None:
                 bb = boh_bound(S, D)
                 if bb is None or bb > config.m_max:
@@ -587,7 +587,7 @@ def audit_bigness(config: AuditConfig, keep_reports: bool = False) -> AuditOutco
                 out.discrepancies.append(_entry(
                     S, D, "claim_boh", f"not big yet [mD] big for all m >= {m0}", ground))
 
-            fb = pos.first_big_multiple(S, D, config.m_max, _cache=mults)
+            fb = pos.first_big_multiple(S, ev)
             if ground and fb is None:
                 bb = boh_bound(S, D)
                 if bb is None or bb > config.m_max:
@@ -603,7 +603,7 @@ def audit_bigness(config: AuditConfig, keep_reports: bool = False) -> AuditOutco
             kodaira_all = True
             kodaira_inconclusive = False
             for F in catalog:
-                mF = pos.kodaira_check(S, D, F, config.m_max, require_big=False)
+                mF = pos.kodaira_check(S, ev, F, require_big=False)
                 if mF is None:
                     kodaira_all = False
                     kb = kodaira_bound(S, D, F)
@@ -665,7 +665,7 @@ def replicate_example_es_nna(e_list: Sequence[int]) -> dict:
             raise InvalidInput(f"the counterexample needs e >= 2, got {e}")
         S = hirzebruch(e)
         D = RDivisor({"C0": Fraction(3, 2), "f": e + 1})
-        intD = pos._multiples(S, D, 1)[1]
+        intD = integral_part(D, S.basis)
         va = S.require_very_ample()(intD)
         pairing = pos.intersect(S, D, "C0")
         expected = QuadExt(1 - Fraction(e, 2))

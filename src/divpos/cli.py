@@ -181,20 +181,15 @@ def cmd_semigroup(args) -> int:
 
 def cmd_growth(args) -> int:
     S = resolve_surface(args.surface)
-    D = _load_divisor(args.divisor)
-    ms = list(range(1, args.m_max + 1))
-    rows, estimate = pos.chi_growth(S, D, ms)
+    ev = pos.Evaluation(S, _load_divisor(args.divisor), args.m_max)
+    rows, estimate = pos.chi_growth(S, ev, range(1, args.m_max + 1))
     h0f = S.require_h0()
-    mults = pos._multiples(S, D, args.m_max)
-    table = []
-    for m, chi in rows:
-        h0 = h0f(mults[m])
-        table.append({"m": m, "chi": chi, "h0": h0})
-    growth = pos.big_growth_check(S, D, args.m_max) if args.m_max >= 4 else None
+    table = [{"m": m, "chi": chi, "h0": h0f(ev.multiples[m])} for m, chi in rows]
+    growth = pos.big_growth_check(S, ev) if args.m_max >= pos.GROWTH_MIN_M_MAX else None
     payload = {
         "schema_version": "v1",
         "surface": S.name,
-        "divisor": format_divisor(pos.rdivisor_on(S, D)),
+        "divisor": format_divisor(ev.divisor),
         "rows": table,
         "chi_leading_estimate": str(estimate) if estimate is not None else None,
         "h0_leading_estimate": str(growth.leading) if growth else None,

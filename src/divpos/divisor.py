@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from divpos import _kernels
@@ -27,9 +28,14 @@ from divpos.exact_numbers import QuadExt, format_quadext, parse_quadext, quadext
 CoefLike = Union[QuadExt, int, Fraction, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZDivisor:
-    """Integral divisor class: integer coordinates in the prime basis."""
+    """Integral divisor class: integer coordinates in the prime basis.
+
+    The constructor checks that every coordinate is an integer.  Sums,
+    differences, negations and integer multiples of ZDivisors have
+    integer coordinates by construction, so they skip that check.
+    """
 
     coords: tuple[int, ...]
 
@@ -43,32 +49,44 @@ class ZDivisor:
         object.__setattr__(self, "coords", tuple(clean))
 
     def __add__(self, other: "ZDivisor") -> "ZDivisor":
-        self._check_len(other)
-        return ZDivisor(tuple(x + y for x, y in zip(self.coords, other.coords)))
+        a, b = self.coords, other.coords
+        if len(a) != len(b):
+            raise InvalidInput(f"rank mismatch: {len(a)} vs {len(b)} coordinates")
+        return trusted_zdivisor(tuple(map(add, a, b)))
 
     def __sub__(self, other: "ZDivisor") -> "ZDivisor":
-        self._check_len(other)
-        return ZDivisor(tuple(x - y for x, y in zip(self.coords, other.coords)))
+        a, b = self.coords, other.coords
+        if len(a) != len(b):
+            raise InvalidInput(f"rank mismatch: {len(a)} vs {len(b)} coordinates")
+        return trusted_zdivisor(tuple(map(sub, a, b)))
 
     def __neg__(self) -> "ZDivisor":
-        return ZDivisor(tuple(-x for x in self.coords))
+        return trusted_zdivisor(tuple(map(neg, self.coords)))
 
     def __mul__(self, n: int) -> "ZDivisor":
-        return ZDivisor(tuple(n * x for x in self.coords))
+        coords = tuple(n * x for x in self.coords)
+        if type(n) is int:
+            return trusted_zdivisor(coords)
+        return ZDivisor(coords)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
 
-    def _check_len(self, other: "ZDivisor"):
-        if len(self.coords) != len(other.coords):
-            raise InvalidInput(
-                f"rank mismatch: {len(self.coords)} vs {len(other.coords)} coordinates"
-            )
-
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def trusted_zdivisor(coords: tuple[int, ...]) -> ZDivisor:
+    """A ZDivisor from a tuple of Python ints, without re-checking them.
+
+    Only for coordinates computed from integers; anything else goes
+    through ZDivisor(...), which validates.
+    """
+    z = object.__new__(ZDivisor)
+    object.__setattr__(z, "coords", coords)
+    return z
 
 
 class RDivisor:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from divpos.divisor import (
@@ -35,12 +36,14 @@ from divpos.divisor import (
     divisor_to_spec,
     divisor_from_spec,
     integral_part_multiples,
+    trusted_zdivisor,
 )
 from divpos.errors import InternalError, InvalidInput
 from divpos.exact_numbers import QuadExt, format_quadext, parse_quadext, quadext
 from divpos.surface import CurveClass, SurfaceModel, chi_rr, cohomology, rdivisor_on
 
 DivisorLike = Union[RDivisor, ZDivisor, str]
+DivisorOrEvaluation = Union[RDivisor, ZDivisor, str, "Evaluation"]
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +180,64 @@ class VAMultiples:
     m_max: int
 
 
-def _multiples(S: SurfaceModel, D: DivisorLike, m_max: int,
-               cache: Optional[list[ZDivisor]] = None) -> list[ZDivisor]:
-    if cache is not None and len(cache) > m_max:
-        return cache[: m_max + 1]
-    rd = rdivisor_on(S, D)
-    return [ZDivisor(c) for c in integral_part_multiples(rd, S.basis, m_max)]
+class Evaluation:
+    """The integral parts [mD], m = 0..m_max, of one divisor on one surface.
+
+    Built once per (S, D, m_max) and passed to the scans in place of D,
+    so [mD] is computed once however many scans read it.  ``multiples[m]``
+    is [mD].  ``twisted(G)`` is the list G + [mD]; the list of the most
+    recent twist is kept, so the scans of one twist share it while at
+    most one twist's list stays alive.
+    """
+
+    __slots__ = ("surface", "divisor", "m_max", "multiples", "unit_effective",
+                 "_twist", "_twisted")
+
+    def __init__(self, S: SurfaceModel, D: DivisorLike, m_max: int):
+        if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 1:
+            raise InvalidInput(f"m_max must be an integer >= 1, got {m_max!r}")
+        self.surface = S
+        self.divisor = rdivisor_on(S, D)
+        self.m_max = m_max
+        self.multiples = [trusted_zdivisor(c)
+                          for c in integral_part_multiples(self.divisor, S.basis, m_max)]
+        self.unit_effective = _gens_are_unit_basis(S)
+        self._twist: Optional[ZDivisor] = None
+        self._twisted: list[ZDivisor] = []
+
+    def twisted(self, G: ZDivisor) -> list[ZDivisor]:
+        """[G + [mD] for m in 0..m_max]."""
+        if len(G.coords) != self.surface.rho:
+            raise InvalidInput(f"twist {G} has {len(G.coords)} coordinates, "
+                               f"the surface has rank {self.surface.rho}")
+        if G.is_zero():
+            return self.multiples
+        if G != self._twist:
+            self._twisted = []   # let the previous twist's list go first
+            g = G.coords
+            self._twisted = [trusted_zdivisor(tuple(map(add, g, V.coords)))
+                             for V in self.multiples]
+            self._twist = G
+        return self._twisted
+
+    def is_big_multiple(self, m: int) -> bool:
+        """Whether [mD] lies in the interior of the effective cone."""
+        V = self.multiples[m]
+        if self.unit_effective:
+            return min(V.coords) > 0
+        return is_big(self.surface, V).big
+
+
+def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,
+                m_max: Optional[int]) -> Evaluation:
+    """D itself when it is an evaluation on S, else D evaluated up to m_max (default 200)."""
+    if not isinstance(D, Evaluation):
+        return Evaluation(S, D, 200 if m_max is None else m_max)
+    if D.surface is not S:
+        raise InvalidInput(f"the evaluation was built on {D.surface.name}, not on this surface")
+    if m_max is not None and m_max != D.m_max:
+        raise InvalidInput(f"m_max={m_max!r} differs from the evaluation's m_max={D.m_max}")
+    return D
 
 
 def _tail_start(flags: list[bool], lo: int) -> Optional[int]:
@@ -195,70 +250,89 @@ def _tail_start(flags: list[bool], lo: int) -> Optional[int]:
     return i
 
 
-def very_ample_multiples(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
-                         _cache: Optional[list[ZDivisor]] = None) -> VAMultiples:
-    """Scan very_ample([mD]) for m in [1, m_max]."""
+# The scans below take D as a divisor or as its Evaluation on S.  For an
+# evaluation, m_max defaults to the evaluation's own and any other value
+# is refused; for a divisor it defaults to 200.
+
+
+def very_ample_multiples(S: SurfaceModel, D: DivisorOrEvaluation,
+                         m_max: Optional[int] = None) -> VAMultiples:
+    """Scan very_ample([mD]) for m in [1, m_max]; D may be an Evaluation."""
     va = S.require_very_ample()
-    mults = _multiples(S, D, m_max, _cache)
-    flags = [False] + [va(mults[m]) for m in range(1, m_max + 1)]
-    first = next((m for m in range(1, m_max + 1) if flags[m]), None)
-    return VAMultiples(first_m=first, all_from=_tail_start(flags, 1), m_max=m_max)
+    ev = _evaluation(S, D, m_max)
+    flags = [False] + [va(V) for V in ev.multiples[1:]]
+    first = next((m for m, ok in enumerate(flags) if ok), None)
+    return VAMultiples(first_m=first, all_from=_tail_start(flags, 1), m_max=ev.m_max)
 
 
-def glob_gen_twist_test(S: SurfaceModel, D: DivisorLike, G: ZDivisor,
-                        m_max: int = 200,
-                        _cache: Optional[list[ZDivisor]] = None) -> Optional[int]:
-    """Least m2 <= m_max with G + [mD] globally generated for all m in [m2, m_max]."""
+def glob_gen_twist_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
+                        m_max: Optional[int] = None) -> Optional[int]:
+    """Least m2 <= m_max with G + [mD] globally generated for all m in [m2, m_max].
+
+    D may be an Evaluation; the scans of one twist share its G + [mD].
+    """
     gg = S.require_globally_generated()
-    mults = _multiples(S, D, m_max, _cache)
-    flags = [gg(G + mults[m]) for m in range(m_max + 1)]
-    return _tail_start(flags, 0)
+    ev = _evaluation(S, D, m_max)
+    return _tail_start([gg(V) for V in ev.twisted(G)], 0)
 
 
-def vanishing_test(S: SurfaceModel, D: DivisorLike, G: ZDivisor,
-                   m_max: int = 200,
-                   _cache: Optional[list[ZDivisor]] = None) -> Optional[int]:
-    """Least m1 <= m_max with h1 = h2 = 0 for G + [mD] on all m in [m1, m_max]."""
-    mults = _multiples(S, D, m_max, _cache)
+def vanishing_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
+                   m_max: Optional[int] = None) -> Optional[int]:
+    """Least m1 <= m_max with h1 = h2 = 0 for G + [mD] on all m in [m1, m_max].
+
+    D may be an Evaluation; the scans of one twist share its G + [mD].
+    cohomology runs on every m, so its h1 >= 0 check sees every multiple.
+    """
+    ev = _evaluation(S, D, m_max)
     flags = []
-    for m in range(m_max + 1):
-        _, h1, h2 = cohomology(S, G + mults[m])
+    for V in ev.twisted(G):
+        _, h1, h2 = cohomology(S, V)
         flags.append(h1 == 0 and h2 == 0)
     return _tail_start(flags, 0)
 
 
-def section_vanishing_scan(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
-                           _cache: Optional[list[ZDivisor]] = None) -> Optional[int]:
+def _h0_tail(S: SurfaceModel, ev: Evaluation, G: ZDivisor) -> Optional[int]:
+    """Least m <= m_max with h0(G + [mD]) > 0 for all m in [m, m_max]."""
+    h0 = S.require_h0()
+    return _tail_start([h0(V) > 0 for V in ev.twisted(G)], 0)
+
+
+def section_vanishing_scan(S: SurfaceModel, D: DivisorOrEvaluation,
+                           m_max: Optional[int] = None) -> Optional[int]:
     """Least m4 such that for all m in [m4, m_max] every target admits a
     nonzero section vanishing somewhere.
 
     Targets: each generator curve C (all rational on the built-ins, so a
     section vanishing at a point exists iff deg([mD]|_C) > 0) and the
-    surface itself (h0([mD]) >= 1 and [mD] != 0).
+    surface itself (h0([mD]) >= 1 and [mD] != 0).  D may be an Evaluation.
     """
     h0 = S.require_h0()
-    mults = _multiples(S, D, m_max, _cache)
+    ev = _evaluation(S, D, m_max)
     gens = [g.as_zdivisor() for g in S.mori_generators]
     flags = []
-    for m in range(m_max + 1):
-        V = mults[m]
+    for V in ev.multiples:
         ok = all(S.pair_z(V, g) > 0 for g in gens)
         ok = ok and h0(V) >= 1 and not V.is_zero()
         flags.append(ok)
     return _tail_start(flags, 0)
 
 
-def chi_growth(S: SurfaceModel, D: DivisorLike,
+def chi_growth(S: SurfaceModel, D: DivisorOrEvaluation,
                m_list: Sequence[int]) -> tuple[list[tuple[int, int]], Optional[Fraction]]:
     """Exact chi([mD]) by Riemann-Roch for each requested m.
 
     Also reports 2*chi([mD])/m^2 at the largest m, the empirical leading
-    coefficient against D.D.
+    coefficient against D.D.  D may be an Evaluation reaching max(m_list).
     """
     if not m_list:
         raise InvalidInput("m_list must be non-empty")
+    if min(m_list) < 0:
+        raise InvalidInput(f"m_list entries must be >= 0, got {min(m_list)}")
     top = max(m_list)
-    mults = _multiples(S, D, top)
+    ev = _evaluation(S, D, None if isinstance(D, Evaluation) else max(top, 1))
+    if top > ev.m_max:
+        raise InvalidInput(f"m_list reaches {top}, beyond the evaluation's m_max={ev.m_max}")
+    mults = ev.multiples
     rows = [(m, chi_rr(S, mults[m])) for m in m_list]
     estimate = None
     if top > 0:
@@ -267,11 +341,16 @@ def chi_growth(S: SurfaceModel, D: DivisorLike,
     return rows, estimate
 
 
-def semigroup(S: SurfaceModel, D: DivisorLike, m_max: int = 200) -> list[int]:
-    """N(X, D) up to m_max: the m with h0([mD]) > 0; verified add-closed."""
+def semigroup(S: SurfaceModel, D: DivisorOrEvaluation,
+              m_max: Optional[int] = None) -> list[int]:
+    """N(X, D) up to m_max: the m with h0([mD]) > 0; verified add-closed.
+
+    D may be an Evaluation.
+    """
     h0 = S.require_h0()
-    mults = _multiples(S, D, m_max)
-    members = [m for m in range(m_max + 1) if h0(mults[m]) > 0]
+    ev = _evaluation(S, D, m_max)
+    m_max = ev.m_max
+    members = [m for m, V in enumerate(ev.multiples) if h0(V) > 0]
     inside = set(members)
     for i, m1 in enumerate(members):
         for m2 in members[i:]:
@@ -464,40 +543,37 @@ def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:
             raise InternalError(f"big certificate mismatch in coordinate {i}")
 
 
-def is_big_z(S: SurfaceModel, V: ZDivisor) -> bool:
-    if _gens_are_unit_basis(S):
-        return all(c > 0 for c in V.coords)
-    return is_big(S, V).big
-
-
-def claim_boh_check(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
-                    require_big: bool = True,
-                    _cache: Optional[list[ZDivisor]] = None) -> Optional[int]:
-    """Least m0 <= m_max with [mD] big for all m in [m0, m_max]."""
-    if require_big and not is_big(S, D).big:
+def claim_boh_check(S: SurfaceModel, D: DivisorOrEvaluation,
+                    m_max: Optional[int] = None, require_big: bool = True) -> Optional[int]:
+    """Least m0 <= m_max with [mD] big for all m in [m0, m_max]; D may be an Evaluation."""
+    ev = _evaluation(S, D, m_max)
+    if require_big and not is_big(S, ev.divisor).big:
         raise InvalidInput("divisor is not big")
-    mults = _multiples(S, D, m_max, _cache)
-    flags = [False] + [is_big_z(S, mults[m]) for m in range(1, m_max + 1)]
+    flags = [False] + [ev.is_big_multiple(m) for m in range(1, ev.m_max + 1)]
     return _tail_start(flags, 1)
 
 
-def first_big_multiple(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
-                       _cache: Optional[list[ZDivisor]] = None) -> Optional[int]:
-    """Least m >= 1 with [mD] big (the some-multiple form)."""
-    mults = _multiples(S, D, m_max, _cache)
-    return next((m for m in range(1, m_max + 1) if is_big_z(S, mults[m])), None)
+def first_big_multiple(S: SurfaceModel, D: DivisorOrEvaluation,
+                       m_max: Optional[int] = None) -> Optional[int]:
+    """Least m >= 1 with [mD] big (the some-multiple form); D may be an Evaluation."""
+    ev = _evaluation(S, D, m_max)
+    return next((m for m in range(1, ev.m_max + 1) if ev.is_big_multiple(m)), None)
 
 
-def kodaira_check(S: SurfaceModel, D: DivisorLike, F: ZDivisor, m_max: int = 200,
-                  require_big: bool = True) -> Optional[int]:
-    """Least m in N(X, D) from which h0([mD] - F) > 0 persists to m_max."""
+def kodaira_check(S: SurfaceModel, D: DivisorOrEvaluation, F: ZDivisor,
+                  m_max: Optional[int] = None, require_big: bool = True) -> Optional[int]:
+    """Least m in N(X, D) from which h0([mD] - F) > 0 persists to m_max.
+
+    D may be an Evaluation.
+    """
     h0 = S.require_h0()
-    if require_big and not is_big(S, D).big:
+    ev = _evaluation(S, D, m_max)
+    if require_big and not is_big(S, ev.divisor).big:
         raise InvalidInput("divisor is not big")
     if h0(F) <= 0:
         raise InvalidInput(f"F = {S.format_z(F)} is not effective")
-    mults = _multiples(S, D, m_max)
-    members = [m for m in range(m_max + 1) if h0(mults[m]) > 0]
+    mults = ev.multiples
+    members = [m for m, V in enumerate(mults) if h0(V) > 0]
     if not members:
         return None
     best: Optional[int] = None
@@ -509,6 +585,9 @@ def kodaira_check(S: SurfaceModel, D: DivisorLike, F: ZDivisor, m_max: int = 200
     return best
 
 
+GROWTH_MIN_M_MAX = 4  # the growth test compares h0 at m_max with h0 at m_max // 2 >= 2
+
+
 @dataclass(frozen=True)
 class GrowthCheck:
     passed: bool
@@ -518,8 +597,8 @@ class GrowthCheck:
     anchor_c: Fraction            # h0([anchor D]) / (2 anchor^2); the tested constant
 
 
-def big_growth_check(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
-                     _cache: Optional[list[ZDivisor]] = None) -> GrowthCheck:
+def big_growth_check(S: SurfaceModel, D: DivisorOrEvaluation,
+                     m_max: Optional[int] = None) -> GrowthCheck:
     """Quadratic section growth test for bigness.
 
     Gate: h0 at m_max must reach three times h0 at the halfway point.
@@ -529,12 +608,14 @@ def big_growth_check(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
     let linear counts pass (the constant just shrinks like 1/m).  The
     pointwise constant C = h0([m_max D])/(2 m_max^2) is still reported
     for comparison against half the self-intersection of nef divisors.
+    D may be an Evaluation; m_max must be at least GROWTH_MIN_M_MAX.
     """
-    if m_max < 4:
-        raise InvalidInput(f"m_max must be >= 4, got {m_max}")
     h0 = S.require_h0()
-    mults = _multiples(S, D, m_max, _cache)
-    counts = [h0(v) for v in mults]
+    ev = _evaluation(S, D, m_max)
+    m_max = ev.m_max
+    if m_max < GROWTH_MIN_M_MAX:
+        raise InvalidInput(f"m_max must be >= {GROWTH_MIN_M_MAX}, got {m_max}")
+    counts = [h0(v) for v in ev.multiples]
     m_h = m_max // 2
     anchor = Fraction(counts[m_h], 2 * m_h * m_h)
     passed = counts[m_h] > 0 and counts[m_max] >= 3 * counts[m_h]
@@ -770,13 +851,12 @@ def _max_bound(bounds: Iterable[Optional[int]]) -> Optional[int]:
 
 
 def _twist_scan_result(cid: str, S: SurfaceModel, twists: Sequence[ZDivisor], m_max: int,
-                       scan: Callable[[ZDivisor], Optional[int]],
+                       onsets: Sequence[Optional[int]],
                        bound: Optional[int]) -> CriterionResult:
-    """Run scan on every twist; the criterion holds from the latest onset on."""
+    """Fold one scan's onset per twist; the criterion holds from the latest onset on."""
     per_twist = {}
     worst: Optional[int] = 0
-    for G in twists:
-        m = scan(G)
+    for G, m in zip(twists, onsets):
         per_twist[S.format_z(G)] = m
         worst = None if (worst is None or m is None) else max(worst, m)
     return _scan_result(cid, worst, m_max, bound, {"per_twist": per_twist}, proxy=True)
@@ -787,10 +867,10 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
                  twists: Optional[Sequence[ZDivisor]] = None,
                  curve_catalog: Optional[Sequence[CurveClass]] = None) -> PositivityReport:
     """Evaluate every criterion the surface supports and bundle the verdicts."""
-    rd = rdivisor_on(S, D)
+    ev = Evaluation(S, D, m_max)
+    rd = ev.divisor
     twists = list(twists) if twists is not None else default_twists(S)
     ground, bad_gen = is_ample_cone(S, rd)
-    mults = _multiples(S, rd, m_max)
     verdicts: dict[str, CriterionResult] = {}
 
     pair_witness = {
@@ -820,7 +900,7 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
     have_h0 = S.h0 is not None
 
     if have_va:
-        va = very_ample_multiples(S, rd, m_max, _cache=mults)
+        va = very_ample_multiples(S, ev)
         if va.first_m is None and definitive_negative(S, rd, "very_ample"):
             verdicts["P1"] = CriterionResult(
                 "P1", False, True, {"m_max": m_max},
@@ -833,18 +913,29 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
                                          note="surface lacks a very_ample oracle")
         va = None
 
+    # the per-twist scans, twist by twist so they share each twist's G + [mD]
+    twist_scans: dict[str, Callable[[ZDivisor], Optional[int]]] = {}
+    if have_h0:
+        twist_scans["QI"] = lambda G: vanishing_test(S, ev, G)
+    if have_gg:
+        twist_scans["QII"] = lambda G: glob_gen_twist_test(S, ev, G)
+    if have_h0:
+        twist_scans["B4"] = lambda G: _h0_tail(S, ev, G)
+    onsets: dict[str, list[Optional[int]]] = {cid: [] for cid in twist_scans}
+    for G in twists:
+        for cid, scan in twist_scans.items():
+            onsets[cid].append(scan(G))
+
     if have_h0:
         verdicts["QI"] = _twist_scan_result(
-            "QI", S, twists, m_max,
-            lambda G: vanishing_test(S, rd, G, m_max, _cache=mults),
+            "QI", S, twists, m_max, onsets["QI"],
             _max_bound(onset_bound(S, rd, "vanishing", G) for G in twists))
     else:
         verdicts["QI"] = CriterionResult("QI", None, False, {}, note="no h0 oracle")
 
     if have_gg:
         verdicts["QII"] = _twist_scan_result(
-            "QII", S, twists, m_max,
-            lambda G: glob_gen_twist_test(S, rd, G, m_max, _cache=mults),
+            "QII", S, twists, m_max, onsets["QII"],
             _max_bound(onset_bound(S, rd, "globally_generated", G) for G in twists))
     else:
         verdicts["QII"] = CriterionResult("QII", None, False, {},
@@ -859,7 +950,7 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
         "QIII", tail_ok if conclusive_tail else None, conclusive_tail, tail_wit,
         note="decided by cone positivity; scan attached" if conclusive_tail else "")
     if have_h0:
-        m4 = section_vanishing_scan(S, rd, m_max, _cache=mults)
+        m4 = section_vanishing_scan(S, ev)
         verdicts["QIV"] = CriterionResult(
             "QIV", tail_ok if conclusive_tail else None, conclusive_tail,
             {**tail_wit, "scan_m4": m4},
@@ -867,7 +958,7 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
     else:
         verdicts["QIV"] = CriterionResult("QIV", None, False, {}, note="no h0 oracle")
     sample = list(range(1, min(6, m_max + 1)))
-    chi_rows, chi_lead = chi_growth(S, rd, sample)
+    chi_rows, chi_lead = chi_growth(S, ev, sample)
     verdicts["QV"] = CriterionResult(
         "QV", tail_ok if conclusive_tail else None, conclusive_tail,
         {"chi_samples": [[m, c] for m, c in chi_rows],
@@ -881,19 +972,21 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
         {"certificate": bigres.certificate} if bigres.certificate else {},
         note=bigres.note)
     if have_h0:
-        growth = big_growth_check(S, rd, m_max, _cache=mults)
-        verdicts["B2"] = CriterionResult(
-            "B2", growth.passed, True,
-            {"c_estimate": str(growth.c_estimate), "leading": str(growth.leading),
-             "anchor_m": growth.anchor_m, "anchor_c": str(growth.anchor_c)},
-            note="section-growth surrogate for the birational-map criterion")
-        fb = first_big_multiple(S, rd, m_max, _cache=mults)
+        if m_max >= GROWTH_MIN_M_MAX:
+            growth = big_growth_check(S, ev)
+            verdicts["B2"] = CriterionResult(
+                "B2", growth.passed, True,
+                {"c_estimate": str(growth.c_estimate), "leading": str(growth.leading),
+                 "anchor_m": growth.anchor_m, "anchor_c": str(growth.anchor_c)},
+                note="section-growth surrogate for the birational-map criterion")
+        else:
+            verdicts["B2"] = CriterionResult(
+                "B2", None, False, {"m_max": m_max},
+                note=f"the section-growth test needs m_max >= {GROWTH_MIN_M_MAX}")
+        fb = first_big_multiple(S, ev)
         verdicts["B3"] = _scan_result("B3", fb, m_max, None)
-        h0f = S.require_h0()
         verdicts["B4"] = _twist_scan_result(
-            "B4", S, twists, m_max,
-            lambda G: _tail_start([h0f(G + mults[m]) > 0 for m in range(m_max + 1)], 0),
-            onset_bound(S, rd, "h0_positive"))
+            "B4", S, twists, m_max, onsets["B4"], onset_bound(S, rd, "h0_positive"))
     else:
         for cid in ("B2", "B3", "B4"):
             verdicts[cid] = CriterionResult(cid, None, False, {}, note="no h0 oracle")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
 from divpos import _kernels
@@ -94,12 +95,11 @@ class SurfaceModel:
     # -- exact pairings ------------------------------------------------------
 
     def pair_z(self, V: ZDivisor, W: ZDivisor) -> int:
-        M = self.intersection_matrix
+        w = W.coords
         total = 0
-        for i, vi in enumerate(V.coords):
+        for vi, row in zip(V.coords, self.intersection_matrix):
             if vi:
-                row = M[i]
-                total += vi * sum(w * row[j] for j, w in enumerate(W.coords) if w)
+                total += vi * sum(map(mul, row, w))
         return total
 
     def pair_coords(self, v: Sequence, w: Sequence):
@@ -174,9 +174,7 @@ def cohomology(S: SurfaceModel, D: ZDivisor) -> tuple[int, int, int]:
 
 def chi_rr(S: SurfaceModel, D: ZDivisor) -> int:
     """Euler characteristic by surface Riemann-Roch, exact."""
-    dd = S.pair_z(D, D)
-    dk = S.pair_z(D, S.canonical_class)
-    num = dd - dk
+    num = S.pair_z(D, D - S.canonical_class)
     if num % 2 != 0:
         raise InvalidInput(
             f"D.(D-K) = {num} is odd; lattice data inconsistent with a surface"

@@ -176,6 +176,17 @@ def test_nonpositive_m_max_names_flag(capsys, command, m_max):
     assert "--m-max" in err
 
 
+@pytest.mark.parametrize("m_max", ["1", "2", "3"])
+def test_check_below_growth_floor_leaves_b2_inconclusive(capsys, m_max):
+    code, data, err = run_json(capsys, "check", "--surface", "hirzebruch:2",
+                               "--divisor", "C0 + 3*f", "--m-max", m_max)
+    assert code == 0, err
+    b2 = data["verdicts"]["B2"]
+    assert b2["conclusive"] is False and b2["holds"] is None
+    assert "m_max >= 4" in b2["note"]
+    assert data["verdicts"]["QIX"]["holds"] is True
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _, _ = run(capsys, "check", "--surface", "p2", "--divisor", "2*L",

@@ -288,7 +288,7 @@ def test_onset_bound_is_valid():
     for D, kind, twist in cases:
         bound = pos.onset_bound(F2, D, kind, twist)
         assert bound is not None
-        mults = pos._multiples(F2, D, bound + 40)
+        mults = pos.Evaluation(F2, D, bound + 40).multiples
         for m in range(bound, bound + 40):
             V = mults[m] if twist is None else twist + mults[m]
             if kind == "very_ample":

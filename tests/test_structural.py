@@ -61,7 +61,7 @@ def test_zero_pairing_irrational_tail_broken_by_weyl():
     very-ampleness fails whenever the fractional part dips below 1/2."""
     D = RDivisor({"C0": QuadExt(0, 1, 2), "f": QuadExt(0, 2, 2)})
     assert pos.intersect(F2, D, "C0") == QuadExt(0)
-    mults = pos._multiples(F2, D, 200)
+    mults = pos.Evaluation(F2, D, 200).multiples
     fails = [m for m in range(1, 201) if not F2.very_ample(mults[m])]
     # failures recur with small gaps, so no tail can span the audit window
     assert fails and max(b - a for a, b in zip(fails, fails[1:])) <= 10
