@@ -194,7 +194,7 @@ class Evaluation:
                  "_twist", "_twisted")
 
     def __init__(self, S: SurfaceModel, D: DivisorLike, m_max: int):
-        if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 1:
+        if not isinstance(m_max, int) or m_max < 1:
             raise InvalidInput(f"m_max must be an integer >= 1, got {m_max!r}")
         self.surface = S
         self.divisor = rdivisor_on(S, D)
