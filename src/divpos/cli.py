@@ -183,8 +183,7 @@ def cmd_growth(args) -> int:
     S = resolve_surface(args.surface)
     ev = pos.Evaluation(S, _load_divisor(args.divisor), args.m_max)
     rows, estimate = pos.chi_growth(S, ev, range(1, args.m_max + 1))
-    h0f = S.require_h0()
-    table = [{"m": m, "chi": chi, "h0": h0f(ev.multiples[m])} for m, chi in rows]
+    table = [{"m": m, "chi": chi, "h0": ev.h0_counts[m]} for m, chi in rows]
     growth = pos.big_growth_check(S, ev) if args.m_max >= pos.GROWTH_MIN_M_MAX else None
     payload = {
         "schema_version": "v1",

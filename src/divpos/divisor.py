@@ -15,11 +15,12 @@ combination plus a correction term T_m, and the euclidean split
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, neg, sub
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from divpos import _kernels
 from divpos.errors import InternalError, InvalidInput, RepresentationError

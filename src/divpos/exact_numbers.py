@@ -7,6 +7,12 @@ by integer arithmetic only; floats never enter a decision path.
 
 All irrational coefficients inside one computation must share the same d;
 mixing two different radicals raises MixedFieldError.
+
+The radicand is made square-free once, where a value enters: the public
+QuadExt(a, b, d) constructor, and through it parse_quadext, quadext and
+sqrt_of.  That trial division is bounded by RADICAND_MAX = 10**12 (about
+0.1 s at the bound); a larger d raises InvalidInput.  Arithmetic results
+share their operands' square-free d, so they skip the decomposition.
 """
 
 from __future__ import annotations
@@ -20,11 +26,15 @@ from divpos.errors import InvalidInput, MixedFieldError
 
 RatLike = Union[int, Fraction, str]
 
+RADICAND_MAX = 10**12  # trial division up to sqrt(d) = 10**6
+
 
 def squarefree_decompose(d: int) -> tuple[int, int]:
-    """Write d = s*s*d0 with d0 square-free; returns (d0, s).  d >= 0."""
+    """Write d = s*s*d0 with d0 square-free; returns (d0, s).  0 <= d <= RADICAND_MAX."""
     if d < 0:
         raise InvalidInput(f"d must be non-negative (real quadratic field), got {d}")
+    if d > RADICAND_MAX:
+        raise InvalidInput(f"radicand {d} exceeds the bound {RADICAND_MAX}")
     if d in (0, 1):
         return d, 1
     s = 1
@@ -98,43 +108,52 @@ class QuadExt:
     def _coerce(x) -> "QuadExt":
         if isinstance(x, QuadExt):
             return x
-        if isinstance(x, (int, Fraction)):
-            return QuadExt(x)
+        if isinstance(x, int):
+            return _trusted_quadext(Fraction(x), _FZERO, 0)
+        if isinstance(x, Fraction):
+            return _trusted_quadext(x, _FZERO, 0)
         return NotImplemented  # type: ignore[return-value]
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # Operands are canonical (d square-free or 0), so every result is built
+    # by _trusted_quadext; an int operand skips the coercion.
 
     def __add__(self, other):
+        if type(other) is int:
+            return _trusted_quadext(self.a + other, self.b, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self._join_d(o)
-        return QuadExt(self.a + o.a, self.b + o.b, d)
+        return _trusted_quadext(self.a + o.a, self.b + o.b, self._join_d(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _trusted_quadext(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return _trusted_quadext(self.a - o.a, self.b - o.b, self._join_d(o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _trusted_quadext(self.a * other, self.b * other, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         d = self._join_d(o)
         # (a + b*sqrt(d)) * (a' + b'*sqrt(d)) = (aa' + bb'd) + (ab' + a'b) sqrt(d)
-        return QuadExt(self.a * o.a + self.b * o.b * d, self.a * o.b + o.a * self.b, d)
+        return _trusted_quadext(self.a * o.a + self.b * o.b * d,
+                                self.a * o.b + o.a * self.b, d)
 
     __rmul__ = __mul__
 
@@ -142,10 +161,10 @@ class QuadExt:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.b == 0:
-            return QuadExt(1 / self.a)
+            return _trusted_quadext(1 / self.a, _FZERO, 0)
         # conjugate trick; the norm a^2 - b^2 d is a nonzero rational
         norm = self.a * self.a - self.b * self.b * self.d
-        return QuadExt(self.a / norm, -self.b / norm, self.d)
+        return _trusted_quadext(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -185,6 +204,8 @@ class QuadExt:
         return self - self.floor()
 
     def __eq__(self, other):
+        if type(other) is int:
+            return self.b == 0 and self.a == other
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -233,6 +254,24 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self!s})"
+
+
+_FZERO = Fraction(0)
+_set_a, _set_b, _set_d = QuadExt.a.__set__, QuadExt.b.__set__, QuadExt.d.__set__
+
+
+def _trusted_quadext(a: Fraction, b: Fraction, d: int) -> QuadExt:
+    """a + b*sqrt(d) from Fractions a, b and a d already square-free or 0.
+
+    Only for results of arithmetic on canonical values; anything else goes
+    through QuadExt(...), which decomposes d.  Only b == 0 -> d = 0 is
+    normalised here.
+    """
+    x = object.__new__(QuadExt)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d if b else 0)
+    return x
 
 
 ZERO = QuadExt(0)

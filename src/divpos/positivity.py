@@ -187,11 +187,12 @@ class Evaluation:
     so [mD] is computed once however many scans read it.  ``multiples[m]``
     is [mD].  ``twisted(G)`` is the list G + [mD]; the list of the most
     recent twist is kept, so the scans of one twist share it while at
-    most one twist's list stays alive.
+    most one twist's list stays alive.  ``h0_counts`` is the column
+    h0([mD]), computed on first use and shared by the scans that read it.
     """
 
     __slots__ = ("surface", "divisor", "m_max", "multiples", "unit_effective",
-                 "_twist", "_twisted")
+                 "_twist", "_twisted", "_h0_counts")
 
     def __init__(self, S: SurfaceModel, D: DivisorLike, m_max: int):
         if not isinstance(m_max, int) or m_max < 1:
@@ -204,6 +205,15 @@ class Evaluation:
         self.unit_effective = _gens_are_unit_basis(S)
         self._twist: Optional[ZDivisor] = None
         self._twisted: list[ZDivisor] = []
+        self._h0_counts: Optional[list[int]] = None
+
+    @property
+    def h0_counts(self) -> list[int]:
+        """[h0([mD]) for m in 0..m_max]."""
+        if self._h0_counts is None:
+            h0 = self.surface.require_h0()
+            self._h0_counts = [h0(V) for V in self.multiples]
+        return self._h0_counts
 
     def twisted(self, G: ZDivisor) -> list[ZDivisor]:
         """[G + [mD] for m in 0..m_max]."""
@@ -347,10 +357,10 @@ def semigroup(S: SurfaceModel, D: DivisorOrEvaluation,
 
     D may be an Evaluation.
     """
-    h0 = S.require_h0()
+    S.require_h0()   # OracleUnavailable before any evaluation
     ev = _evaluation(S, D, m_max)
     m_max = ev.m_max
-    members = [m for m, V in enumerate(ev.multiples) if h0(V) > 0]
+    members = [m for m, n in enumerate(ev.h0_counts) if n > 0]
     inside = set(members)
     for i, m1 in enumerate(members):
         for m2 in members[i:]:
@@ -573,7 +583,7 @@ def kodaira_check(S: SurfaceModel, D: DivisorOrEvaluation, F: ZDivisor,
     if h0(F) <= 0:
         raise InvalidInput(f"F = {S.format_z(F)} is not effective")
     mults = ev.multiples
-    members = [m for m, V in enumerate(mults) if h0(V) > 0]
+    members = [m for m, n in enumerate(ev.h0_counts) if n > 0]
     if not members:
         return None
     best: Optional[int] = None
@@ -610,12 +620,12 @@ def big_growth_check(S: SurfaceModel, D: DivisorOrEvaluation,
     for comparison against half the self-intersection of nef divisors.
     D may be an Evaluation; m_max must be at least GROWTH_MIN_M_MAX.
     """
-    h0 = S.require_h0()
+    S.require_h0()   # OracleUnavailable before any evaluation
     ev = _evaluation(S, D, m_max)
     m_max = ev.m_max
     if m_max < GROWTH_MIN_M_MAX:
         raise InvalidInput(f"m_max must be >= {GROWTH_MIN_M_MAX}, got {m_max}")
-    counts = [h0(v) for v in ev.multiples]
+    counts = ev.h0_counts
     m_h = m_max // 2
     anchor = Fraction(counts[m_h], 2 * m_h * m_h)
     passed = counts[m_h] > 0 and counts[m_max] >= 3 * counts[m_h]

@@ -11,9 +11,10 @@ models load from a JSON-shaped spec file (exact integers only).
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from divpos import _kernels
 from divpos.divisor import RDivisor, ZDivisor, zdivisor_to_r
@@ -103,18 +104,16 @@ class SurfaceModel:
         return total
 
     def pair_coords(self, v: Sequence, w: Sequence):
-        """Bilinear pairing of two coefficient vectors (QuadExt or int entries)."""
-        M = self.intersection_matrix
-        total = None
-        for i, vi in enumerate(v):
-            for j, wj in enumerate(w):
-                mij = M[i][j]
-                if mij == 0:
-                    continue
-                term = vi * wj * mij
-                total = term if total is None else total + term
-        if total is None:
-            return 0
+        """Bilinear pairing v.M.w of two coefficient vectors (QuadExt or int entries).
+
+        Summed as v_i * (M w)_i, skipping the zero entries of M and of M w, so
+        an integer class w costs rho products with the entries of v.
+        """
+        total = 0
+        for vi, row in zip(v, self.intersection_matrix):
+            mw = sum(wj * mij for mij, wj in zip(row, w) if mij)
+            if mw != 0:
+                total = total + vi * mw
         return total
 
     def zdivisor(self, coords: Sequence[int]) -> ZDivisor:

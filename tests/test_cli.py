@@ -79,6 +79,20 @@ def test_check_bad_surface_names_field(capsys):
     assert "hirzebruch" in err
 
 
+def test_radicand_beyond_bound_exits_3(capsys):
+    code, _, err = run(capsys, "check", "--surface", "hirzebruch:2",
+                       "--divisor", "sqrt(1000000000039)*C0 + 3*f")
+    assert code == 3
+    assert "radicand 1000000000039" in err and str(10**12) in err
+
+
+def test_radicand_below_bound_is_decided(capsys):
+    code, data, _ = run_json(capsys, "check", "--surface", "hirzebruch:2",
+                             "--divisor", "sqrt(999999999989)*C0 + 3*f", "--m-max", "200")
+    assert code == 0
+    assert data["ground_truth"] is False   # ample on F_2 needs 3 > 2*sqrt(999999999989)
+
+
 # -- semigroup / growth --------------------------------------------------------------
 
 

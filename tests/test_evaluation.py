@@ -6,6 +6,7 @@ validating ZDivisor constructor, floors m*D through QuadExt arithmetic
 (not the floor-scan kernels) and asks cohomology and the oracles per m.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,13 @@ def test_scans_through_evaluation_match_brute_force(sd, m_max):
     assert pos.first_big_multiple(S, ev) == next((m for m, ok in enumerate(big) if ok), None)
     assert pos.claim_boh_check(S, ev, require_big=False) == brute_tail(big, 1)
 
+    members = [m for m, n in enumerate(counts) if n > 0]
+    for F in pos.default_effective_catalog(S):
+        down = brute_twisted(-F, rows)
+        want = next((m for m in members
+                     if all(S.h0(down[k]) > 0 for k in members if k >= m)), None)
+        assert pos.kodaira_check(S, ev, F, require_big=False) == want
+
 
 def test_public_call_forms_match_the_evaluation():
     D = "3/2*C0 + 3*f"
@@ -120,6 +128,27 @@ def test_twisted_list_is_shared_per_twist_and_only_the_last_is_kept():
     b = ev.twisted(ZDivisor((0, -1)))
     assert b is not a and ev.twisted(ZDivisor((0, -1))) is b
     assert [x.coords for x in a] == [(V.coords[0] - 1, V.coords[1]) for V in ev.multiples]
+
+
+def test_h0_column_is_computed_once_per_evaluation():
+    calls = []
+
+    def h0(V):
+        calls.append(V)
+        return F2.h0(V)
+
+    S = dataclasses.replace(F2, h0=h0)
+    ev = pos.Evaluation(S, "C0 + 3*f", 20)
+    pos.big_growth_check(S, ev)
+    assert len(calls) == 21 and ev.h0_counts == [F2.h0(V) for V in ev.multiples]
+    pos.semigroup(S, ev)
+    pos.big_growth_check(S, ev)
+    assert len(calls) == 21
+    F = ZDivisor((0, 1))
+    pos.kodaira_check(S, ev, F)
+    # only h0(F) and the h0([mD] - F) of the tail are new
+    assert [V for V in calls[21:] if V != F] == \
+        [ev.multiples[m] - F for m in range(20, 20 - len(calls[22:]), -1)]
 
 
 def test_evaluation_refuses_a_different_m_max_or_surface():

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divpos.exact_numbers as en
+from divpos.divisor import ZDivisor
 from divpos.errors import InvalidInput, MixedFieldError
 from divpos.exact_numbers import (
+    RADICAND_MAX,
     QuadExt,
     floor,
     format_quadext,
@@ -19,6 +22,8 @@ from divpos.exact_numbers import (
     squarefree_decompose,
     weyl_find,
 )
+from divpos.positivity import build_report
+from divpos.surface import CurveClass, SurfaceModel, hirzebruch, projective_plane
 
 SQRT2 = sqrt_of(2)
 SQRT3 = sqrt_of(3)
@@ -201,6 +206,14 @@ def test_negative_d_rejected():
         QuadExt(0, 1, -2)
 
 
+def test_radicand_bound():
+    assert squarefree_decompose(RADICAND_MAX) == (1, 10**6)
+    with pytest.raises(InvalidInput, match=f"radicand {RADICAND_MAX + 39} .*{RADICAND_MAX}"):
+        squarefree_decompose(RADICAND_MAX + 39)
+    with pytest.raises(InvalidInput, match="radicand"):
+        parse_quadext(f"sqrt({RADICAND_MAX + 39})")
+
+
 # -- text round-trip --------------------------------------------------------------
 
 
@@ -233,11 +246,11 @@ small_d = st.sampled_from([2, 3, 5, 6, 7, 10])
 
 
 @st.composite
-def quads(draw, allow_rational=True):
+def quads(draw, allow_rational=True, d=small_d):
     a = draw(rationals)
     if allow_rational and draw(st.booleans()):
         return QuadExt(a)
-    return QuadExt(a, draw(rationals), draw(small_d))
+    return QuadExt(a, draw(rationals), draw(d))
 
 
 @given(quads())
@@ -308,3 +321,102 @@ def test_numeric_comparisons_with_plain_numbers():
     assert QuadExt(0, 1, 2) > 1
     assert QuadExt(0, 1, 2) < Fraction(3, 2)
     assert QuadExt(Fraction(1, 3)) <= Fraction(1, 3)
+
+
+# -- trusted arithmetic results ---------------------------------------------------------
+
+
+def assert_canonical(r):
+    """r equals, hashes like and has the fields of the validated QuadExt(r.a, r.b, r.d)."""
+    want = QuadExt(r.a, r.b, r.d)
+    assert r == want and hash(r) == hash(want)
+    assert type(r.a) is type(want.a) is Fraction and type(r.b) is type(want.b) is Fraction
+    assert (r.a, r.b, r.d) == (want.a, want.b, want.d)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_arithmetic_results_are_canonical(data):
+    d = data.draw(st.sampled_from([2, 3, 5, 6, 7, 10, 1000003]))
+    x = data.draw(quads(d=st.just(d)))
+    y = data.draw(st.one_of(quads(d=st.just(d)), st.integers(-10**6, 10**6), rationals))
+    results = [x + y, y + x, x - y, y - x, x * y, y * x, -x]
+    if not x.is_zero():
+        results += [x.inverse(), y / x]
+    if y != 0:
+        results.append(x / y)
+    for r in results:
+        assert_canonical(r)
+    assert (x - y) + y == x
+    assert x + y - x == y
+
+
+def test_construction_boundary_still_canonicalises():
+    assert QuadExt(0, 1, 8) == 2 * SQRT2
+    assert format_quadext(QuadExt(0, 1, 8)) == "2*sqrt(2)"
+    assert sqrt_of(1) == 1 and sqrt_of(1).d == 0
+    assert parse_quadext("2+3*sqrt(1)") == QuadExt(5)
+    big = sqrt_of(1000003)
+    assert (big * 3 + 1).d == 1000003 and (big * 0).d == 0 and (big - big).d == 0
+    for op in (lambda: SQRT2 + SQRT3, lambda: SQRT2 - SQRT3, lambda: SQRT2 * SQRT3,
+               lambda: SQRT2 / SQRT3, lambda: SQRT2 < SQRT3):
+        with pytest.raises(MixedFieldError):
+            op()
+
+
+def test_report_decomposes_the_radicand_only_at_the_boundary(monkeypatch):
+    seen = []
+    original = en.squarefree_decompose
+
+    def counting(d):
+        seen.append(d)
+        return original(d)
+
+    monkeypatch.setattr(en, "squarefree_decompose", counting)
+    build_report(hirzebruch(2), "(1/3+sqrt(1000003))*C0 + (2-1/2*sqrt(1000003))*f", m_max=40)
+    assert len([d for d in seen if d > 1]) <= 4
+
+
+# -- pairings ----------------------------------------------------------------------------
+
+
+def double_loop_pairing(M, v, w):
+    """sum_ij v_i M_ij w_j term by term over the nonzero M_ij."""
+    total = 0
+    for i, vi in enumerate(v):
+        for j, wj in enumerate(w):
+            if M[i][j]:
+                total = total + vi * wj * M[i][j]
+    return total
+
+
+def model_with_matrix(M):
+    rho = len(M)
+    unit = tuple(int(i == 0) for i in range(rho))
+    return SurfaceModel(
+        name="random", basis=tuple(f"E{i}" for i in range(rho)), intersection_matrix=M,
+        mori_generators=(CurveClass("E0", unit),), effective_generators=(ZDivisor(unit),),
+        canonical_class=ZDivisor((0,) * rho), chi_structure=1)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    rho = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    upper = {(i, j): draw(entry) for i in range(rho) for j in range(i, rho)}
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(rho)) for i in range(rho))
+
+
+BUILT_IN = [hirzebruch(e) for e in range(4)] + [projective_plane()]
+
+
+@settings(max_examples=150)
+@given(st.one_of(st.sampled_from(BUILT_IN), symmetric_matrices().map(model_with_matrix)),
+       st.data())
+def test_pair_coords_matches_the_double_loop(S, data):
+    d = data.draw(small_d)
+    entry = st.one_of(quads(d=st.just(d)), st.integers(-20, 20))
+    v = data.draw(st.lists(entry, min_size=S.rho, max_size=S.rho))
+    w = data.draw(st.lists(st.one_of(st.integers(-20, 20), entry), min_size=S.rho,
+                           max_size=S.rho))
+    assert S.pair_coords(v, w) == double_loop_pairing(S.intersection_matrix, v, w)
