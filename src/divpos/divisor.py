@@ -24,7 +24,7 @@ from typing import Union
 
 from divpos import _kernels
 from divpos.errors import InternalError, InvalidInput, RepresentationError
-from divpos.exact_numbers import QuadExt, format_quadext, parse_quadext, quadext
+from divpos.exact_numbers import ZERO, QuadExt, format_quadext, parse_quadext, quadext
 
 CoefLike = Union[QuadExt, int, Fraction, str]
 
@@ -130,7 +130,7 @@ class RDivisor:
         return "prime" if self.expansions is None else "general"
 
     def coefficient(self, label: str) -> QuadExt:
-        return self.terms.get(label, QuadExt(0))
+        return self.terms.get(label, ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -149,7 +149,7 @@ class RDivisor:
             raise RepresentationError("cannot add prime and general representations")
         merged = dict(self.terms)
         for k, v in other.terms.items():
-            merged[k] = merged.get(k, QuadExt(0)) + v
+            merged[k] = merged.get(k, ZERO) + v
         exp = None
         if self.expansions is not None:
             exp = dict(self.expansions)
@@ -183,7 +183,7 @@ class RDivisor:
         if self.expansions is None:
             return self.coefficients(basis)
         rho = len(basis)
-        out = [QuadExt(0)] * rho
+        out = [ZERO] * rho
         for label, coef in self.terms.items():
             vec = self.expansions[label]
             if len(vec) != rho:
@@ -273,7 +273,7 @@ def round_decompose(D: RDivisor, m: int, basis: Sequence[str]) -> tuple[ZDivisor
             raise InvalidInput(f"label {exc.args[0]!r} not in the surface basis") from None
 
     floored = [0] * rho
-    frac_combo = [QuadExt(0)] * rho
+    frac_combo = [ZERO] * rho
     for label, coef in D.terms.items():
         scaled = coef * m
         fl = scaled.floor()

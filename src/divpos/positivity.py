@@ -250,14 +250,15 @@ def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,
     return D
 
 
-def _tail_start(flags: list[bool], lo: int) -> Optional[int]:
-    """Least i >= lo with flags[m] true for all m in [i, end]; None if end fails."""
-    if not flags or not flags[-1]:
-        return None
-    i = len(flags) - 1
-    while i - 1 >= lo and flags[i - 1]:
+def _tail_from(ok: Callable[[object], bool], items: Sequence, lo: int) -> Optional[int]:
+    """Least i >= lo with ok(items[m]) for all m in [i, end]; None if the last fails.
+
+    Walks down from the last item, so ok never sees an item below the tail.
+    """
+    i = len(items)
+    while i > lo and ok(items[i - 1]):
         i -= 1
-    return i
+    return None if i == len(items) else i
 
 
 # The scans below take D as a divisor or as its Evaluation on S.  For an
@@ -270,9 +271,10 @@ def very_ample_multiples(S: SurfaceModel, D: DivisorOrEvaluation,
     """Scan very_ample([mD]) for m in [1, m_max]; D may be an Evaluation."""
     va = S.require_very_ample()
     ev = _evaluation(S, D, m_max)
-    flags = [False] + [va(V) for V in ev.multiples[1:]]
-    first = next((m for m, ok in enumerate(flags) if ok), None)
-    return VAMultiples(first_m=first, all_from=_tail_start(flags, 1), m_max=ev.m_max)
+    mults = ev.multiples
+    first = next((m for m in range(1, len(mults)) if va(mults[m])), None)
+    all_from = None if first is None else _tail_from(va, mults, first)
+    return VAMultiples(first_m=first, all_from=all_from, m_max=ev.m_max)
 
 
 def glob_gen_twist_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
@@ -283,7 +285,7 @@ def glob_gen_twist_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
     """
     gg = S.require_globally_generated()
     ev = _evaluation(S, D, m_max)
-    return _tail_start([gg(V) for V in ev.twisted(G)], 0)
+    return _tail_from(gg, ev.twisted(G), 0)
 
 
 def vanishing_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
@@ -291,20 +293,19 @@ def vanishing_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
     """Least m1 <= m_max with h1 = h2 = 0 for G + [mD] on all m in [m1, m_max].
 
     D may be an Evaluation; the scans of one twist share its G + [mD].
-    cohomology runs on every m, so its h1 >= 0 check sees every multiple.
+    cohomology runs on m = m_max, m_max - 1, ... down to the first failure,
+    so its h1 >= 0 check sees only those multiples.  That is enough: the
+    built-in h0 oracles are closed form, and a spec's h0 table is checked
+    for h1 >= 0 on every entry when the spec loads.
     """
     ev = _evaluation(S, D, m_max)
-    flags = []
-    for V in ev.twisted(G):
-        _, h1, h2 = cohomology(S, V)
-        flags.append(h1 == 0 and h2 == 0)
-    return _tail_start(flags, 0)
+    return _tail_from(lambda V: cohomology(S, V)[1:] == (0, 0), ev.twisted(G), 0)
 
 
 def _h0_tail(S: SurfaceModel, ev: Evaluation, G: ZDivisor) -> Optional[int]:
     """Least m <= m_max with h0(G + [mD]) > 0 for all m in [m, m_max]."""
     h0 = S.require_h0()
-    return _tail_start([h0(V) > 0 for V in ev.twisted(G)], 0)
+    return _tail_from(lambda V: h0(V) > 0, ev.twisted(G), 0)
 
 
 def section_vanishing_scan(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -319,12 +320,8 @@ def section_vanishing_scan(S: SurfaceModel, D: DivisorOrEvaluation,
     h0 = S.require_h0()
     ev = _evaluation(S, D, m_max)
     gens = [g.as_zdivisor() for g in S.mori_generators]
-    flags = []
-    for V in ev.multiples:
-        ok = all(S.pair_z(V, g) > 0 for g in gens)
-        ok = ok and h0(V) >= 1 and not V.is_zero()
-        flags.append(ok)
-    return _tail_start(flags, 0)
+    return _tail_from(lambda V: all(S.pair_z(V, g) > 0 for g in gens)
+                      and h0(V) >= 1 and not V.is_zero(), ev.multiples, 0)
 
 
 def chi_growth(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -559,8 +556,7 @@ def claim_boh_check(S: SurfaceModel, D: DivisorOrEvaluation,
     ev = _evaluation(S, D, m_max)
     if require_big and not is_big(S, ev.divisor).big:
         raise InvalidInput("divisor is not big")
-    flags = [False] + [ev.is_big_multiple(m) for m in range(1, ev.m_max + 1)]
-    return _tail_start(flags, 1)
+    return _tail_from(ev.is_big_multiple, range(ev.m_max + 1), 1)
 
 
 def first_big_multiple(S: SurfaceModel, D: DivisorOrEvaluation,

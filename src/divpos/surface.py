@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
 from divpos import _kernels
-from divpos.divisor import RDivisor, ZDivisor, zdivisor_to_r
+from divpos.divisor import RDivisor, ZDivisor, trusted_zdivisor, zdivisor_to_r
 from divpos.errors import InternalError, InvalidInput, OracleUnavailable
 
 
@@ -88,6 +88,9 @@ class SurfaceModel:
                 raise InvalidInput("effective generator has wrong rank")
         if len(self.canonical_class.coords) != rho:
             raise InvalidInput("canonical class has wrong rank")
+        # (M K)_i = e_i.K, read by every Riemann-Roch evaluation
+        object.__setattr__(self, "_mk", tuple(sum(map(mul, row, self.canonical_class.coords))
+                                              for row in M))
 
     @property
     def rho(self) -> int:
@@ -160,8 +163,11 @@ def cohomology(S: SurfaceModel, D: ZDivisor) -> tuple[int, int, int]:
     chi(D) = chi(O_X) + D.(D - K)/2, and h1 = h0 + h2 - chi.
     """
     h0f = S.require_h0()
+    k, v = S.canonical_class.coords, D.coords
+    if len(v) != len(k):
+        raise InvalidInput(f"{D} has {len(v)} coordinates, the surface has rank {len(k)}")
     h0 = h0f(D)
-    h2 = h0f(S.canonical_class - D)
+    h2 = h0f(trusted_zdivisor(tuple(map(sub, k, v))))
     chi = chi_rr(S, D)
     h1 = h0 + h2 - chi
     if h1 < 0:
@@ -172,8 +178,17 @@ def cohomology(S: SurfaceModel, D: ZDivisor) -> tuple[int, int, int]:
 
 
 def chi_rr(S: SurfaceModel, D: ZDivisor) -> int:
-    """Euler characteristic by surface Riemann-Roch, exact."""
-    num = S.pair_z(D, D - S.canonical_class)
+    """Euler characteristic by surface Riemann-Roch, exact.
+
+    D.(D - K) is summed as v_i ((M v)_i - (M K)_i), without building D - K.
+    """
+    v = D.coords
+    if len(v) != S.rho:
+        raise InvalidInput(f"{D} has {len(v)} coordinates, the surface has rank {S.rho}")
+    num = 0
+    for vi, row, mk in zip(v, S.intersection_matrix, S._mk):
+        if vi:
+            num += vi * (sum(map(mul, row, v)) - mk)
     if num % 2 != 0:
         raise InvalidInput(
             f"D.(D-K) = {num} is odd; lattice data inconsistent with a surface"
@@ -303,6 +318,12 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     builtin reference ("hirzebruch:E", "p2") or a table object with an
     "h0_table" map from coordinate strings to counts (very_ample /
     globally_generated tables optional).
+
+    The oracle is checked against the spec before the model is returned:
+    a referenced model must have the spec's matrix, canonical class, chi
+    and generators, and every h0_table entry V whose K - V is also in the
+    table must give h1(V) = h0(V) + h0(K - V) - chi(V) >= 0.  The scans
+    rely on this, since they skip the multiples below a tail.
     """
     for fieldname in ("name", "basis", "matrix", "mori_generators",
                       "effective_generators", "canonical", "chi", "oracle"):
@@ -324,12 +345,10 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
         raise InvalidInput("surface spec field 'canonical' has wrong rank")
 
     oracle = spec["oracle"]
-    va = gg = h0 = None
+    va = gg = h0 = table = None
     suff = None
     if isinstance(oracle, str):
         ref = resolve_surface(oracle)
-        if ref.rho != rho:
-            raise InvalidInput(f"oracle {oracle!r} has rank {ref.rho}, spec has {rho}")
         va, gg, h0 = ref.very_ample, ref.globally_generated, ref.h0
         suff = ref.sufficient_conditions
     elif isinstance(oracle, Mapping):
@@ -356,7 +375,7 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     amp = None
     if "ample" in spec:
         amp = ZDivisor(tuple(spec["ample"]))
-    return SurfaceModel(
+    S = SurfaceModel(
         name=str(spec["name"]),
         basis=basis,
         intersection_matrix=matrix,
@@ -371,6 +390,44 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
         sufficient_conditions=suff,
         spec=dict(spec),
     )
+    if isinstance(oracle, str):
+        theirs = _lattice_fields(ref)
+        for name, value in _lattice_fields(S).items():
+            if value != theirs[name]:
+                raise InvalidInput(f"surface spec field 'oracle': {oracle!r} has a different "
+                                   f"{name!r} ({theirs[name]}, the spec has {value})")
+    if table is not None:
+        _check_h0_table(S, table)
+    return S
+
+
+def _lattice_fields(S: SurfaceModel) -> dict:
+    """The spec fields whose values a borrowed oracle and its onset tables assume."""
+    return {
+        "matrix": S.intersection_matrix,
+        "canonical": S.canonical_class.coords,
+        "chi": S.chi_structure,
+        "mori_generators": sorted(g.coords for g in S.mori_generators),
+        "effective_generators": sorted(v.coords for v in S.effective_generators),
+    }
+
+
+def _check_h0_table(S: SurfaceModel, table: Mapping[tuple[int, ...], int]) -> None:
+    """InvalidInput unless h0 >= 0 and h1 = h0(V) + h0(K - V) - chi(V) >= 0 per entry."""
+    k = S.canonical_class.coords
+    for key, n in table.items():
+        name = ",".join(map(str, key))
+        if len(key) != S.rho:
+            raise InvalidInput(f"surface spec field 'h0_table': key {name!r} has "
+                               f"{len(key)} coordinates, the basis has {S.rho}")
+        if n < 0:
+            raise InvalidInput(f"surface spec field 'h0_table': entry {name!r} is negative")
+        dual = tuple(map(sub, k, key))
+        if dual in table:
+            h1 = n + table[dual] - chi_rr(S, trusted_zdivisor(key))
+            if h1 < 0:
+                raise InvalidInput(f"surface spec field 'h0_table': entry {name!r} gives "
+                                   f"h1 = {h1} < 0 with h0(K - V) = {table[dual]}")
 
 
 def surface_to_spec(S: SurfaceModel) -> dict:

@@ -79,6 +79,18 @@ def test_check_bad_surface_names_field(capsys):
     assert "hirzebruch" in err
 
 
+def test_spec_borrowing_a_mismatched_oracle_exits_3(tmp_path, capsys):
+    # the F_3 lattice with the F_2 oracles: loaded, it decided P1, QIII and QIX wrongly
+    spec = {"name": "f3-with-f2-oracle", "basis": ["C0", "f"], "matrix": [[-3, 1], [1, 0]],
+            "mori_generators": [[1, 0], [0, 1]], "effective_generators": [[1, 0], [0, 1]],
+            "canonical": [-2, -5], "chi": 1, "oracle": "hirzebruch:2"}
+    path = tmp_path / "f3.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "check", "--surface", str(path), "--divisor", "C0 + 3*f")
+    assert code == 3
+    assert "'oracle'" in err and "'matrix'" in err
+
+
 def test_radicand_beyond_bound_exits_3(capsys):
     code, _, err = run(capsys, "check", "--surface", "hirzebruch:2",
                        "--divisor", "sqrt(1000000000039)*C0 + 3*f")

@@ -7,6 +7,7 @@ validating ZDivisor constructor, floors m*D through QuadExt arithmetic
 """
 
 import dataclasses
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,49 @@ def test_evaluation_refuses_a_different_m_max_or_surface():
         pos.chi_growth(F2, ev, [21])
     with pytest.raises(InvalidInput, match="rank"):
         ev.twisted(ZDivisor((1, 0, 0)))
+
+
+# -- top-down tail scans ---------------------------------------------------------------
+
+
+@contextmanager
+def counted_cohomology():
+    """The classes vanishing_test passes to cohomology, in call order."""
+    calls = []
+
+    def counting(S, V):
+        calls.append(V)
+        return cohomology(S, V)
+
+    original, pos.cohomology = pos.cohomology, counting
+    try:
+        yield calls
+    finally:
+        pos.cohomology = original
+
+
+@pytest.mark.parametrize("D, per_twist", [("-C0 + 3*f", 1), ("C0 + 3*f", 2001)])
+def test_vanishing_scan_stops_at_the_first_failure_from_the_top(D, per_twist):
+    ev = pos.Evaluation(F2, D, 2000)
+    for G in pos.default_twists(F2):
+        with counted_cohomology() as calls:
+            pos.vanishing_test(F2, ev, G)
+        assert len(calls) == per_twist
+        assert calls[0] == ev.twisted(G)[2000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(surface_divisors(), st.integers(4, 40), st.data())
+def test_vanishing_scan_visits_the_tail_and_one_failure(sd, m_max, data):
+    S, D = sd
+    G = data.draw(st.sampled_from(pos.default_twists(S)))
+    rows = brute_twisted(G, brute_multiples(S, D, m_max))
+    t = brute_tail([h1 == 0 and h2 == 0 for _, h1, h2 in (cohomology(S, x) for x in rows)], 0)
+    with counted_cohomology() as calls:
+        assert pos.vanishing_test(S, D, G, m_max) == t
+    want = 1 if t is None else m_max + 1 - t + (t > 0)
+    assert len(calls) == want
+    assert calls == rows[::-1][:want]
 
 
 # -- m_max at the library boundary ---------------------------------------------------

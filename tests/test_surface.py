@@ -1,7 +1,9 @@
 """Built-in surface models: lattice data, oracles, cohomology."""
 
+import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -260,12 +262,80 @@ def test_inconsistent_h0_table_caught():
         "effective_generators": [[1]],
         "canonical": [-3],
         "chi": 1,
-        # h0(0) should be 1 and h0(K-0)=h0(-3)=0; chi(0)=1 so h1 = 41 - 1 < 0 is impossible
+        # h0(0) should be 1 and h0(K-0)=h0(-3)=0; chi(0)=1 so h1 = 0 + 0 - 1 < 0 is impossible
         "oracle": {"h0_table": {"0": 0, "-3": 0}},
     }
-    S = surface_from_spec(spec)
-    with pytest.raises(InternalError):
-        cohomology(S, ZDivisor((0,)))
+    with pytest.raises(InvalidInput, match="'h0_table': entry '0'"):
+        surface_from_spec(spec)
+
+
+TOY = {
+    "name": "toy",
+    "basis": ["E"],
+    "matrix": [[1]],
+    "mori_generators": [{"label": "E", "coords": [1]}],
+    "effective_generators": [[1]],
+    "canonical": [-3],
+    "chi": 1,
+}
+
+
+@pytest.mark.parametrize("table, key", [
+    ({"-4": -1, "0": 1, "-3": 0}, "-4"),           # negative count
+    ({"0": 1, "-3": 0, "1,0": 3}, "1,0"),          # wrong rank
+    ({"1": 2, "-4": 0}, "1"),                      # h1(E) = 2 + 0 - 3 < 0
+])
+def test_h0_table_checked_at_load_names_the_key(table, key):
+    with pytest.raises(InvalidInput, match=f"'h0_table': (entry|key) '{key}'"):
+        surface_from_spec({**TOY, "oracle": {"h0_table": table}})
+
+
+def test_consistent_h0_table_with_dual_entries_loads():
+    # P^2 counts: h0(dL) = (d+1)(d+2)/2 for d >= 0; h1 = 0 on every class
+    table = {str(d): (d + 1) * (d + 2) // 2 if d >= 0 else 0 for d in range(-8, 6)}
+    S = surface_from_spec({**TOY, "oracle": {"h0_table": table}})
+    assert cohomology(S, ZDivisor((2,))) == (6, 0, 0)
+
+
+def test_hand_built_model_with_inconsistent_h0_still_raises_in_cohomology():
+    S = dataclasses.replace(F2, h0=lambda V: 0)   # h0(O) = 0 contradicts chi(O) = 1
+    with pytest.raises(InternalError, match="negative h1"):
+        cohomology(S, ZDivisor((0, 0)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("matrix", [[-3, 1], [1, 0]]),
+    ("canonical", [-2, -5]),
+    ("chi", 2),
+    ("mori_generators", [{"label": "C0", "coords": [1, 0]}, {"label": "f", "coords": [1, 1]}]),
+    ("effective_generators", [[1, 0], [1, 1]]),
+])
+def test_borrowed_oracle_must_match_the_spec(field, value):
+    spec = {**surface_to_spec(F2), field: value}
+    with pytest.raises(InvalidInput, match=f"'oracle': 'hirzebruch:2' has a different '{field}'"):
+        surface_from_spec(spec)
+
+
+def test_borrowed_oracle_ignores_generator_order_and_labels():
+    spec = surface_to_spec(F2)
+    spec["mori_generators"] = [[0, 1], [1, 0]]
+    spec["effective_generators"] = [[0, 1], [1, 0]]
+    assert surface_from_spec(spec).mori_generators[0].coords == (0, 1)
+
+
+def test_readme_example_spec_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Data files", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    S = surface_from_spec(json.loads(block))
+    assert S.name == "my-ruled-surface" and S.h0(ZDivisor((1, 3))) == 6
+
+
+@pytest.mark.parametrize("call", [cohomology, chi_rr])
+def test_wrong_rank_class_is_refused(call):
+    with pytest.raises(InvalidInput, match="rank 2"):
+        call(F2, ZDivisor((1, 2, 3)))
+    with pytest.raises(InvalidInput, match="rank 2"):
+        call(F2, ZDivisor((1,)))
 
 
 def test_asymmetric_matrix_rejected():
