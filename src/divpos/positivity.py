@@ -25,10 +25,11 @@ executables; the JSON report marks aliases explicitly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 from divpos.divisor import (
     RDivisor,
@@ -185,14 +186,13 @@ class Evaluation:
 
     Built once per (S, D, m_max) and passed to the scans in place of D,
     so [mD] is computed once however many scans read it.  ``multiples[m]``
-    is [mD].  ``twisted(G)`` is the list G + [mD]; the list of the most
-    recent twist is kept, so the scans of one twist share it while at
-    most one twist's list stays alive.  ``h0_counts`` is the column
-    h0([mD]), computed on first use and shared by the scans that read it.
+    is [mD].  ``twisted(G)`` is a read-only view of G + [mD] that builds a
+    row only when the row is read, so a scan that stops near the top costs
+    a few rows, not m_max + 1.  ``h0_counts`` is the column h0([mD]),
+    computed on first use and shared by the scans that read it.
     """
 
-    __slots__ = ("surface", "divisor", "m_max", "multiples", "unit_effective",
-                 "_twist", "_twisted", "_h0_counts")
+    __slots__ = ("surface", "divisor", "m_max", "multiples", "unit_effective", "_h0_counts")
 
     def __init__(self, S: SurfaceModel, D: DivisorLike, m_max: int):
         if not isinstance(m_max, int) or m_max < 1:
@@ -203,8 +203,6 @@ class Evaluation:
         self.multiples = [trusted_zdivisor(c)
                           for c in integral_part_multiples(self.divisor, S.basis, m_max)]
         self.unit_effective = _gens_are_unit_basis(S)
-        self._twist: Optional[ZDivisor] = None
-        self._twisted: list[ZDivisor] = []
         self._h0_counts: Optional[list[int]] = None
 
     @property
@@ -215,20 +213,14 @@ class Evaluation:
             self._h0_counts = [h0(V) for V in self.multiples]
         return self._h0_counts
 
-    def twisted(self, G: ZDivisor) -> list[ZDivisor]:
-        """[G + [mD] for m in 0..m_max]."""
+    def twisted(self, G: ZDivisor) -> Sequence[ZDivisor]:
+        """G + [mD] for m in 0..m_max: ``multiples`` itself for G = 0, else a lazy view."""
         if len(G.coords) != self.surface.rho:
             raise InvalidInput(f"twist {G} has {len(G.coords)} coordinates, "
                                f"the surface has rank {self.surface.rho}")
         if G.is_zero():
             return self.multiples
-        if G != self._twist:
-            self._twisted = []   # let the previous twist's list go first
-            g = G.coords
-            self._twisted = [trusted_zdivisor(tuple(map(add, g, V.coords)))
-                             for V in self.multiples]
-            self._twist = G
-        return self._twisted
+        return _TwistedRows(G.coords, self.multiples)
 
     def is_big_multiple(self, m: int) -> bool:
         """Whether [mD] lies in the interior of the effective cone."""
@@ -236,6 +228,22 @@ class Evaluation:
         if self.unit_effective:
             return min(V.coords) > 0
         return is_big(self.surface, V).big
+
+
+class _TwistedRows(Sequence):
+    """The rows g + [mD] of a twist g, each built when it is read."""
+
+    __slots__ = ("_g", "_rows")
+
+    def __init__(self, g: tuple[int, ...], rows: list[ZDivisor]):
+        self._g = g
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, m: int) -> ZDivisor:
+        return trusted_zdivisor(tuple(map(add, self._g, self._rows[m].coords)))
 
 
 def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -250,78 +258,107 @@ def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,
     return D
 
 
-def _tail_from(ok: Callable[[object], bool], items: Sequence, lo: int) -> Optional[int]:
+def _tail_from(ok: Callable[[object], bool], items: Sequence, lo: int,
+               onset: Optional[int] = None) -> Optional[int]:
     """Least i >= lo with ok(items[m]) for all m in [i, end]; None if the last fails.
 
     Walks down from the last item, so ok never sees an item below the tail.
+    onset, when given, is an onset bound: ok is proved for every index from
+    it on, so the items strictly between max(onset, lo) and the last are
+    not read.  The last item is still read first, and a failure there
+    still returns None; then items[max(onset, lo)] is read, and a failure
+    there contradicts the bound and raises InternalError.  So every run
+    re-verifies the bound at two points.  The walk goes on down from there.
     """
-    i = len(items)
+    i = len(items) - 1
+    if not ok(items[i]):
+        return None
+    if onset is not None and max(onset, lo) < i:
+        i = max(onset, lo)
+        if not ok(items[i]):
+            raise InternalError(f"onset bound {onset} contradicted: "
+                                f"the predicate fails at m = {i}")
     while i > lo and ok(items[i - 1]):
         i -= 1
-    return None if i == len(items) else i
+    return i
 
 
 # The scans below take D as a divisor or as its Evaluation on S.  For an
 # evaluation, m_max defaults to the evaluation's own and any other value
-# is refused; for a divisor it defaults to 200.
+# is refused; for a divisor it defaults to 200.  The tail scans take a
+# keyword-only onset: an onset bound for their predicate (see _tail_from
+# and onset_bound).  The default None reads every multiple from m_max down
+# to the first failure.
 
 
 def very_ample_multiples(S: SurfaceModel, D: DivisorOrEvaluation,
-                         m_max: Optional[int] = None) -> VAMultiples:
-    """Scan very_ample([mD]) for m in [1, m_max]; D may be an Evaluation."""
+                         m_max: Optional[int] = None, *,
+                         onset: Optional[int] = None) -> VAMultiples:
+    """Scan very_ample([mD]) for m in [1, m_max]; D may be an Evaluation.
+
+    first_m is found from the bottom up; onset, a very-ample onset bound,
+    cuts only the scan for all_from.
+    """
     va = S.require_very_ample()
     ev = _evaluation(S, D, m_max)
     mults = ev.multiples
     first = next((m for m in range(1, len(mults)) if va(mults[m])), None)
-    all_from = None if first is None else _tail_from(va, mults, first)
+    all_from = None if first is None else _tail_from(va, mults, first, onset)
     return VAMultiples(first_m=first, all_from=all_from, m_max=ev.m_max)
 
 
 def glob_gen_twist_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
-                        m_max: Optional[int] = None) -> Optional[int]:
+                        m_max: Optional[int] = None, *,
+                        onset: Optional[int] = None) -> Optional[int]:
     """Least m2 <= m_max with G + [mD] globally generated for all m in [m2, m_max].
 
-    D may be an Evaluation; the scans of one twist share its G + [mD].
+    D may be an Evaluation; onset is a global-generation onset bound for G.
     """
     gg = S.require_globally_generated()
     ev = _evaluation(S, D, m_max)
-    return _tail_from(gg, ev.twisted(G), 0)
+    return _tail_from(gg, ev.twisted(G), 0, onset)
 
 
 def vanishing_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
-                   m_max: Optional[int] = None) -> Optional[int]:
+                   m_max: Optional[int] = None, *,
+                   onset: Optional[int] = None) -> Optional[int]:
     """Least m1 <= m_max with h1 = h2 = 0 for G + [mD] on all m in [m1, m_max].
 
-    D may be an Evaluation; the scans of one twist share its G + [mD].
-    cohomology runs on m = m_max, m_max - 1, ... down to the first failure,
-    so its h1 >= 0 check sees only those multiples.  That is enough: the
-    built-in h0 oracles are closed form, and a spec's h0 table is checked
-    for h1 >= 0 on every entry when the spec loads.
+    D may be an Evaluation; onset is a vanishing onset bound for G.
+    cohomology runs on m = m_max, then (given an onset below m_max) on the
+    onset, then down to the first failure, so its h1 >= 0 check sees only
+    those multiples.  That is enough: the built-in h0 oracles are closed
+    form, and a spec's h0 table is checked for h1 >= 0 on every entry when
+    the spec loads.
     """
     ev = _evaluation(S, D, m_max)
-    return _tail_from(lambda V: cohomology(S, V)[1:] == (0, 0), ev.twisted(G), 0)
+    return _tail_from(lambda V: cohomology(S, V)[1:] == (0, 0), ev.twisted(G), 0, onset)
 
 
-def _h0_tail(S: SurfaceModel, ev: Evaluation, G: ZDivisor) -> Optional[int]:
-    """Least m <= m_max with h0(G + [mD]) > 0 for all m in [m, m_max]."""
+def _h0_tail(S: SurfaceModel, ev: Evaluation, G: ZDivisor, *,
+             onset: Optional[int] = None) -> Optional[int]:
+    """Least m <= m_max with h0(G + [mD]) > 0 for all m in [m, m_max]; onset as above."""
     h0 = S.require_h0()
-    return _tail_from(lambda V: h0(V) > 0, ev.twisted(G), 0)
+    return _tail_from(lambda V: h0(V) > 0, ev.twisted(G), 0, onset)
 
 
 def section_vanishing_scan(S: SurfaceModel, D: DivisorOrEvaluation,
-                           m_max: Optional[int] = None) -> Optional[int]:
+                           m_max: Optional[int] = None, *,
+                           onset: Optional[int] = None) -> Optional[int]:
     """Least m4 such that for all m in [m4, m_max] every target admits a
     nonzero section vanishing somewhere.
 
     Targets: each generator curve C (all rational on the built-ins, so a
     section vanishing at a point exists iff deg([mD]|_C) > 0) and the
-    surface itself (h0([mD]) >= 1 and [mD] != 0).  D may be an Evaluation.
+    surface itself (h0([mD]) >= 1 and [mD] != 0).  D may be an Evaluation;
+    onset is a bound past which every target holds, such as the larger of
+    the very-ample and h0-positive onset bounds.
     """
     h0 = S.require_h0()
     ev = _evaluation(S, D, m_max)
     gens = [g.as_zdivisor() for g in S.mori_generators]
     return _tail_from(lambda V: all(S.pair_z(V, g) > 0 for g in gens)
-                      and h0(V) >= 1 and not V.is_zero(), ev.multiples, 0)
+                      and h0(V) >= 1 and not V.is_zero(), ev.multiples, 0, onset)
 
 
 def chi_growth(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -686,12 +723,20 @@ def ceil_quotient(need: Union[int, Fraction], slope: QuadExt) -> int:
 
 def onset_bound(S: SurfaceModel, D: DivisorLike, kind: str,
                 twist: Optional[ZDivisor] = None) -> Optional[int]:
-    """Effective bound: the predicate holds at G + [mD] for every m past it.
+    """Effective bound B: the predicate holds at G + [mD] for every m >= B.
 
     kind indexes the surface's sufficient-condition table
     ("very_ample", "globally_generated", "vanishing", "h0_positive").
-    None when the surface has no table or some pairing slope is not
-    strictly positive (no finite onset derivable).
+    Each table entry (mu, c) asks for m*(D.mu) >= need, where need folds
+    in c, G.mu and the largest fractional correction.  A positive slope
+    D.mu gives the least such m; a slope <= 0 is skipped when need < 0,
+    and otherwise the result is None, as it is for a surface without a
+    table.  The skip is sound for slope 0 only: m times a negative slope
+    falls without bound, so for a D with a negative slope on some table
+    class the returned bound can be wrong (ROADMAP item 1).  build_report
+    therefore hands bounds to its scans only for nef D, whose slopes on
+    the table classes are >= 0, since those classes lie in the closed
+    cone of curves.
     """
     if S.sufficient_conditions is None or kind not in S.sufficient_conditions:
         return None
@@ -879,9 +924,22 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
     ground, bad_gen = is_ample_cone(S, rd)
     verdicts: dict[str, CriterionResult] = {}
 
-    pair_witness = {
-        g.label: format_quadext(v) for g, v in generator_pairings(S, rd)
-    }
+    pairings = generator_pairings(S, rd)
+    pair_witness = {g.label: format_quadext(v) for g, v in pairings}
+
+    # each onset bound is computed once and shared by its verdict and its
+    # scan; a scan gets it only for nef D (see onset_bound)
+    nef = all(v.sign() >= 0 for _, v in pairings)
+    bounds: dict[tuple[str, ZDivisor], Optional[int]] = {}
+    untwisted = trusted_zdivisor((0,) * S.rho)
+
+    def bound(kind: str, G: ZDivisor = untwisted) -> Optional[int]:
+        if (kind, G) not in bounds:
+            bounds[kind, G] = onset_bound(S, rd, kind, G)
+        return bounds[kind, G]
+
+    def scan_onset(kind: str, G: ZDivisor = untwisted) -> Optional[int]:
+        return bound(kind, G) if nef else None
 
     # exact criteria ------------------------------------------------------
     verdicts["QIX"] = CriterionResult(
@@ -906,43 +964,32 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
     have_h0 = S.h0 is not None
 
     if have_va:
-        va = very_ample_multiples(S, ev)
+        va = very_ample_multiples(S, ev, onset=scan_onset("very_ample"))
         if va.first_m is None and definitive_negative(S, rd, "very_ample"):
             verdicts["P1"] = CriterionResult(
                 "P1", False, True, {"m_max": m_max},
                 note="closed-form oracle excludes very ampleness of every [mD]")
         else:
-            verdicts["P1"] = _scan_result(
-                "P1", va.first_m, m_max, onset_bound(S, rd, "very_ample"))
+            verdicts["P1"] = _scan_result("P1", va.first_m, m_max, bound("very_ample"))
     else:
         verdicts["P1"] = CriterionResult("P1", None, False, {},
                                          note="surface lacks a very_ample oracle")
         va = None
 
-    # the per-twist scans, twist by twist so they share each twist's G + [mD]
-    twist_scans: dict[str, Callable[[ZDivisor], Optional[int]]] = {}
-    if have_h0:
-        twist_scans["QI"] = lambda G: vanishing_test(S, ev, G)
-    if have_gg:
-        twist_scans["QII"] = lambda G: glob_gen_twist_test(S, ev, G)
-    if have_h0:
-        twist_scans["B4"] = lambda G: _h0_tail(S, ev, G)
-    onsets: dict[str, list[Optional[int]]] = {cid: [] for cid in twist_scans}
-    for G in twists:
-        for cid, scan in twist_scans.items():
-            onsets[cid].append(scan(G))
-
     if have_h0:
         verdicts["QI"] = _twist_scan_result(
-            "QI", S, twists, m_max, onsets["QI"],
-            _max_bound(onset_bound(S, rd, "vanishing", G) for G in twists))
+            "QI", S, twists, m_max,
+            [vanishing_test(S, ev, G, onset=scan_onset("vanishing", G)) for G in twists],
+            _max_bound(bound("vanishing", G) for G in twists))
     else:
         verdicts["QI"] = CriterionResult("QI", None, False, {}, note="no h0 oracle")
 
     if have_gg:
         verdicts["QII"] = _twist_scan_result(
-            "QII", S, twists, m_max, onsets["QII"],
-            _max_bound(onset_bound(S, rd, "globally_generated", G) for G in twists))
+            "QII", S, twists, m_max,
+            [glob_gen_twist_test(S, ev, G, onset=scan_onset("globally_generated", G))
+             for G in twists],
+            _max_bound(bound("globally_generated", G) for G in twists))
     else:
         verdicts["QII"] = CriterionResult("QII", None, False, {},
                                           note="no globally_generated oracle")
@@ -956,7 +1003,8 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
         "QIII", tail_ok if conclusive_tail else None, conclusive_tail, tail_wit,
         note="decided by cone positivity; scan attached" if conclusive_tail else "")
     if have_h0:
-        m4 = section_vanishing_scan(S, ev)
+        m4 = section_vanishing_scan(S, ev, onset=_max_bound(
+            [scan_onset("very_ample"), scan_onset("h0_positive")]))
         verdicts["QIV"] = CriterionResult(
             "QIV", tail_ok if conclusive_tail else None, conclusive_tail,
             {**tail_wit, "scan_m4": m4},
@@ -992,7 +1040,9 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
         fb = first_big_multiple(S, ev)
         verdicts["B3"] = _scan_result("B3", fb, m_max, None)
         verdicts["B4"] = _twist_scan_result(
-            "B4", S, twists, m_max, onsets["B4"], onset_bound(S, rd, "h0_positive"))
+            "B4", S, twists, m_max,
+            [_h0_tail(S, ev, G, onset=scan_onset("h0_positive", G)) for G in twists],
+            bound("h0_positive"))
     else:
         for cid in ("B2", "B3", "B4"):
             verdicts[cid] = CriterionResult(cid, None, False, {}, note="no h0 oracle")

@@ -290,8 +290,8 @@ def projective_plane() -> SurfaceModel:
 # -- loading -----------------------------------------------------------------
 
 
-def resolve_surface(ident: str) -> SurfaceModel:
-    """Resolve a builtin id ("hirzebruch:E", "p2") or a spec-file path."""
+def _builtin_surface(ident: str) -> Optional[SurfaceModel]:
+    """The builtin model named by ident ("hirzebruch:E", "p2"); None for any other id."""
     if ident == "p2":
         return projective_plane()
     if ident.startswith("hirzebruch:"):
@@ -300,6 +300,14 @@ def resolve_surface(ident: str) -> SurfaceModel:
         except ValueError:
             raise InvalidInput(f"bad hirzebruch id {ident!r}; expected hirzebruch:<e>") from None
         return hirzebruch(e)
+    return None
+
+
+def resolve_surface(ident: str) -> SurfaceModel:
+    """Resolve a builtin id ("hirzebruch:E", "p2") or a spec-file path."""
+    S = _builtin_surface(ident)
+    if S is not None:
+        return S
     try:
         with open(ident, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -315,9 +323,10 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
 
     Required fields: name, basis, matrix, mori_generators,
     effective_generators, canonical, chi, oracle.  The oracle is either a
-    builtin reference ("hirzebruch:E", "p2") or a table object with an
-    "h0_table" map from coordinate strings to counts (very_ample /
-    globally_generated tables optional).
+    builtin id ("hirzebruch:E", "p2"; not a spec-file path) or a table
+    object with an "h0_table" map from coordinate strings "c1,c2,..." to
+    counts (very_ample / globally_generated tables optional, each a list
+    of coordinate strings).
 
     The oracle is checked against the spec before the model is returned:
     a referenced model must have the spec's matrix, canonical class, chi
@@ -348,12 +357,18 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     va = gg = h0 = table = None
     suff = None
     if isinstance(oracle, str):
-        ref = resolve_surface(oracle)
+        try:
+            ref = _builtin_surface(oracle)
+        except InvalidInput as exc:
+            raise InvalidInput(f"surface spec field 'oracle': {exc}") from None
+        if ref is None:
+            raise InvalidInput(f"surface spec field 'oracle': {oracle!r} is not a builtin id; "
+                               "expected 'p2' or 'hirzebruch:E'")
         va, gg, h0 = ref.very_ample, ref.globally_generated, ref.h0
         suff = ref.sufficient_conditions
     elif isinstance(oracle, Mapping):
         if "h0_table" in oracle:
-            table = {tuple(int(x) for x in key.split(",")): int(v)
+            table = {_table_key("h0_table", key): int(v)
                      for key, v in oracle["h0_table"].items()}
 
             def h0(V: ZDivisor, _table=table) -> int:
@@ -364,10 +379,11 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
                         f"h0 table has no entry for {V.coords}"
                     ) from None
         if "very_ample_table" in oracle:
-            vat = {tuple(int(x) for x in key.split(",")) for key in oracle["very_ample_table"]}
+            vat = {_table_key("very_ample_table", key) for key in oracle["very_ample_table"]}
             va = lambda V, _s=vat: V.coords in _s  # noqa: E731
         if "globally_generated_table" in oracle:
-            ggt = {tuple(int(x) for x in key.split(",")) for key in oracle["globally_generated_table"]}
+            ggt = {_table_key("globally_generated_table", key)
+                   for key in oracle["globally_generated_table"]}
             gg = lambda V, _s=ggt: V.coords in _s  # noqa: E731
     else:
         raise InvalidInput("surface spec field 'oracle' must be a string or object")
@@ -399,6 +415,15 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     if table is not None:
         _check_h0_table(S, table)
     return S
+
+
+def _table_key(fieldname: str, key: str) -> tuple[int, ...]:
+    """The coordinates of a table-oracle key "c1,c2,..."; InvalidInput naming field and key."""
+    try:
+        return tuple(int(x) for x in key.split(","))
+    except (AttributeError, ValueError):
+        raise InvalidInput(f"surface spec field {fieldname!r}: key {key!r} is not "
+                           "a comma-separated list of integers") from None
 
 
 def _lattice_fields(S: SurfaceModel) -> dict:

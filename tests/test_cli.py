@@ -91,6 +91,17 @@ def test_spec_borrowing_a_mismatched_oracle_exits_3(tmp_path, capsys):
     assert "'oracle'" in err and "'matrix'" in err
 
 
+def test_spec_naming_itself_as_oracle_exits_3(tmp_path, capsys):
+    path = tmp_path / "loop.json"
+    spec = {"name": "loop", "basis": ["L"], "matrix": [[1]],
+            "mori_generators": [[1]], "effective_generators": [[1]],
+            "canonical": [-3], "chi": 1, "oracle": str(path)}
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "check", "--surface", str(path), "--divisor", "L")
+    assert code == 3
+    assert "'oracle'" in err and "builtin" in err
+
+
 def test_radicand_beyond_bound_exits_3(capsys):
     code, _, err = run(capsys, "check", "--surface", "hirzebruch:2",
                        "--divisor", "sqrt(1000000000039)*C0 + 3*f")

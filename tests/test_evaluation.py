@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divpos.positivity as pos
-from divpos.divisor import RDivisor, ZDivisor
-from divpos.errors import InvalidInput
+from divpos.divisor import RDivisor, ZDivisor, parse_divisor
+from divpos.errors import InternalError, InvalidInput
 from divpos.exact_numbers import QuadExt
 from divpos.surface import cohomology, hirzebruch, projective_plane
 
@@ -121,14 +121,18 @@ def test_public_call_forms_match_the_evaluation():
         pos.kodaira_check(F2, ev, ZDivisor((0, 1)))
 
 
-def test_twisted_list_is_shared_per_twist_and_only_the_last_is_kept():
+def test_twisted_rows_are_a_lazy_view_of_the_twisted_multiples():
     ev = pos.Evaluation(F2, "C0 + 3*f", 20)
     assert ev.twisted(ZDivisor((0, 0))) is ev.multiples
-    a = ev.twisted(ZDivisor((-1, 0)))
-    assert ev.twisted(ZDivisor((-1, 0))) is a
-    b = ev.twisted(ZDivisor((0, -1)))
-    assert b is not a and ev.twisted(ZDivisor((0, -1))) is b
-    assert [x.coords for x in a] == [(V.coords[0] - 1, V.coords[1]) for V in ev.multiples]
+    for G in (ZDivisor((-1, 0)), ZDivisor((0, -1)), ZDivisor((2, -3))):
+        rows = ev.twisted(G)
+        assert len(rows) == 21
+        for m, V in enumerate(ev.multiples):
+            want = ZDivisor((G.coords[0] + V.coords[0], G.coords[1] + V.coords[1]))
+            assert rows[m] == want and hash(rows[m]) == hash(want)
+        assert list(rows) == [G + V for V in ev.multiples]
+    with pytest.raises(InvalidInput, match="rank"):
+        ev.twisted(ZDivisor((1, 0, 0)))
 
 
 def test_h0_column_is_computed_once_per_evaluation():
@@ -205,6 +209,130 @@ def test_vanishing_scan_visits_the_tail_and_one_failure(sd, m_max, data):
     want = 1 if t is None else m_max + 1 - t + (t > 0)
     assert len(calls) == want
     assert calls == rows[::-1][:want]
+
+
+# -- onset-bounded tails ----------------------------------------------------------------
+
+
+@st.composite
+def nef_divisors(draw):
+    """A built-in surface and a divisor on it, nef unless drawn as "any".
+
+    Nef kinds: interior (a >= 0 and b - e*a >= 0 drawn freely), the nef
+    boundary b = e*a, the paper family (3/2)C0 + (e+1)f (not nef on F_3),
+    and D = 0; coefficients are rational or in Q(sqrt d).
+    """
+    S = draw(st.sampled_from(SURFACES))
+    kind = draw(st.sampled_from(["interior", "boundary", "paper", "zero", "any"]))
+    if kind == "zero":
+        return S, RDivisor({})
+    d = draw(st.sampled_from([0, 2, 3, 5]))
+
+    def value() -> QuadExt:
+        return QuadExt(draw(coef), draw(coef) if d else 0, d)
+
+    def nonneg() -> QuadExt:
+        x = value()
+        return -x if x.sign() < 0 else x
+
+    if kind == "any":
+        return S, RDivisor({lbl: value() for lbl in S.basis})
+    if S.rho == 1:
+        return S, RDivisor({"L": QuadExt(Fraction(3, 2)) if kind == "paper" else nonneg()})
+    e = -S.intersection_matrix[0][0]
+    if kind == "paper":
+        return S, parse_divisor(f"3/2*C0 + {e + 1}*f")
+    a = nonneg()
+    slack = nonneg() if kind == "interior" else QuadExt(0)
+    return S, RDivisor({"C0": a, "f": a * e + slack})
+
+
+def assert_report_matches_full_scans(S, D, m_max, twists):
+    """build_report's scan results against the standalone scans with onset=None."""
+    report = pos.build_report(S, D, m_max, twists=twists)
+    ev = pos.Evaluation(S, D, m_max)
+    for G in twists:
+        label = S.format_z(G)
+        assert report.verdicts["QI"].witness["per_twist"][label] == \
+            pos.vanishing_test(S, D, G, m_max)
+        assert report.verdicts["QII"].witness["per_twist"][label] == \
+            pos.glob_gen_twist_test(S, D, G, m_max)
+        assert report.verdicts["B4"].witness["per_twist"][label] == pos._h0_tail(S, ev, G)
+    assert report.verdicts["QIII"].witness["all_from"] == \
+        pos.very_ample_multiples(S, D, m_max).all_from
+    assert report.verdicts["QIV"].witness["scan_m4"] == pos.section_vanishing_scan(S, D, m_max)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nef_divisors(), st.integers(1, 40), st.data())
+def test_onset_bounded_report_matches_the_full_scans(sd, m_max, data):
+    S, D = sd
+    twists = pos.default_twists(S)
+    if data.draw(st.booleans(), label="random twists"):
+        twists = [ZDivisor(c) for c in data.draw(st.lists(
+            st.tuples(*[st.integers(-3, 3)] * S.rho), min_size=1, max_size=4, unique=True))]
+    assert_report_matches_full_scans(S, D, m_max, twists)
+
+
+@pytest.mark.parametrize("D", ["C0 + 3*f", "sqrt(2)*C0 + 3*f", "3/2*C0 + 3*f"])
+def test_onset_bounded_report_matches_the_full_scans_at_m_max_2000(D):
+    assert_report_matches_full_scans(F2, D, 2000, pos.default_twists(F2))
+
+
+def test_report_reads_the_top_the_bound_and_the_walk_below_it():
+    D = "C0 + 3*f"
+    ev = pos.Evaluation(F2, D, 2000)
+    with counted_cohomology() as calls:
+        pos.build_report(F2, D, 2000)
+    for G in pos.default_twists(F2):
+        rows = ev.twisted(G)
+        bound = pos.onset_bound(F2, D, "vanishing", G)
+        t = pos.vanishing_test(F2, ev, G, onset=bound)
+        want = [rows[2000]] + [rows[m] for m in range(bound, max(t - 1, 0) - 1, -1)]
+        assert calls[:len(want)] == want
+        del calls[:len(want)]
+    assert calls == []   # the parent code made 2001 calls per twist here
+
+
+def test_sufficient_condition_classes_lie_in_the_cone_of_curves():
+    """So a nef D pairs non-negatively with every table class, and its bounds are sound."""
+    for S in [hirzebruch(e) for e in range(8)] + [projective_plane()]:
+        gens = [g.coords for g in S.mori_generators]
+        for kind, table in S.sufficient_conditions.items():
+            for cls, _ in table:
+                lam = pos._solve_square(gens, list(cls))
+                assert lam is not None and all(x.sign() >= 0 for x in lam), (S.name, kind, cls)
+
+
+def test_an_oracle_failing_at_the_bound_raises_internal_error():
+    D = "C0 + 3*f"
+    bound = pos.onset_bound(F2, D, "globally_generated")
+    bad = pos.Evaluation(F2, D, 20).multiples[bound]
+    S = dataclasses.replace(F2, globally_generated=lambda V: V != bad and F2.globally_generated(V))
+    assert bound < 20 and S.globally_generated(pos.Evaluation(F2, D, 20).multiples[20])
+    with pytest.raises(InternalError, match=f"onset bound {bound} .* m = {bound}"):
+        pos.build_report(S, D, 20)
+    with pytest.raises(InternalError, match=f"onset bound {bound}"):
+        pos.glob_gen_twist_test(S, D, ZDivisor((0, 0)), 20, onset=bound)
+    assert pos.glob_gen_twist_test(S, D, ZDivisor((0, 0)), 20) == bound + 1
+
+
+@pytest.mark.parametrize("S, D", [
+    (F2, "C0 + 3*f"), (F2, "3/2*C0 + 3*f"), (F2, "C0 - f"), (F2, "0*f"),
+    (SURFACES[3], "3/2*C0 + 4*f"), (SURFACES[0], "sqrt(2)*C0 + f"), (SURFACES[4], "2/3*L"),
+])
+def test_each_onset_bound_is_computed_once_per_report(S, D, monkeypatch):
+    calls = []
+    real = pos.onset_bound
+
+    def counting(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(pos, "onset_bound", counting)
+    pos.build_report(S, D, 30)
+    assert len(calls) <= 1 + 3 * len(pos.default_twists(S))
+    assert len(set(calls)) == len(calls)
 
 
 # -- m_max at the library boundary ---------------------------------------------------

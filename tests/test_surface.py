@@ -290,6 +290,21 @@ def test_h0_table_checked_at_load_names_the_key(table, key):
         surface_from_spec({**TOY, "oracle": {"h0_table": table}})
 
 
+@pytest.mark.parametrize("fieldname", ["h0_table", "very_ample_table",
+                                       "globally_generated_table"])
+@pytest.mark.parametrize("key", ["x", "1,,2"])
+def test_malformed_table_key_names_the_field_and_the_key(fieldname, key):
+    table = {key: 1} if fieldname == "h0_table" else [key]
+    with pytest.raises(InvalidInput, match=f"'{fieldname}': key '{key}'"):
+        surface_from_spec({**TOY, "oracle": {fieldname: table}})
+
+
+@pytest.mark.parametrize("oracle", ["toy.json", "hirzebruch:x", "hirzebruch:-1", "P2", ""])
+def test_string_oracle_must_be_a_builtin_id(oracle):
+    with pytest.raises(InvalidInput, match="field 'oracle'"):
+        surface_from_spec({**TOY, "oracle": oracle})
+
+
 def test_consistent_h0_table_with_dual_entries_loads():
     # P^2 counts: h0(dL) = (d+1)(d+2)/2 for d >= 0; h1 = 0 on every class
     table = {str(d): (d + 1) * (d + 2) // 2 if d >= 0 else 0 for d in range(-8, 6)}
