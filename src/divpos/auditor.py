@@ -309,8 +309,10 @@ def _fault_surface(S: SurfaceModel, fault: Optional[str]) -> SurfaceModel:
     return dataclasses.replace(S, globally_generated=lambda V: not gg(V))
 
 
-def _classify_ampleness(S: SurfaceModel, D: RDivisor, report: pos.PositivityReport,
+def _classify_ampleness(S: SurfaceModel, ev: pos.Evaluation, report: pos.PositivityReport,
                         config: AuditConfig, out: AuditOutcome) -> None:
+    """Classify each verdict of D's report; bounds are read from D's evaluation ev."""
+    D = ev.divisor
     kind = _profile_kind(config.profile)
     ground = report.ground_truth
     rational = D.is_rational()
@@ -380,7 +382,7 @@ def _classify_ampleness(S: SurfaceModel, D: RDivisor, report: pos.PositivityRepo
         wit = v.witness
         if cid == "QIII":
             all_from = wit.get("all_from")
-            bound = pos.onset_bound(S, D, "very_ample")
+            bound = ev.onset("very_ample")
             if ground and all_from is None and bound is not None and bound <= config.m_max:
                 out.discrepancies.append(_entry(
                     S, D, cid, f"very-ample tail missing though onset bound {bound} applies",
@@ -393,9 +395,7 @@ def _classify_ampleness(S: SurfaceModel, D: RDivisor, report: pos.PositivityRepo
                     "yet the divisor is not ample", ground))
         elif cid == "QIV":
             m4 = wit.get("scan_m4")
-            b1 = pos.onset_bound(S, D, "very_ample")
-            b2 = pos.onset_bound(S, D, "h0_positive")
-            bound = max(b1, b2) if (b1 is not None and b2 is not None) else None
+            bound = pos._max_bound([ev.onset("very_ample"), ev.onset("h0_positive")])
             if ground and m4 is None and bound is not None and bound <= config.m_max:
                 out.discrepancies.append(_entry(
                     S, D, cid, f"section-vanishing tail missing though bound {bound} applies",
@@ -449,12 +449,13 @@ def audit_ampleness(config: AuditConfig, keep_reports: bool = True) -> AuditOutc
         rng = SplitMix64(config.seed)
         for _ in range(config.n_divisors):
             D = sample_divisor(S0, config.profile, rng)
-            report = pos.build_report(S, D, m_max=config.m_max, delta=delta, twists=twists)
+            ev = pos.Evaluation(S, D, config.m_max)
+            report = pos.build_report(S, ev, delta=delta, twists=twists)
             if config.fault == "flip_cone":
                 report = _flip_ground(report)
             elif config.fault == "flip_ratio":
                 report = _flip_verdict(report, "QVIII")
-            _classify_ampleness(S0, D, report, config, out)
+            _classify_ampleness(S0, ev, report, config, out)
             _reverify_report(S0, D, report, out)
             out.checked += 1
             if keep_reports:
@@ -493,16 +494,17 @@ def audit_nef_from_multiples(config: AuditConfig, keep_reports: bool = False) ->
         for _ in range(config.n_divisors):
             D = sample_divisor(S, config.profile, rng)
             out.checked += 1
-            scan = pos.very_ample_multiples(S, D, config.m_max)
+            ev = pos.Evaluation(S, D, config.m_max)
+            scan = pos.very_ample_multiples(S, ev)
             window = (integrality_denominator(D, S.basis) if D.is_rational() else 50)
             if scan.all_from is None or config.m_max - scan.all_from < window:
                 continue
-            nef_ok, bad = pos.is_nef(S, D)
+            nef_ok, bad = pos.is_nef(S, ev)
             if not nef_ok:
                 out.discrepancies.append(_entry(
                     S, D, "claim_3nef",
                     f"very-ample tail from {scan.all_from} but D.{bad} < 0", None))
-            amp_ok, bad2 = pos.is_ample_cone(S, D)
+            amp_ok, bad2 = pos.is_ample_cone(S, ev)
             if not amp_ok:
                 out.discrepancies.append(_entry(
                     S, D, "remark_surface",

@@ -12,6 +12,7 @@ offending field).  DIVPOS_M_MAX overrides the default search bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -206,7 +207,9 @@ def cmd_growth(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The divpos parser, built on first use; parse_args fills a fresh namespace each call."""
     parser = argparse.ArgumentParser(
         prog="divpos",
         description="Exact ampleness/bigness checks for divisors on surfaces",

@@ -246,10 +246,20 @@ def integral_part_multiples(D: RDivisor, basis: Sequence[str], m_max: int) -> li
         else:
             N, M, Q = c._int_triple()
             cols.append(_kernels.floor_multiples_quad(N, M, c.d, Q, m_max))
-    return [tuple(col[m] for col in cols) for m in range(m_max + 1)]
+    return list(zip(*cols))
 
 
 # -- rounding decomposition (general representations) --------------------------
+
+
+def _expansions(D: RDivisor, basis: Sequence[str]) -> Mapping[str, Sequence[int]]:
+    """D's expansion vectors; the components of a prime representation are unit vectors."""
+    if D.expansions is not None:
+        return D.expansions
+    unknown = [lbl for lbl in D.terms if lbl not in basis]
+    if unknown:
+        raise InvalidInput(f"label {unknown[0]!r} not in the surface basis")
+    return {lbl: tuple(int(b == lbl) for b in basis) for lbl in D.terms}
 
 
 def round_decompose(D: RDivisor, m: int, basis: Sequence[str]) -> tuple[ZDivisor, ZDivisor]:
@@ -263,15 +273,7 @@ def round_decompose(D: RDivisor, m: int, basis: Sequence[str]) -> tuple[ZDivisor
     if m < 1:
         raise InvalidInput(f"m must be a positive integer, got {m}")
     rho = len(basis)
-    expansions = D.expansions
-    if expansions is None:
-        unit = {lbl: tuple(1 if i == j else 0 for i in range(rho))
-                for j, lbl in enumerate(basis)}
-        try:
-            expansions = {lbl: unit[lbl] for lbl in D.terms}
-        except KeyError as exc:
-            raise InvalidInput(f"label {exc.args[0]!r} not in the surface basis") from None
-
+    expansions = _expansions(D, basis)
     floored = [0] * rho
     frac_combo = [ZERO] * rho
     for label, coef in D.terms.items():
@@ -320,16 +322,7 @@ def enumerate_Tm(D: RDivisor, m_max: int, basis: Sequence[str]) -> TmEnumeration
     if m_max < 1:
         raise InvalidInput(f"m_max must be >= 1, got {m_max}")
     rho = len(basis)
-    expansions = D.expansions
-    if expansions is None:
-        idx = {lbl: j for j, lbl in enumerate(basis)}
-        try:
-            expansions = {
-                lbl: tuple(1 if i == idx[lbl] else 0 for i in range(rho))
-                for lbl in D.terms
-            }
-        except KeyError as exc:
-            raise InvalidInput(f"label {exc.args[0]!r} not in the surface basis") from None
+    expansions = _expansions(D, basis)
     neg = [0] * rho
     pos = [0] * rho
     for label in D.terms:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable, Optional, Union
 
 from divpos.divisor import (
@@ -51,51 +51,55 @@ DivisorOrEvaluation = Union[RDivisor, ZDivisor, str, "Evaluation"]
 # exact pairings
 
 
-def intersect(S: SurfaceModel, D: DivisorLike, E: DivisorLike) -> QuadExt:
+def intersect(S: SurfaceModel, D: DivisorOrEvaluation, E: DivisorOrEvaluation) -> QuadExt:
     """Exact intersection number D.E via the surface's bilinear form."""
-    dc = rdivisor_on(S, D).coefficients(S.basis)
-    ec = rdivisor_on(S, E).coefficients(S.basis)
-    return quadext(S.pair_coords(dc, ec))
+    return quadext(S.pair_coords(_coefficients(S, D), _coefficients(S, E)))
 
 
 def _pair_class(S: SurfaceModel, coeffs: Sequence[QuadExt], cls: Sequence[int]) -> QuadExt:
     return quadext(S.pair_coords(coeffs, cls))
 
 
-def generator_pairings(S: SurfaceModel, D: DivisorLike) -> list[tuple[CurveClass, QuadExt]]:
-    coeffs = rdivisor_on(S, D).coefficients(S.basis)
+def generator_pairings(S: SurfaceModel,
+                       D: DivisorOrEvaluation) -> list[tuple[CurveClass, QuadExt]]:
+    """(g, D.g) for each Mori generator g; an Evaluation keeps them as ``pairings``."""
+    coeffs = _coefficients(S, D)
     return [(g, _pair_class(S, coeffs, g.coords)) for g in S.mori_generators]
 
 
-def self_intersection(S: SurfaceModel, D: DivisorLike) -> QuadExt:
+def _pairings_of(S: SurfaceModel, D: DivisorOrEvaluation) -> list[tuple[CurveClass, QuadExt]]:
+    """An Evaluation's stored generator pairings, or those of a divisor."""
+    return _on(S, D).pairings if isinstance(D, Evaluation) else generator_pairings(S, D)
+
+
+def self_intersection(S: SurfaceModel, D: DivisorOrEvaluation) -> QuadExt:
     return intersect(S, D, D)
 
 
 # ---------------------------------------------------------------------------
 # cone criteria (exact, two-sided)
+#
+# Each takes D as a divisor or as its Evaluation on S, whose stored
+# generator pairings it then reads.
 
 
-def is_nef(S: SurfaceModel, D: DivisorLike) -> tuple[bool, Optional[str]]:
+def is_nef(S: SurfaceModel, D: DivisorOrEvaluation) -> tuple[bool, Optional[str]]:
     """Nef test: D.g >= 0 for every cone generator; witness is a violator."""
-    for g, v in generator_pairings(S, D):
-        if v.sign() < 0:
-            return False, g.label
-    return True, None
+    bad = next((g.label for g, v in _pairings_of(S, D) if v.sign() < 0), None)
+    return bad is None, bad
 
 
-def is_ample_cone(S: SurfaceModel, D: DivisorLike) -> tuple[bool, Optional[str]]:
+def is_ample_cone(S: SurfaceModel, D: DivisorOrEvaluation) -> tuple[bool, Optional[str]]:
     """Ground-truth ampleness: strict positivity on the whole cone of curves.
 
     With finitely many generators spanning the closed cone this is both
     sufficient and necessary; the witness names a non-positive generator.
     """
-    for g, v in generator_pairings(S, D):
-        if v.sign() <= 0:
-            return False, g.label
-    return True, None
+    bad = next((g.label for g, v in _pairings_of(S, D) if v.sign() <= 0), None)
+    return bad is None, bad
 
 
-def nakai_test(S: SurfaceModel, D: DivisorLike) -> tuple[bool, dict]:
+def nakai_test(S: SurfaceModel, D: DivisorOrEvaluation) -> tuple[bool, dict]:
     """Surface Nakai-Moishezon: D.D > 0 and D.C > 0 for every curve generator."""
     d2 = self_intersection(S, D)
     details: dict = {"self_intersection": format_quadext(d2)}
@@ -109,27 +113,20 @@ def nakai_test(S: SurfaceModel, D: DivisorLike) -> tuple[bool, dict]:
     return True, details
 
 
-def ratio_bound(S: SurfaceModel, D: DivisorLike, H: DivisorLike) -> QuadExt:
+def ratio_bound(S: SurfaceModel, D: DivisorOrEvaluation, H: DivisorLike) -> QuadExt:
     """min over curve generators of (D.C)/(H.C) for an ample reference H.
 
     Positive iff D is ample; the minimum is the best epsilon in the ratio
     criterion.
     """
-    ok, bad = is_ample_cone(S, H)
-    if not ok:
-        raise InvalidInput(f"reference divisor is not ample (fails on {bad})")
     hp = generator_pairings(S, H)
-    dp = generator_pairings(S, D)
-    best: Optional[QuadExt] = None
-    for (_, dv), (_, hv) in zip(dp, hp):
-        r = dv / hv
-        if best is None or r < best:
-            best = r
-    assert best is not None  # surfaces carry at least one generator
-    return best
+    bad = next((g.label for g, v in hp if v.sign() <= 0), None)
+    if bad is not None:
+        raise InvalidInput(f"reference divisor is not ample (fails on {bad})")
+    return min(dv / hv for (_, dv), (_, hv) in zip(_pairings_of(S, D), hp))
 
 
-def seshadri_bound(S: SurfaceModel, D: DivisorLike,
+def seshadri_bound(S: SurfaceModel, D: DivisorOrEvaluation,
                    catalog: Optional[Sequence[CurveClass]] = None) -> QuadExt:
     """min over a declared curve catalog of (D.C)/mult_x(C).
 
@@ -137,37 +134,31 @@ def seshadri_bound(S: SurfaceModel, D: DivisorLike,
     the built-ins, where the generators are smooth curves sweeping the
     surface.  Default catalog: the cone generators with multiplicity 1.
     """
-    curves = tuple(catalog) if catalog is not None else S.mori_generators
+    if catalog is None:
+        return min(v / g.multiplicity for g, v in _pairings_of(S, D))
+    curves = tuple(catalog)
     if not curves:
         raise InvalidInput("empty curve catalog")
-    coeffs = rdivisor_on(S, D).coefficients(S.basis)
-    best: Optional[QuadExt] = None
-    for c in curves:
-        r = _pair_class(S, coeffs, c.coords) / c.multiplicity
-        if best is None or r < best:
-            best = r
-    return best  # type: ignore[return-value]
+    coeffs = _coefficients(S, D)
+    return min(_pair_class(S, coeffs, c.coords) / c.multiplicity for c in curves)
 
 
-def neighborhood_test(S: SurfaceModel, D: DivisorLike, delta: Fraction) -> bool:
+def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) -> bool:
     """Ampleness of D +- delta*B for every basis class B.
 
     An exact proxy for "a punctured neighborhood of the class is ample"
     at radius delta in max-coordinates; on polyhedral cones it agrees
     with ampleness once delta is below the distance of any sampled class
-    to the cone walls (see auditor.safe_delta).
+    to the cone walls (see auditor.safe_delta).  By bilinearity
+    (D +- delta*e_j).g = D.g +- delta*(e_j.g), so D's generator pairings
+    and the surface's integers e_j.g decide every perturbation.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise InvalidInput(f"delta must be positive, got {delta}")
-    base = rdivisor_on(S, D)
-    for j, lbl in enumerate(S.basis):
-        for sgn in (1, -1):
-            pert = base + RDivisor({lbl: QuadExt(sgn * delta)})
-            ok, _ = is_ample_cone(S, pert)
-            if not ok:
-                return False
-    return True
+    pairings = [(v, S.basis_pairings(g.coords)) for g, v in _pairings_of(S, D)]
+    return all((v + step * col[j]).sign() > 0
+               for j in range(S.rho) for step in (delta, -delta) for v, col in pairings)
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +173,22 @@ class VAMultiples:
 
 
 class Evaluation:
-    """The integral parts [mD], m = 0..m_max, of one divisor on one surface.
+    """What does not change for one divisor D on one surface S, computed once.
 
-    Built once per (S, D, m_max) and passed to the scans in place of D,
-    so [mD] is computed once however many scans read it.  ``multiples[m]``
-    is [mD].  ``twisted(G)`` is a read-only view of G + [mD] that builds a
-    row only when the row is read, so a scan that stops near the top costs
-    a few rows, not m_max + 1.  ``h0_counts`` is the column h0([mD]),
-    computed on first use and shared by the scans that read it.
+    Built once per (S, D, m_max) and passed to the criteria in place of D.
+    It holds D's prime ``coefficients`` and ``multiples[m]`` = [mD] for
+    m = 0..m_max; ``twisted(G)`` is a read-only view of G + [mD] that
+    builds a row only when the row is read.  On first use it computes the
+    generator ``pairings`` (ground truth, violator, nefness, the cone half
+    of Nakai), the ``slopes`` on the sufficient-condition classes, the
+    ``onset(kind, G)`` bound of each (kind, twist) and the ``h0_counts``
+    column.  Re-verification (``auditor._reverify_report``,
+    ``verify_big_certificate``) recomputes from the divisor and never
+    reads these values.
     """
 
-    __slots__ = ("surface", "divisor", "m_max", "multiples", "unit_effective", "_h0_counts")
+    __slots__ = ("surface", "divisor", "m_max", "coefficients", "multiples",
+                 "_pairings", "_slopes", "_bounds", "_h0_counts")
 
     def __init__(self, S: SurfaceModel, D: DivisorLike, m_max: int):
         if not isinstance(m_max, int) or m_max < 1:
@@ -200,10 +196,37 @@ class Evaluation:
         self.surface = S
         self.divisor = rdivisor_on(S, D)
         self.m_max = m_max
-        self.multiples = [trusted_zdivisor(c)
-                          for c in integral_part_multiples(self.divisor, S.basis, m_max)]
-        self.unit_effective = _gens_are_unit_basis(S)
+        self.coefficients = self.divisor.coefficients(S.basis)
+        self.multiples = list(map(trusted_zdivisor,
+                                  integral_part_multiples(self.divisor, S.basis, m_max)))
+        self._pairings: Optional[list[tuple[CurveClass, QuadExt]]] = None
+        self._slopes: Optional[dict[tuple[int, ...], QuadExt]] = None
+        self._bounds: dict[tuple[str, ZDivisor], Optional[int]] = {}
         self._h0_counts: Optional[list[int]] = None
+
+    @property
+    def pairings(self) -> list[tuple[CurveClass, QuadExt]]:
+        """generator_pairings(S, D)."""
+        if self._pairings is None:
+            self._pairings = generator_pairings(self.surface, self)
+        return self._pairings
+
+    @property
+    def slopes(self) -> dict[tuple[int, ...], QuadExt]:
+        """{mu: D.mu} over the classes mu of the sufficient-condition tables."""
+        if self._slopes is None:
+            S = self.surface
+            self._slopes = {cls: _pair_class(S, self.coefficients, cls) for cls in S._table_parts}
+        return self._slopes
+
+    def onset(self, kind: str, G: Optional[ZDivisor] = None) -> Optional[int]:
+        """onset_bound(S, D, kind, G), computed once per (kind, G); G defaults to 0."""
+        if G is None:
+            G = trusted_zdivisor((0,) * self.surface.rho)
+        key = (kind, G)
+        if key not in self._bounds:
+            self._bounds[key] = onset_bound(self.surface, self, kind, G)
+        return self._bounds[key]
 
     @property
     def h0_counts(self) -> list[int]:
@@ -225,7 +248,7 @@ class Evaluation:
     def is_big_multiple(self, m: int) -> bool:
         """Whether [mD] lies in the interior of the effective cone."""
         V = self.multiples[m]
-        if self.unit_effective:
+        if self.surface._unit_effective:
             return min(V.coords) > 0
         return is_big(self.surface, V).big
 
@@ -246,13 +269,26 @@ class _TwistedRows(Sequence):
         return trusted_zdivisor(tuple(map(add, self._g, self._rows[m].coords)))
 
 
+def _on(S: SurfaceModel, ev: Evaluation) -> Evaluation:
+    """ev, once it is known to be an evaluation on S."""
+    if ev.surface is not S:
+        raise InvalidInput(f"the evaluation was built on {ev.surface.name}, not on this surface")
+    return ev
+
+
+def _coefficients(S: SurfaceModel, D: DivisorOrEvaluation) -> tuple[QuadExt, ...]:
+    """D's prime coefficient vector on S; an Evaluation's stored one."""
+    if isinstance(D, Evaluation):
+        return _on(S, D).coefficients
+    return rdivisor_on(S, D).coefficients(S.basis)
+
+
 def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,
                 m_max: Optional[int]) -> Evaluation:
     """D itself when it is an evaluation on S, else D evaluated up to m_max (default 200)."""
     if not isinstance(D, Evaluation):
         return Evaluation(S, D, 200 if m_max is None else m_max)
-    if D.surface is not S:
-        raise InvalidInput(f"the evaluation was built on {D.surface.name}, not on this surface")
+    _on(S, D)
     if m_max is not None and m_max != D.m_max:
         raise InvalidInput(f"m_max={m_max!r} differs from the evaluation's m_max={D.m_max}")
     return D
@@ -468,22 +504,12 @@ def _solve_square(cols: list[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> Opti
     return [A[i][k] for i in range(k)]
 
 
-def _gens_are_unit_basis(S: SurfaceModel) -> bool:
-    if len(S.effective_generators) != S.rho:
-        return False
-    for j, g in enumerate(S.effective_generators):
-        for i in range(S.rho):
-            if g.coords[i] != (1 if i == j else 0):
-                return False
-    return True
-
-
 def _effective_coordinates(S: SurfaceModel, coeffs: Sequence[QuadExt]) -> Optional[list[QuadExt]]:
     """Coordinates of a class in the effective-generator basis, if square."""
     gens = S.effective_generators
     if len(gens) != S.rho:
         return None
-    if _gens_are_unit_basis(S):
+    if S._unit_effective:
         return [quadext(c) for c in coeffs]
     cols = [[quadext(g.coords[i]) for i in range(S.rho)] for g in gens]
     return _solve_square(cols, [quadext(c) for c in coeffs])
@@ -651,23 +677,22 @@ def big_growth_check(S: SurfaceModel, D: DivisorOrEvaluation,
     let linear counts pass (the constant just shrinks like 1/m).  The
     pointwise constant C = h0([m_max D])/(2 m_max^2) is still reported
     for comparison against half the self-intersection of nef divisors.
-    D may be an Evaluation; m_max must be at least GROWTH_MIN_M_MAX.
+    D may be an Evaluation; m_max must be at least GROWTH_MIN_M_MAX.  Only
+    the two counts it compares are computed.
     """
-    S.require_h0()   # OracleUnavailable before any evaluation
+    h0 = S.require_h0()   # OracleUnavailable before any evaluation
     ev = _evaluation(S, D, m_max)
     m_max = ev.m_max
     if m_max < GROWTH_MIN_M_MAX:
         raise InvalidInput(f"m_max must be >= {GROWTH_MIN_M_MAX}, got {m_max}")
-    counts = ev.h0_counts
     m_h = m_max // 2
-    anchor = Fraction(counts[m_h], 2 * m_h * m_h)
-    passed = counts[m_h] > 0 and counts[m_max] >= 3 * counts[m_h]
+    n_h, n_top = h0(ev.multiples[m_h]), h0(ev.multiples[m_max])
     return GrowthCheck(
-        passed=passed,
-        c_estimate=Fraction(counts[m_max], 2 * m_max * m_max),
-        leading=Fraction(counts[m_max], m_max * m_max),
+        passed=n_h > 0 and n_top >= 3 * n_h,
+        c_estimate=Fraction(n_top, 2 * m_max * m_max),
+        leading=Fraction(n_top, m_max * m_max),
         anchor_m=m_h,
-        anchor_c=anchor,
+        anchor_c=Fraction(n_h, 2 * m_h * m_h),
     )
 
 
@@ -675,41 +700,34 @@ def big_growth_check(S: SurfaceModel, D: DivisorOrEvaluation,
 # onset bounds for the bounded searches
 
 
-def _frac_overshoot(S: SurfaceModel, cls: Sequence[int]) -> int:
-    """Strict upper bound on {mD}.mu over all fractional-part vectors."""
-    total = 0
-    for j in range(S.rho):
-        p = S.pair_z(ZDivisor(tuple(1 if i == j else 0 for i in range(S.rho))),
-                     ZDivisor(tuple(cls)))
-        if p > 0:
-            total += p
-    return total
+def _slopes(S: SurfaceModel, D: DivisorOrEvaluation, kind: str) -> list[QuadExt]:
+    """D.mu for each class mu of the kind's table; an Evaluation's stored slopes."""
+    table = S.sufficient_conditions[kind]
+    if isinstance(D, Evaluation):
+        slopes = _on(S, D).slopes
+        return [slopes[cls] for cls, _ in table]
+    coeffs = rdivisor_on(S, D).coefficients(S.basis)
+    return [_pair_class(S, coeffs, cls) for cls, _ in table]
 
 
-def definitive_negative(S: SurfaceModel, D: DivisorLike, kind: str) -> bool:
+def definitive_negative(S: SurfaceModel, D: DivisorOrEvaluation, kind: str) -> bool:
     """Closed-form proof that the predicate fails at [mD] for every m >= 1.
 
     A sufficient condition mu >= c can never hold when the pairing slope
     D.mu is non-positive and even the largest fractional correction
     cannot lift m*(D.mu) up to c.  Turns "not found <= m_max" into a
-    definitive negative for the exists-m searches.
+    definitive negative for the exists-m searches.  D may be an
+    Evaluation.
     """
     if S.sufficient_conditions is None or kind not in S.sufficient_conditions:
         return False
-    coeffs = rdivisor_on(S, D).coefficients(S.basis)
-    for cls, c in S.sufficient_conditions[kind]:
-        slope = _pair_class(S, coeffs, cls)
+    for (cls, c), slope in zip(S.sufficient_conditions[kind], _slopes(S, D, kind)):
         if slope.sign() > 0:
             continue
-        lift = 0
-        for j in range(S.rho):
-            p = S.pair_z(ZDivisor(tuple(1 if i == j else 0 for i in range(S.rho))),
-                         ZDivisor(tuple(cls)))
-            if p < 0:
-                lift += -p  # -{mD}.mu is at most the negative column part
+        _, _, lift = S._table_parts[cls]   # -{mD}.mu is at most the negative column part
         # [mD].mu <= m*slope + lift <= slope_at_m1 + lift for slope <= 0
-        top = slope + lift if slope.sign() < 0 else QuadExt(lift)
-        if top < QuadExt(c):
+        top = slope + lift if slope.sign() < 0 else lift
+        if top < c:
             return True
     return False
 
@@ -721,7 +739,7 @@ def ceil_quotient(need: Union[int, Fraction], slope: QuadExt) -> int:
     return -(quadext(-need) / slope).floor()
 
 
-def onset_bound(S: SurfaceModel, D: DivisorLike, kind: str,
+def onset_bound(S: SurfaceModel, D: DivisorOrEvaluation, kind: str,
                 twist: Optional[ZDivisor] = None) -> Optional[int]:
     """Effective bound B: the predicate holds at G + [mD] for every m >= B.
 
@@ -736,16 +754,15 @@ def onset_bound(S: SurfaceModel, D: DivisorLike, kind: str,
     class the returned bound can be wrong (ROADMAP item 1).  build_report
     therefore hands bounds to its scans only for nef D, whose slopes on
     the table classes are >= 0, since those classes lie in the closed
-    cone of curves.
+    cone of curves.  D may be an Evaluation, whose stored slopes are read;
+    ``Evaluation.onset`` memoises the result.
     """
     if S.sufficient_conditions is None or kind not in S.sufficient_conditions:
         return None
-    coeffs = rdivisor_on(S, D).coefficients(S.basis)
     bound = 1
-    for cls, c in S.sufficient_conditions[kind]:
-        slope = _pair_class(S, coeffs, cls)
-        g_mu = S.pair_z(twist, ZDivisor(tuple(cls))) if twist is not None else 0
-        overshoot = _frac_overshoot(S, cls)
+    for (cls, c), slope in zip(S.sufficient_conditions[kind], _slopes(S, D, kind)):
+        column, overshoot, _ = S._table_parts[cls]
+        g_mu = sum(map(mul, twist.coords, column)) if twist is not None else 0
         # the fractional correction is strictly below the overshoot only
         # when some basis class pairs positively; otherwise keep full slack
         slack = 1 if overshoot > 0 else 0
@@ -756,28 +773,6 @@ def onset_bound(S: SurfaceModel, D: DivisorLike, kind: str,
             return None
         bound = max(bound, ceil_quotient(need, slope))
     return bound
-
-
-# ---------------------------------------------------------------------------
-# tail deciders for the integral-part criteria
-#
-# On a surface with a rational polyhedral cone of curves the three
-# "for all m >= m0" criteria below reduce exactly to strict positivity on
-# the cone generators:
-#   - a non-positive pairing makes [mD] fail on that curve at every
-#     integral multiple (rational coefficients) or along a fractional
-#     subsequence supplied by equidistribution (irrational ones);
-#   - strict positivity drives [mD] linearly deep into the region each
-#     closed-form oracle carves out.
-# The scans corroborate the decision with explicit witnesses.
-
-
-def decide_tail_criterion(S: SurfaceModel, D: DivisorLike) -> tuple[bool, dict]:
-    holds, bad = is_ample_cone(S, D)
-    witness: dict = {}
-    if not holds:
-        witness["non_positive_generator"] = bad
-    return holds, witness
 
 
 # ---------------------------------------------------------------------------
@@ -913,50 +908,46 @@ def _twist_scan_result(cid: str, S: SurfaceModel, twists: Sequence[ZDivisor], m_
     return _scan_result(cid, worst, m_max, bound, {"per_twist": per_twist}, proxy=True)
 
 
-def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
+def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] = None,
                  delta: Fraction = Fraction(1, 1000),
                  twists: Optional[Sequence[ZDivisor]] = None,
                  curve_catalog: Optional[Sequence[CurveClass]] = None) -> PositivityReport:
-    """Evaluate every criterion the surface supports and bundle the verdicts."""
-    ev = Evaluation(S, D, m_max)
+    """Evaluate every criterion the surface supports and bundle the verdicts.
+
+    D may be an Evaluation; m_max then defaults to its own, else to 200.
+    """
+    ev = _evaluation(S, D, m_max)
+    m_max = ev.m_max
     rd = ev.divisor
     twists = list(twists) if twists is not None else default_twists(S)
-    ground, bad_gen = is_ample_cone(S, rd)
+    ground, bad_gen = is_ample_cone(S, ev)
     verdicts: dict[str, CriterionResult] = {}
 
-    pairings = generator_pairings(S, rd)
-    pair_witness = {g.label: format_quadext(v) for g, v in pairings}
+    pair_witness = {g.label: format_quadext(v) for g, v in ev.pairings}
 
-    # each onset bound is computed once and shared by its verdict and its
-    # scan; a scan gets it only for nef D (see onset_bound)
-    nef = all(v.sign() >= 0 for _, v in pairings)
-    bounds: dict[tuple[str, ZDivisor], Optional[int]] = {}
-    untwisted = trusted_zdivisor((0,) * S.rho)
+    # each onset bound is shared by its verdict and its scan; a scan gets
+    # it only for nef D (see onset_bound)
+    nef = all(v.sign() >= 0 for _, v in ev.pairings)
 
-    def bound(kind: str, G: ZDivisor = untwisted) -> Optional[int]:
-        if (kind, G) not in bounds:
-            bounds[kind, G] = onset_bound(S, rd, kind, G)
-        return bounds[kind, G]
-
-    def scan_onset(kind: str, G: ZDivisor = untwisted) -> Optional[int]:
-        return bound(kind, G) if nef else None
+    def scan_onset(kind: str, G: Optional[ZDivisor] = None) -> Optional[int]:
+        return ev.onset(kind, G) if nef else None
 
     # exact criteria ------------------------------------------------------
     verdicts["QIX"] = CriterionResult(
         "QIX", ground, True,
         {"pairings": pair_witness, **({"violator": bad_gen} if bad_gen else {})})
-    nakai_ok, nakai_wit = nakai_test(S, rd)
+    nakai_ok, nakai_wit = nakai_test(S, ev)
     verdicts["QVI"] = CriterionResult("QVI", nakai_ok, True, nakai_wit)
-    sesh = seshadri_bound(S, rd, curve_catalog)
+    sesh = seshadri_bound(S, ev, curve_catalog)
     verdicts["QVII"] = CriterionResult(
         "QVII", sesh.sign() > 0, True, {"epsilon": format_quadext(sesh)})
     H = _ample_reference(S)
-    ratio = ratio_bound(S, rd, H)
+    ratio = ratio_bound(S, ev, H)
     verdicts["QVIII"] = CriterionResult(
         "QVIII", ratio.sign() > 0, True,
         {"epsilon": format_quadext(ratio), "reference": list(H.coords)})
     verdicts["QX"] = CriterionResult(
-        "QX", neighborhood_test(S, rd, delta), True, {"delta": str(delta)})
+        "QX", neighborhood_test(S, ev, delta), True, {"delta": str(delta)})
 
     # bounded searches ------------------------------------------------------
     have_va = S.very_ample is not None
@@ -965,12 +956,12 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
 
     if have_va:
         va = very_ample_multiples(S, ev, onset=scan_onset("very_ample"))
-        if va.first_m is None and definitive_negative(S, rd, "very_ample"):
+        if va.first_m is None and definitive_negative(S, ev, "very_ample"):
             verdicts["P1"] = CriterionResult(
                 "P1", False, True, {"m_max": m_max},
                 note="closed-form oracle excludes very ampleness of every [mD]")
         else:
-            verdicts["P1"] = _scan_result("P1", va.first_m, m_max, bound("very_ample"))
+            verdicts["P1"] = _scan_result("P1", va.first_m, m_max, ev.onset("very_ample"))
     else:
         verdicts["P1"] = CriterionResult("P1", None, False, {},
                                          note="surface lacks a very_ample oracle")
@@ -980,7 +971,7 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
         verdicts["QI"] = _twist_scan_result(
             "QI", S, twists, m_max,
             [vanishing_test(S, ev, G, onset=scan_onset("vanishing", G)) for G in twists],
-            _max_bound(bound("vanishing", G) for G in twists))
+            _max_bound(ev.onset("vanishing", G) for G in twists))
     else:
         verdicts["QI"] = CriterionResult("QI", None, False, {}, note="no h0 oracle")
 
@@ -989,13 +980,21 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
             "QII", S, twists, m_max,
             [glob_gen_twist_test(S, ev, G, onset=scan_onset("globally_generated", G))
              for G in twists],
-            _max_bound(bound("globally_generated", G) for G in twists))
+            _max_bound(ev.onset("globally_generated", G) for G in twists))
     else:
         verdicts["QII"] = CriterionResult("QII", None, False, {},
                                           note="no globally_generated oracle")
 
-    # tail criteria: decided exactly on polyhedral cones, scans as witnesses
-    tail_ok, tail_wit = decide_tail_criterion(S, rd)
+    # tail criteria: decided exactly on polyhedral cones, scans as witnesses.
+    # On a surface with a rational polyhedral cone of curves the three "for
+    # all m >= m0" criteria reduce exactly to strict positivity on the cone
+    # generators:
+    #   - a non-positive pairing makes [mD] fail on that curve at every
+    #     integral multiple (rational coefficients) or along a fractional
+    #     subsequence supplied by equidistribution (irrational ones);
+    #   - strict positivity drives [mD] linearly deep into the region each
+    #     closed-form oracle carves out.
+    tail_ok, tail_wit = ground, {"non_positive_generator": bad_gen} if bad_gen else {}
     conclusive_tail = S.sufficient_conditions is not None
     if va is not None:
         tail_wit = {**tail_wit, "first_m": va.first_m, "all_from": va.all_from}
@@ -1042,7 +1041,7 @@ def build_report(S: SurfaceModel, D: DivisorLike, m_max: int = 200,
         verdicts["B4"] = _twist_scan_result(
             "B4", S, twists, m_max,
             [_h0_tail(S, ev, G, onset=scan_onset("h0_positive", G)) for G in twists],
-            bound("h0_positive"))
+            ev.onset("h0_positive"))
     else:
         for cid in ("B2", "B3", "B4"):
             verdicts[cid] = CriterionResult(cid, None, False, {}, note="no h0 oracle")

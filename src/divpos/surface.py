@@ -89,12 +89,27 @@ class SurfaceModel:
         if len(self.canonical_class.coords) != rho:
             raise InvalidInput("canonical class has wrong rank")
         # (M K)_i = e_i.K, read by every Riemann-Roch evaluation
-        object.__setattr__(self, "_mk", tuple(sum(map(mul, row, self.canonical_class.coords))
-                                              for row in M))
+        object.__setattr__(self, "_mk", self.basis_pairings(self.canonical_class.coords))
+        # whether the effective generators are the basis classes, in order
+        object.__setattr__(self, "_unit_effective", [v.coords for v in self.effective_generators]
+                           == [tuple(int(i == j) for i in range(rho)) for j in range(rho)])
+        # per sufficient-condition class mu, read by the onset bounds: the column
+        # e_j.mu, the sum of its positive entries (the overshoot {mD}.mu stays
+        # below) and of its negative entries' sizes (the most -{mD}.mu can lift)
+        parts = {}
+        for table in (self.sufficient_conditions or {}).values():
+            for cls, _ in table:
+                col = self.basis_pairings(cls)
+                parts[cls] = (col, sum(p for p in col if p > 0), -sum(p for p in col if p < 0))
+        object.__setattr__(self, "_table_parts", parts)
 
     @property
     def rho(self) -> int:
         return len(self.basis)
+
+    def basis_pairings(self, cls: Sequence[int]) -> tuple[int, ...]:
+        """(e_j . cls) over the basis classes e_j: the column M cls."""
+        return tuple(sum(map(mul, row, cls)) for row in self.intersection_matrix)
 
     # -- exact pairings ------------------------------------------------------
 
@@ -325,7 +340,7 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     effective_generators, canonical, chi, oracle.  The oracle is either a
     builtin id ("hirzebruch:E", "p2"; not a spec-file path) or a table
     object with an "h0_table" map from coordinate strings "c1,c2,..." to
-    counts (very_ample / globally_generated tables optional, each a list
+    integer counts (very_ample / globally_generated tables optional, each a list
     of coordinate strings).
 
     The oracle is checked against the spec before the model is returned:
@@ -368,7 +383,7 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
         suff = ref.sufficient_conditions
     elif isinstance(oracle, Mapping):
         if "h0_table" in oracle:
-            table = {_table_key("h0_table", key): int(v)
+            table = {_table_key("h0_table", key): _table_count(key, v)
                      for key, v in oracle["h0_table"].items()}
 
             def h0(V: ZDivisor, _table=table) -> int:
@@ -424,6 +439,14 @@ def _table_key(fieldname: str, key: str) -> tuple[int, ...]:
     except (AttributeError, ValueError):
         raise InvalidInput(f"surface spec field {fieldname!r}: key {key!r} is not "
                            "a comma-separated list of integers") from None
+
+
+def _table_count(key: str, value) -> int:
+    """An h0_table count, which must be a JSON integer; InvalidInput naming the key."""
+    if type(value) is not int:
+        raise InvalidInput(f"surface spec field 'h0_table': entry {key!r} has count "
+                           f"{value!r}, expected an integer")
+    return value
 
 
 def _lattice_fields(S: SurfaceModel) -> dict:

@@ -1,10 +1,12 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from divpos.cli import main
+from divpos.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -241,3 +243,39 @@ def test_divisor_spec_file(tmp_path, capsys):
                              "--divisor", f"@{path}", "--m-max", "30")
     assert code == 0
     assert data["ground_truth"] is False
+
+
+# -- the parser is built once per process ------------------------------------------------
+
+CHECK = ("check", "--surface", "hirzebruch:2", "--divisor", "3/2*C0 + 3*f",
+         "--m-max", "30", "--format", "json")
+
+
+def test_parser_is_built_on_first_use_not_at_import():
+    probe = "import divpos.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "0"
+
+
+def test_repeated_calls_share_no_parser_state(capsys):
+    build_parser.cache_clear()
+    fresh = run(capsys, *CHECK)
+    assert fresh[0] == 0
+    parser = build_parser()
+
+    def surfaces(*argv):
+        code, data, _ = run_json(capsys, "audit", "--suite", "nef", "--n-divisors", "1",
+                                 "--m-max", "10", *argv)
+        assert code == 0
+        return data["outcomes"][0]["config"]["surfaces"]
+
+    assert surfaces("--surface", "hirzebruch:2", "--surface", "p2") == ["hirzebruch:2", "p2"]
+    assert surfaces("--surface", "p2") == ["p2"]   # --surface appends to a fresh list
+    assert run(capsys, "check", "--surface", "p2", "--divisor", "3//2*L")[0] == 3
+    assert run(capsys, *CHECK) == fresh
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--surface", "p2", "--no-such-flag"])
+    assert exc.value.code == 2 and "usage" in capsys.readouterr().err
+    assert run(capsys, *CHECK) == fresh
+    assert build_parser() is parser

@@ -7,6 +7,7 @@ validating ZDivisor constructor, floors m*D through QuadExt arithmetic
 """
 
 import dataclasses
+import json
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -145,15 +146,34 @@ def test_h0_column_is_computed_once_per_evaluation():
     S = dataclasses.replace(F2, h0=h0)
     ev = pos.Evaluation(S, "C0 + 3*f", 20)
     pos.big_growth_check(S, ev)
-    assert len(calls) == 21 and ev.h0_counts == [F2.h0(V) for V in ev.multiples]
+    assert calls == [ev.multiples[10], ev.multiples[20]]
+    del calls[:]
     pos.semigroup(S, ev)
-    pos.big_growth_check(S, ev)
-    assert len(calls) == 21
+    assert calls == ev.multiples and ev.h0_counts == [F2.h0(V) for V in ev.multiples]
     F = ZDivisor((0, 1))
     pos.kodaira_check(S, ev, F)
     # only h0(F) and the h0([mD] - F) of the tail are new
     assert [V for V in calls[21:] if V != F] == \
         [ev.multiples[m] - F for m in range(20, 20 - len(calls[22:]), -1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(surface_divisors(), st.integers(1, 40))
+def test_evaluation_backed_results_equal_the_divisor_backed_ones(sd, m_max):
+    S, D = sd
+    ev = pos.Evaluation(S, D, m_max)
+    assert ev.pairings == pos.generator_pairings(S, ev) == pos.generator_pairings(S, D)
+    assert pos.is_ample_cone(S, ev) == pos.is_ample_cone(S, D)
+    for kind in S.sufficient_conditions:
+        assert pos.definitive_negative(S, ev, kind) == pos.definitive_negative(S, D, kind)
+        assert ev.onset(kind) == pos.onset_bound(S, D, kind)
+        for G in pos.default_twists(S):
+            want = pos.onset_bound(S, D, kind, G)
+            assert pos.onset_bound(S, ev, kind, G) == want
+            assert ev.onset(kind, G) == want
+    text = str(D) if D.terms else f"0*{S.basis[0]}"   # parse_divisor refuses "0"
+    assert json.dumps(pos.build_report(S, ev).to_json_dict()) == \
+        json.dumps(pos.build_report(S, text, m_max).to_json_dict())
 
 
 def test_evaluation_refuses_a_different_m_max_or_surface():

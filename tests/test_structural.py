@@ -6,6 +6,7 @@ recurrence of tail predicates on the nef boundary, and the cone-membership
 fallback for supernumerary effective generators.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import divpos.positivity as pos
 from divpos.divisor import RDivisor, ZDivisor, integral_part, integrality_denominator
 from divpos.exact_numbers import QuadExt
-from divpos.surface import SurfaceModel, CurveClass, hirzebruch
+from divpos.surface import SurfaceModel, CurveClass, hirzebruch, projective_plane
 
 F2 = hirzebruch(2)
 coef = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -131,3 +132,34 @@ def test_report_cone_verdicts_scale_invariant(q):
         for cid in ("QVI", "QVII", "QVIII", "QIX", "QIII", "QIV", "QV", "B1"):
             assert (r1.verdicts[cid].holds == r2.verdicts[cid].holds), (text, cid)
         assert r1.ground_truth == r2.ground_truth
+
+
+# -- per-report work counts ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("S, D", [
+    (F2, "2*C0 + 5*f"), (F2, "3/2*C0 + 3*f"), (F2, "-C0 + f"), (F2, "sqrt(2)*C0 + f"),
+    (hirzebruch(0), "(1+sqrt(3))*C0 - 1/2*f"), (projective_plane(), "2/3*L"),
+])
+def test_each_report_computes_the_per_divisor_constants_once(S, D, monkeypatch):
+    """One [mD] column, and at most one pairing of D per generator and per table class."""
+    multiples, pairings = [], []
+    real_multiples, real_pair = pos.integral_part_multiples, SurfaceModel.pair_coords
+
+    def count_multiples(*args):
+        multiples.append(args)
+        return real_multiples(*args)
+
+    def count_pair(self, v, w):
+        pairings.append((tuple(v), tuple(w)))
+        return real_pair(self, v, w)
+
+    monkeypatch.setattr(pos, "integral_part_multiples", count_multiples)
+    monkeypatch.setattr(SurfaceModel, "pair_coords", count_pair)
+    pos.build_report(S, D, 30)
+    assert len(multiples) == 1
+    coeffs = pos.rdivisor_on(S, D).coefficients(S.basis)
+    allowed = Counter(g.coords for g in S.mori_generators)
+    allowed.update({cls for table in S.sufficient_conditions.values() for cls, _ in table})
+    seen = Counter(w for v, w in pairings if v == coeffs and all(type(x) is int for x in w))
+    assert seen and all(n <= allowed[w] for w, n in seen.items()), (seen, allowed)

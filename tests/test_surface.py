@@ -284,6 +284,10 @@ TOY = {
     ({"-4": -1, "0": 1, "-3": 0}, "-4"),           # negative count
     ({"0": 1, "-3": 0, "1,0": 3}, "1,0"),          # wrong rank
     ({"1": 2, "-4": 0}, "1"),                      # h1(E) = 2 + 0 - 3 < 0
+    ({"0": 1.5, "1": 3}, "0"),                     # counts are JSON integers:
+    ({"0": 1, "1": 3.9}, "1"),                     # not truncated,
+    ({"0": True}, "0"),                            # not bool,
+    ({"0": 1, "-3": "x"}, "-3"),                   # not text
 ])
 def test_h0_table_checked_at_load_names_the_key(table, key):
     with pytest.raises(InvalidInput, match=f"'h0_table': (entry|key) '{key}'"):
