@@ -76,24 +76,31 @@ class AuditConfig:
     fault: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("seed", "n_divisors", "m_max"):
+            _require_int(name, getattr(self, name))
+        if not isinstance(self.surfaces, (list, tuple)) or \
+                not all(isinstance(s, str) for s in self.surfaces):
+            raise ConfigError(f"surfaces must be a list of strings, got {self.surfaces!r}")
+        object.__setattr__(self, "surfaces", tuple(self.surfaces))
         if self.n_divisors < 1:
             raise ConfigError("n_divisors must be >= 1")
         if self.m_max < 10:
             raise ConfigError("m_max must be >= 10")
         if not self.surfaces:
             raise ConfigError("surfaces must name at least one surface")
+        if not isinstance(self.profile, dict):
+            raise ConfigError(f"profile must be an object, got {self.profile!r}")
         kind = _profile_kind(self.profile)
         body = self.profile[kind]
-        if kind == "rational":
-            if int(body.get("max_numerator", 0)) < 1:
-                raise ConfigError("profile.rational.max_numerator must be >= 1")
-            if int(body.get("max_denominator", 0)) < 1:
-                raise ConfigError("profile.rational.max_denominator must be >= 1")
-        else:
-            if int(body.get("d", 0)) < 2:
-                raise ConfigError("profile.quadratic.d must be >= 2")
-            if int(body.get("height", 0)) < 1:
-                raise ConfigError("profile.quadratic.height must be >= 1")
+        if not isinstance(body, dict):
+            raise ConfigError(f"profile.{kind} must be an object, got {body!r}")
+        for key, least, required in PROFILE_FIELDS[kind]:
+            if key not in body and not required:
+                continue
+            value = body.get(key, 0)
+            _require_int(f"profile.{kind}.{key}", value)
+            if value < least:
+                raise ConfigError(f"profile.{kind}.{key} must be >= {least}")
         if self.fault not in (None, "flip_cone", "flip_ratio", "flip_gg"):
             raise ConfigError(f"unknown fault {self.fault!r}")
 
@@ -110,6 +117,20 @@ class AuditConfig:
         }
 
 
+def _require_int(name: str, value) -> None:
+    """Refuse anything but an integer (a JSON number with a fraction, a string or a bool)."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+# per profile kind: each integer field, its least value and whether it is
+# required (sample_divisor defaults the quadratic max_denominator to 4)
+PROFILE_FIELDS = {
+    "rational": (("max_numerator", 1, True), ("max_denominator", 1, True)),
+    "quadratic": (("d", 2, True), ("height", 1, True), ("max_denominator", 1, False)),
+}
+
+
 def _profile_kind(profile: dict) -> str:
     kinds = [k for k in ("rational", "quadratic") if k in profile]
     if len(kinds) != 1:
@@ -123,11 +144,11 @@ def config_from_dict(data: dict) -> AuditConfig:
             raise ConfigError(f"config lacks field {fieldname!r}")
     delta = data.get("delta")
     return AuditConfig(
-        seed=int(data["seed"]),
-        surfaces=tuple(str(s) for s in data["surfaces"]),
-        n_divisors=int(data["n_divisors"]),
-        profile=dict(data["profile"]),
-        m_max=int(data.get("m_max", 200)),
+        seed=data["seed"],
+        surfaces=data["surfaces"],
+        n_divisors=data["n_divisors"],
+        profile=data["profile"],
+        m_max=data.get("m_max", 200),
         twists=tuple(tuple(int(x) for x in t) for t in data["twists"]) if data.get("twists") else None,
         delta=Fraction(delta) if delta is not None else None,
         fault=data.get("fault"),

@@ -237,15 +237,13 @@ def fractional_part(D: RDivisor, basis: Sequence[str]) -> RDivisor:
 
 
 def integral_part_multiples(D: RDivisor, basis: Sequence[str], m_max: int) -> list[tuple[int, ...]]:
-    """[[mD] for m in 0..m_max] as coordinate tuples, via the floor-scan kernels."""
-    coeffs = D.expand_coefficients(basis)
-    cols = []
-    for c in coeffs:
-        if c.is_rational:
-            cols.append(_kernels.floor_multiples_rat(c.a.numerator, c.a.denominator, m_max))
-        else:
-            N, M, Q = c._int_triple()
-            cols.append(_kernels.floor_multiples_quad(N, M, c.d, Q, m_max))
+    """[[mD] for m in 0..m_max] as coordinate tuples, via the floor-scan kernel.
+
+    floor_multiples_quad hands a rational coefficient (M == 0) to the
+    rational scan itself.
+    """
+    cols = [_kernels.floor_multiples_quad(c.N, c.M, c.d, c.Q, m_max)
+            for c in D.expand_coefficients(basis)]
     return list(zip(*cols))
 
 
@@ -351,7 +349,7 @@ def integrality_denominator(D: RDivisor, basis: Sequence[str]) -> int:
     for c in coeffs:
         if not c.is_rational:
             raise InvalidInput("divisor has irrational coefficients; no integral multiple")
-        k = lcm(k, c.a.denominator)
+        k = lcm(k, c.Q)
     return k
 
 
@@ -394,10 +392,12 @@ _TERM = re.compile(
 
 
 def parse_divisor(text: str) -> RDivisor:
-    """Parse an inline divisor expression like "3/2*C0 + 3*f"."""
+    """Parse an inline divisor expression like "3/2*C0 + 3*f", or "0" for the zero divisor."""
     s = text.strip()
     if not s:
         raise InvalidInput("empty divisor expression")
+    if s == "0":  # format_divisor's form of the zero divisor
+        return RDivisor({})
     pos = 0
     terms: list[tuple[str, QuadExt]] = []
     first = True

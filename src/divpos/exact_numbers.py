@@ -1,24 +1,30 @@
 """Exact arithmetic over Q and real quadratic extensions Q(sqrt(d)).
 
-A QuadExt is a + b*sqrt(d) with a, b exact rationals (big-integer
-numerator/denominator, canonically reduced) and d a square-free integer.
-Rational values carry d = 0.  Floors, signs and comparisons are decided
-by integer arithmetic only; floats never enter a decision path.
+A QuadExt stores one canonical integer triple: the value is
+(N + M*sqrt(d)) / Q with gcd(N, M, Q) = 1, Q > 0, d a square-free
+integer >= 2, and M == 0 exactly when the value is rational, in which
+case d = 0.  The read-only properties a and b give the rational and
+irrational parts as reduced Fractions.  Every arithmetic result is built
+from integers with one gcd, and floors and signs hand the stored triple
+to the integer kernels; floats never enter a decision path.
 
 All irrational coefficients inside one computation must share the same d;
 mixing two different radicals raises MixedFieldError.
 
-The radicand is made square-free once, where a value enters: the public
-QuadExt(a, b, d) constructor, and through it parse_quadext, quadext and
-sqrt_of.  That trial division is bounded by RADICAND_MAX = 10**12 (about
-0.1 s at the bound); a larger d raises InvalidInput.  Arithmetic results
-share their operands' square-free d, so they skip the decomposition.
+Only a radicand that comes from outside is made square-free: the public
+QuadExt(a, b, d) constructor with d not in {0, 1}, and through it the
+sqrt terms of parse_quadext and sqrt_of.  That trial division is bounded
+by RADICAND_MAX = 10**12 (about 0.1 s at the bound); a larger d raises
+InvalidInput.  Ints and Fractions that enter through quadext() or an
+arithmetic operand become triples directly, and arithmetic results share
+their operands' square-free d.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from divpos import _kernels
@@ -63,27 +69,28 @@ def _as_fraction(x: RatLike) -> Fraction:
 
 
 class QuadExt:
-    """Exact number a + b*sqrt(d) in a fixed real quadratic field."""
+    """Exact number (N + M*sqrt(d)) / Q in a fixed real quadratic field."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("N", "M", "Q", "d")
 
     def __init__(self, a: RatLike = 0, b: RatLike = 0, d: int = 0):
         fa = _as_fraction(a)
         fb = _as_fraction(b)
-        d0, s = squarefree_decompose(int(d))
-        if s != 1:
-            fb *= s
-        if d0 == 1:  # sqrt(1) folds into the rational part
-            fa += fb
-            fb = Fraction(0)
-            d0 = 0
+        d = int(d)
+        if d == 0 or d == 1:  # no radical, or sqrt(1) = 1
+            d0, s = d, 1
+        else:
+            d0, s = squarefree_decompose(d)
         if d0 == 0:
-            fb = Fraction(0)
+            fb = 0
+        elif d0 == 1:  # sqrt(1) folds into the rational part
+            fa += fb * s
+            fb = 0
         if fb == 0:
-            d0 = 0
-        object.__setattr__(self, "a", fa)
-        object.__setattr__(self, "b", fb)
-        object.__setattr__(self, "d", d0)
+            _store(self, fa.numerator, 0, fa.denominator, 0)
+        else:
+            qa, qb = fa.denominator, fb.denominator
+            _store(self, fa.numerator * qb, fb.numerator * s * qa, qa * qb, d0)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt values are immutable")
@@ -91,16 +98,27 @@ class QuadExt:
     # -- field bookkeeping -------------------------------------------------
 
     @property
+    def a(self) -> Fraction:
+        """The rational part N/Q."""
+        return Fraction(self.N, self.Q)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient M/Q of sqrt(d)."""
+        return Fraction(self.M, self.Q)
+
+    @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.M == 0
 
     def _join_d(self, other: "QuadExt") -> int:
-        if self.d == 0 or self.d == other.d:
-            return other.d if self.d == 0 else self.d
-        if other.d == 0:
-            return self.d
+        d, e = self.d, other.d
+        if d == e or not e:
+            return d
+        if not d:
+            return e
         raise MixedFieldError(
-            f"cannot combine sqrt({self.d}) with sqrt({other.d}); "
+            f"cannot combine sqrt({d}) with sqrt({e}); "
             "all irrational coefficients must share one quadratic field"
         )
 
@@ -109,36 +127,49 @@ class QuadExt:
         if isinstance(x, QuadExt):
             return x
         if isinstance(x, int):
-            return _trusted_quadext(Fraction(x), _FZERO, 0)
+            return _raw(int(x), 0, 1, 0)
         if isinstance(x, Fraction):
-            return _trusted_quadext(x, _FZERO, 0)
+            return _raw(x.numerator, 0, x.denominator, 0)
         return NotImplemented  # type: ignore[return-value]
 
     # -- arithmetic --------------------------------------------------------
     #
-    # Operands are canonical (d square-free or 0), so every result is built
-    # by _trusted_quadext; an int operand skips the coercion.
+    # Operands are canonical, so every result is (N + M*sqrt(d)) / Q over
+    # integers, reduced by one gcd in _triple.  An int operand skips the
+    # coercion; adding or subtracting one keeps the triple in lowest terms.
 
     def __add__(self, other):
         if type(other) is int:
-            return _trusted_quadext(self.a + other, self.b, self.d)
+            return _raw(self.N + other * self.Q, self.M, self.Q, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _trusted_quadext(self.a + o.a, self.b + o.b, self._join_d(o))
+        d = self._join_d(o)
+        if self.Q == o.Q:
+            return _triple(self.N + o.N, self.M + o.M, self.Q, d)
+        return _triple(self.N * o.Q + o.N * self.Q, self.M * o.Q + o.M * self.Q,
+                       self.Q * o.Q, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _trusted_quadext(-self.a, -self.b, self.d)
+        return _raw(-self.N, -self.M, self.Q, self.d)
 
     def __sub__(self, other):
+        if type(other) is int:
+            return _raw(self.N - other * self.Q, self.M, self.Q, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _trusted_quadext(self.a - o.a, self.b - o.b, self._join_d(o))
+        d = self._join_d(o)
+        if self.Q == o.Q:
+            return _triple(self.N - o.N, self.M - o.M, self.Q, d)
+        return _triple(self.N * o.Q - o.N * self.Q, self.M * o.Q - o.M * self.Q,
+                       self.Q * o.Q, d)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return _raw(other * self.Q - self.N, -self.M, self.Q, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -146,75 +177,64 @@ class QuadExt:
 
     def __mul__(self, other):
         if type(other) is int:
-            return _trusted_quadext(self.a * other, self.b * other, self.d)
+            g = gcd(other, self.Q)
+            k = other // g
+            return _raw(self.N * k, self.M * k, self.Q // g, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         d = self._join_d(o)
-        # (a + b*sqrt(d)) * (a' + b'*sqrt(d)) = (aa' + bb'd) + (ab' + a'b) sqrt(d)
-        return _trusted_quadext(self.a * o.a + self.b * o.b * d,
-                                self.a * o.b + o.a * self.b, d)
+        # (N + M*sqrt(d)) * (N' + M'*sqrt(d)) = (NN' + MM'd) + (NM' + N'M) sqrt(d)
+        return _triple(self.N * o.N + self.M * o.M * d, self.N * o.M + o.N * self.M,
+                       self.Q * o.Q, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.b == 0:
-            return _trusted_quadext(1 / self.a, _FZERO, 0)
-        # conjugate trick; the norm a^2 - b^2 d is a nonzero rational
-        norm = self.a * self.a - self.b * self.b * self.d
-        return _trusted_quadext(self.a / norm, -self.b / norm, self.d)
+        return _quotient(ONE, self)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self * o.inverse()
+        return _quotient(self, o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o * self.inverse()
+        return _quotient(o, self)
 
     # -- exact decisions ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.N and not self.M
 
     def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        N, M, _ = self._int_triple()
-        return _kernels.sign_quad(N, M, self.d)
-
-    def _int_triple(self) -> tuple[int, int, int]:
-        """(N, M, Q) with self = (N + M*sqrt(d)) / Q, Q > 0."""
-        qa, qb = self.a.denominator, self.b.denominator
-        return (self.a.numerator * qb, self.b.numerator * qa, qa * qb)
+        if not self.M:
+            return (self.N > 0) - (self.N < 0)
+        return _kernels.sign_quad(self.N, self.M, self.d)
 
     def floor(self) -> int:
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        N, M, Q = self._int_triple()
-        return _kernels.floor_quad(N, M, self.d, Q)
+        if not self.M:
+            return self.N // self.Q
+        return _kernels.floor_quad(self.N, self.M, self.d, self.Q)
 
     def frac(self) -> "QuadExt":
         return self - self.floor()
 
     def __eq__(self, other):
         if type(other) is int:
-            return self.b == 0 and self.a == other
+            return not self.M and self.Q == 1 and self.N == other
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.a == o.a and self.b == o.b and self.d == o.d
+        return self.N == o.N and self.M == o.M and self.Q == o.Q and self.d == o.d
 
     def __hash__(self):
         # rational values must hash like the numbers they equal
-        if self.b == 0:
-            return hash(self.a)
+        if not self.M:
+            return hash(self.N) if self.Q == 1 else hash(Fraction(self.N, self.Q))
         return hash((self.a, self.b, self.d))
 
     def _cmp(self, other) -> int:
@@ -241,9 +261,9 @@ class QuadExt:
     # -- conversion / display ----------------------------------------------
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.M:
             raise InvalidInput(f"{self} is irrational, not representable as a Fraction")
-        return self.a
+        return Fraction(self.N, self.Q)
 
     def __float__(self):
         # display only; decisions never rely on this
@@ -256,37 +276,70 @@ class QuadExt:
         return f"QuadExt({self!s})"
 
 
-_FZERO = Fraction(0)
-_set_a, _set_b, _set_d = QuadExt.a.__set__, QuadExt.b.__set__, QuadExt.d.__set__
+_new = object.__new__
+_set_N, _set_M = QuadExt.N.__set__, QuadExt.M.__set__
+_set_Q, _set_d = QuadExt.Q.__set__, QuadExt.d.__set__
 
 
-def _trusted_quadext(a: Fraction, b: Fraction, d: int) -> QuadExt:
-    """a + b*sqrt(d) from Fractions a, b and a d already square-free or 0.
-
-    Only for results of arithmetic on canonical values; anything else goes
-    through QuadExt(...), which decomposes d.  Only b == 0 -> d = 0 is
-    normalised here.
-    """
-    x = object.__new__(QuadExt)
-    _set_a(x, a)
-    _set_b(x, b)
-    _set_d(x, d if b else 0)
+def _raw(N: int, M: int, Q: int, d: int) -> QuadExt:
+    """(N + M*sqrt(d)) / Q from a triple already in lowest terms, Q > 0, d square-free or 0."""
+    x = _new(QuadExt)
+    _set_N(x, N)
+    _set_M(x, M)
+    _set_Q(x, Q)
+    _set_d(x, d if M else 0)
     return x
 
 
-ZERO = QuadExt(0)
-ONE = QuadExt(1)
+def _store(x: QuadExt, N: int, M: int, Q: int, d: int) -> QuadExt:
+    """Set x to (N + M*sqrt(d)) / Q, Q > 0, reduced by gcd(N, M, Q)."""
+    g = gcd(N, M, Q)
+    if g != 1:
+        N //= g
+        M //= g
+        Q //= g
+    _set_N(x, N)
+    _set_M(x, M)
+    _set_Q(x, Q)
+    _set_d(x, d if M else 0)
+    return x
+
+
+def _triple(N: int, M: int, Q: int, d: int) -> QuadExt:
+    """(N + M*sqrt(d)) / Q from integers with Q > 0 and d square-free or 0."""
+    return _store(_new(QuadExt), N, M, Q, d)
+
+
+def _quotient(x: QuadExt, y: QuadExt) -> QuadExt:
+    """x / y in one triple: 1/y = Q (N - M*sqrt(d)) / (N^2 - M^2 d) for y = (N + M*sqrt(d))/Q."""
+    d = x._join_d(y)
+    N, M, Q = y.N, y.M, y.Q
+    if M:
+        norm = N * N - M * M * d  # nonzero: d is square-free >= 2
+        N, M = x.N * N - x.M * M * d, x.M * N - x.N * M
+    elif N:
+        norm, N, M = N, x.N, x.M
+    else:
+        raise ZeroDivisionError("inverse of zero")
+    if norm < 0:  # keep the denominator positive
+        norm, Q = -norm, -Q
+    return _triple(N * Q, M * Q, x.Q * norm, d)
+
+
+ZERO = _raw(0, 0, 1, 0)
+ONE = _raw(1, 0, 1, 0)
 
 
 def quadext(value: Union[QuadExt, int, Fraction, str]) -> QuadExt:
     """Coerce ints, Fractions and coefficient strings to QuadExt."""
     if isinstance(value, QuadExt):
         return value
-    if isinstance(value, (int, Fraction)):
-        return QuadExt(value)
     if isinstance(value, str):
         return parse_quadext(value)
-    raise InvalidInput(f"cannot interpret {value!r} as an exact coefficient")
+    x = QuadExt._coerce(value)
+    if x is NotImplemented:
+        raise InvalidInput(f"cannot interpret {value!r} as an exact coefficient")
+    return x
 
 
 # -- spec-named operation wrappers ------------------------------------------
@@ -330,9 +383,8 @@ def weyl_find(alpha: QuadExt, epsilon: RatLike, k_start: int = 1,
         raise InvalidInput(f"epsilon must lie in (0, 1), got {eps}")
     if k_start < 1:
         raise InvalidInput(f"k_start must be >= 1, got {k_start}")
-    N, M, Q = alpha._int_triple()
-    k = _kernels.weyl_search(N, M, alpha.d, Q, eps.numerator, eps.denominator,
-                             k_start, k_max)
+    k = _kernels.weyl_search(alpha.N, alpha.M, alpha.d, alpha.Q, eps.numerator,
+                             eps.denominator, k_start, k_max)
     if k < 0:
         raise InvalidInput(f"no k <= k_max={k_max} found; raise k_max")
     return k
@@ -361,7 +413,7 @@ def parse_quadext(text: str) -> QuadExt:
     if not s:
         raise InvalidInput("empty coefficient")
     pos = 0
-    total = QuadExt(0)
+    total = ZERO
     sign_pending = 1
     expecting_term = True  # a term is legal here (start, or right after a sign)
     saw_term = False
@@ -383,7 +435,7 @@ def parse_quadext(text: str) -> QuadExt:
             coef = _as_fraction(m.group("coef")) if m.group("coef") else Fraction(1)
             term = QuadExt(0, sign_pending * coef, int(m.group("d")))
         else:
-            term = QuadExt(sign_pending * _as_fraction(m.group("rat")))
+            term = quadext(sign_pending * _as_fraction(m.group("rat")))
         total = total + term
         sign_pending = 1
         expecting_term = False
@@ -395,18 +447,19 @@ def parse_quadext(text: str) -> QuadExt:
 
 def format_quadext(x: QuadExt) -> str:
     """Canonical text form; parse_quadext(format_quadext(x)) == x."""
-    if x.b == 0:
-        return str(x.a)
-    if x.b == 1:
+    a, b = x.a, x.b
+    if b == 0:
+        return str(a)
+    if b == 1:
         rad = f"sqrt({x.d})"
-    elif x.b == -1:
+    elif b == -1:
         rad = f"-sqrt({x.d})"
     else:
-        rad = f"{x.b}*sqrt({x.d})"
-    if x.a == 0:
+        rad = f"{b}*sqrt({x.d})"
+    if a == 0:
         return rad
-    joiner = "+" if x.b > 0 else ""
-    return f"{x.a}{joiner}{rad}"
+    joiner = "+" if b > 0 else ""
+    return f"{a}{joiner}{rad}"
 
 
 def sqrt_of(d: int) -> QuadExt:

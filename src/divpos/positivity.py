@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from operator import add, mul
 from typing import Callable, Iterable, Optional, Union
 
@@ -456,20 +457,18 @@ class BigResult:
 
 
 def _ample_reference(S: SurfaceModel) -> ZDivisor:
+    """The spec's ample class, else the first ample class of a small box, searched once per S."""
     if S.ample_reference is not None:
         return S.ample_reference
-    # small search box; fine for low rank user models
-    rho = S.rho
-    from itertools import product
-
-    for coords in product(range(0, 4), repeat=rho):
-        V = ZDivisor(coords)
-        if V.is_zero():
-            continue
-        ok, _ = is_ample_cone(S, V)
-        if ok:
-            return V
-    raise InvalidInput(f"no ample class found for surface {S.name!r}; set 'ample' in its spec")
+    found = S.__dict__.get("_found_ample")
+    if found is None:
+        found = next((V for V in map(ZDivisor, product(range(4), repeat=S.rho))
+                      if not V.is_zero() and is_ample_cone(S, V)[0]), None)
+        if found is None:
+            raise InvalidInput(
+                f"no ample class found for surface {S.name!r}; set 'ample' in its spec")
+        object.__setattr__(S, "_found_ample", found)
+    return found
 
 
 def _solve_square(cols: list[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> Optional[list[QuadExt]]:

@@ -74,6 +74,13 @@ def test_check_bad_divisor_exits_3(capsys):
     assert "error" in err
 
 
+def test_check_zero_divisor_matches_its_difference_form(capsys):
+    zero = run(capsys, "check", "--surface", "p2", "--divisor", "0")
+    difference = run(capsys, "check", "--surface", "p2", "--divisor", "L - L")
+    assert zero[0] == 0
+    assert zero == difference
+
+
 def test_check_bad_surface_names_field(capsys):
     code, _, err = run(capsys, "check", "--surface", "hirzebruch:nope",
                        "--divisor", "C0")
@@ -186,6 +193,33 @@ def test_audit_bad_config_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "audit", "--config", str(path))
     assert code == 3
     assert "surfaces" in err
+
+
+GOOD_CONFIG = {"seed": 1, "surfaces": ["p2"], "n_divisors": 2, "m_max": 20,
+               "profile": {"rational": {"max_numerator": 3, "max_denominator": 2}}}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"n_divisors": "x"}, "n_divisors"),
+    ({"n_divisors": 2.7}, "n_divisors"),
+    ({"seed": 1.9}, "seed"),
+    ({"surfaces": "p2"}, "surfaces"),
+    ({"profile": {"rational": {"max_numerator": 3.0, "max_denominator": 2}}},
+     "profile.rational.max_numerator"),
+    ({"profile": {"quadratic": {"d": 2.5, "height": 3}}}, "profile.quadratic.d"),
+])
+def test_audit_malformed_config_names_the_field(tmp_path, capsys, change, field):
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({**GOOD_CONFIG, **change}))
+    code, _, err = run(capsys, "audit", "--suite", "ampleness", "--config", str(path))
+    assert code == 3
+    assert field in err
+
+
+def test_audit_wellformed_config_runs(tmp_path, capsys):
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(GOOD_CONFIG))
+    assert run(capsys, "audit", "--suite", "ampleness", "--config", str(path))[0] == 0
 
 
 # -- environment and files -----------------------------------------------------------------

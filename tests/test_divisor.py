@@ -244,6 +244,27 @@ def test_parse_divisor_values():
     assert parse_divisor("0*C0").is_zero()
 
 
+coefficients = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(QuadExt, st.fractions(min_value=-20, max_value=20, max_denominator=12),
+              st.fractions(min_value=-20, max_value=20, max_denominator=12),
+              st.sampled_from([2, 3, 5, 8, 1000003])))
+
+
+@settings(max_examples=150)
+@given(st.one_of(st.just({}), st.dictionaries(st.sampled_from(BASIS), coefficients)))
+def test_parse_format_roundtrip_random(terms):
+    d = RDivisor(terms)
+    assert parse_divisor(format_divisor(d)) == d
+
+
+@pytest.mark.parametrize("text", ["0", " 0 ", "\t0\n"])
+def test_parse_zero_divisor(text):
+    assert parse_divisor(text) == RDivisor({}) == parse_divisor("C0 - C0")
+    assert format_divisor(parse_divisor(text)) == "0"
+
+
 def test_parse_divisor_rejects_garbage():
     for bad in ("", "C0 +", "3/2 C0", "* f", "2**f"):
         with pytest.raises(InvalidInput):

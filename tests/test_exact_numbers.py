@@ -1,7 +1,7 @@
 """Exact quadratic-field arithmetic: examples and algebraic properties."""
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -327,11 +327,19 @@ def test_numeric_comparisons_with_plain_numbers():
 
 
 def assert_canonical(r):
-    """r equals, hashes like and has the fields of the validated QuadExt(r.a, r.b, r.d)."""
+    """r equals, hashes like and has the fields of the validated QuadExt(r.a, r.b, r.d).
+
+    Its stored triple (N + M*sqrt(d)) / Q is in lowest terms with Q > 0,
+    and a rational value (M == 0) carries d == 0.
+    """
     want = QuadExt(r.a, r.b, r.d)
     assert r == want and hash(r) == hash(want)
     assert type(r.a) is type(want.a) is Fraction and type(r.b) is type(want.b) is Fraction
     assert (r.a, r.b, r.d) == (want.a, want.b, want.d)
+    assert gcd(r.N, r.M, r.Q) == 1 and r.Q > 0
+    assert r.M != 0 or r.d == 0
+    assert all(type(v) is int for v in (r.N, r.M, r.Q, r.d))
+    assert (r.N, r.M, r.Q, r.d) == (want.N, want.M, want.Q, want.d)
 
 
 @settings(max_examples=200)
@@ -420,3 +428,97 @@ def test_pair_coords_matches_the_double_loop(S, data):
     w = data.draw(st.lists(st.one_of(st.integers(-20, 20), entry), min_size=S.rho,
                            max_size=S.rho))
     assert S.pair_coords(v, w) == double_loop_pairing(S.intersection_matrix, v, w)
+
+
+# -- the integer triple against a (Fraction, Fraction, d) model -------------------------
+
+
+def model_of(x):
+    """(a, b, d) of a QuadExt, int or Fraction, read through the public fields."""
+    if isinstance(x, QuadExt):
+        return (x.a, x.b, x.d)
+    return (Fraction(x), Fraction(0), 0)
+
+
+def model_join(x, y):
+    assert x[2] == 0 or y[2] == 0 or x[2] == y[2]
+    return x[2] or y[2]
+
+
+def model_add(x, y):
+    return (x[0] + y[0], x[1] + y[1], model_join(x, y))
+
+
+def model_neg(x):
+    return (-x[0], -x[1], x[2])
+
+
+def model_mul(x, y):
+    d = model_join(x, y)
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + y[0] * x[1], d)
+
+
+def model_inverse(x):
+    a, b, d = x
+    norm = a * a - b * b * d
+    return (a / norm, -b / norm, d)
+
+
+def model_sign(x):
+    a, b, d = x
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa or sb
+    if sa == 0:
+        return sb
+    return sa if a * a > b * b * d else sb
+
+
+def model_floor(x):
+    """Largest n with x - n >= 0, near floor(a) + floor(b*sqrt(d))."""
+    a, b, d = x
+    p, q = abs(b.numerator), b.denominator
+    t = isqrt(p * p * d) // q  # floor(|b|*sqrt(d))
+    near = a.numerator // a.denominator + (t if b >= 0 else -t)
+    return max(n for n in range(near - 3, near + 4) if model_sign((a - n, b, d)) >= 0)
+
+
+def model_hash(x):
+    a, b, d = x
+    return hash(a) if b == 0 else hash((a, b, d))
+
+
+def assert_matches(r, model):
+    a, b, d = model
+    assert (r.a, r.b, r.d) == (a, b, d if b else 0)
+    assert hash(r) == model_hash(model)
+    assert r.sign() == model_sign(model)
+    assert r.floor() == model_floor(model)
+    assert_canonical(r)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_triple_arithmetic_matches_the_fraction_model(data):
+    d = data.draw(st.sampled_from([2, 3, 5, 1000003]))
+    x = data.draw(quads(d=st.just(d)))
+    y = data.draw(st.one_of(quads(d=st.just(d)), st.integers(-10**6, 10**6), rationals))
+    mx, my = model_of(x), model_of(y)
+    assert_matches(x, mx)
+    cases = [(x + y, model_add(mx, my)), (y + x, model_add(my, mx)),
+             (x - y, model_add(mx, model_neg(my))), (y - x, model_add(my, model_neg(mx))),
+             (x * y, model_mul(mx, my)), (y * x, model_mul(my, mx)), (-x, model_neg(mx))]
+    if not x.is_zero():
+        cases += [(x.inverse(), model_inverse(mx)), (y / x, model_mul(my, model_inverse(mx)))]
+    if y != 0:
+        cases.append((x / y, model_mul(mx, model_inverse(my))))
+    for r, model in cases:
+        assert_matches(r, model)
+
+
+@pytest.mark.parametrize("x", [QuadExt(1, -1, 2), QuadExt(Fraction(-3, 7)),
+                               QuadExt(Fraction(2, 3), Fraction(-5, 4), 1000003)])
+def test_inverse_of_a_negative_norm_keeps_q_positive(x):
+    r = x.inverse()
+    assert r.Q > 0 and r * x == 1
+    assert_canonical(r)

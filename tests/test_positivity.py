@@ -11,7 +11,8 @@ import divpos.positivity as pos
 from divpos.divisor import RDivisor, ZDivisor, parse_divisor
 from divpos.errors import InvalidInput
 from divpos.exact_numbers import QuadExt, parse_quadext
-from divpos.surface import CurveClass, cohomology, hirzebruch, projective_plane
+from divpos.surface import (CurveClass, cohomology, hirzebruch, projective_plane,
+                            surface_from_spec)
 
 F2 = hirzebruch(2)
 F3 = hirzebruch(3)
@@ -86,6 +87,45 @@ def test_ratio_bound_examples():
 def test_ratio_bound_requires_ample_reference():
     with pytest.raises(InvalidInput):
         pos.ratio_bound(F2, D_AMPLE, "f")
+
+
+F2_SPEC = {"name": "f2-spec", "basis": ["C0", "f"], "matrix": [[-2, 1], [1, 0]],
+           "mori_generators": [[1, 0], [0, 1]], "effective_generators": [[1, 0], [0, 1]],
+           "canonical": [-2, -4], "chi": 1, "oracle": "hirzebruch:2"}
+
+
+def test_ample_reference_is_searched_once_per_surface(monkeypatch):
+    calls = []
+    original = pos.is_ample_cone
+
+    def counting(S, D):
+        calls.append(D)
+        return original(S, D)
+
+    monkeypatch.setattr(pos, "is_ample_cone", counting)
+    search = surface_from_spec(F2_SPEC)
+    assert pos._ample_reference(search) == ZDivisor((1, 3))
+    per_search = len(calls)
+    assert per_search > 0
+    assert pos._ample_reference(search) == ZDivisor((1, 3)) and len(calls) == per_search
+
+    S = surface_from_spec(F2_SPEC)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        pos.build_report(S, "C0 + 3*f", m_max=30)
+        counts.append(len(calls))
+    assert counts[0] - counts[1] == per_search
+
+
+def test_missing_ample_class_is_refused_on_use_not_at_load():
+    # E.E = -1 and E spans the cone of curves, so no class of the box is ample
+    S = surface_from_spec({"name": "neg", "basis": ["E"], "matrix": [[-1]],
+                           "mori_generators": [[1]], "effective_generators": [[1]],
+                           "canonical": [0], "chi": 1, "oracle": {"h0_table": {"0": 1}}})
+    for _ in range(2):
+        with pytest.raises(InvalidInput, match="no ample class found for surface 'neg'"):
+            pos._ample_reference(S)
 
 
 def test_seshadri_examples():
