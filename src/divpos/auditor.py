@@ -22,11 +22,12 @@ Identical configs produce byte-identical serialized outcomes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import divpos.positivity as pos
 from divpos.divisor import (
@@ -142,17 +143,41 @@ def config_from_dict(data: dict) -> AuditConfig:
     for fieldname in ("seed", "surfaces", "n_divisors", "profile"):
         if fieldname not in data:
             raise ConfigError(f"config lacks field {fieldname!r}")
-    delta = data.get("delta")
     return AuditConfig(
         seed=data["seed"],
         surfaces=data["surfaces"],
         n_divisors=data["n_divisors"],
         profile=data["profile"],
         m_max=data.get("m_max", 200),
-        twists=tuple(tuple(int(x) for x in t) for t in data["twists"]) if data.get("twists") else None,
-        delta=Fraction(delta) if delta is not None else None,
+        twists=_config_twists(data.get("twists")),
+        delta=_config_delta(data.get("delta")),
         fault=data.get("fault"),
     )
+
+
+def _config_twists(twists) -> Optional[tuple[tuple[int, ...], ...]]:
+    """A config's twists: a list of lists of integers; None or [] for the default catalog."""
+    if twists is None:
+        return None
+    if not isinstance(twists, list) or not all(
+            isinstance(t, list) and all(type(x) is int for x in t) for t in twists):
+        raise ConfigError(f"twists must be a list of lists of integers, got {twists!r}")
+    return tuple(map(tuple, twists)) or None
+
+
+def _config_delta(delta) -> Optional[Fraction]:
+    """A config's delta: a string or an integer giving an exact rational."""
+    if delta is None:
+        return None
+    if type(delta) is int:
+        return Fraction(delta)
+    if isinstance(delta, str):
+        try:
+            return Fraction(delta)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"delta must be a string or an integer giving an exact rational, "
+                      f"got {delta!r}")
 
 
 def rational_profile(max_numerator: int = 30, max_denominator: int = 12) -> dict:
@@ -234,8 +259,9 @@ def safe_delta(S: SurfaceModel, profile: dict) -> Fraction:
 
 
 def _min_effective_coordinate(S: SurfaceModel, D: RDivisor) -> Optional[QuadExt]:
+    """D's least coordinate on the effective generators; None unless positive."""
     lam = pos._effective_coordinates(S, D.coefficients(S.basis))
-    if lam is None:
+    if lam is None or min(lam).sign() <= 0:
         return None
     return min(lam)
 
@@ -249,25 +275,18 @@ def growth_bound(S: SurfaceModel, D: RDivisor) -> Optional[int]:
     direction; 16/lambda_min is a conservative onset.
     """
     lam = _min_effective_coordinate(S, D)
-    if lam is None or lam.sign() <= 0:
-        return None
-    return 2 * pos.ceil_quotient(16, lam)
+    return None if lam is None else 2 * pos.ceil_quotient(16, lam)
 
 
 def boh_bound(S: SurfaceModel, D: RDivisor) -> Optional[int]:
     """m from which every [mD] lies in the cone interior, for big D."""
     lam = _min_effective_coordinate(S, D)
-    if lam is None or lam.sign() <= 0:
-        return None
-    return pos.ceil_quotient(1, lam) + 1
+    return None if lam is None else pos.ceil_quotient(1, lam) + 1
 
 
 def kodaira_bound(S: SurfaceModel, D: RDivisor, F: ZDivisor) -> Optional[int]:
     lam = _min_effective_coordinate(S, D)
-    if lam is None or lam.sign() <= 0:
-        return None
-    need = max(F.coords) + 1
-    return pos.ceil_quotient(need, lam) + 1
+    return None if lam is None else pos.ceil_quotient(max(F.coords) + 1, lam) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +343,6 @@ def _entry(S: SurfaceModel, D: RDivisor, criterion: str, detail: str,
 def _fault_surface(S: SurfaceModel, fault: Optional[str]) -> SurfaceModel:
     if fault != "flip_gg":
         return S
-    import dataclasses
-
     gg = S.require_globally_generated()
     return dataclasses.replace(S, globally_generated=lambda V: not gg(V))
 
@@ -485,14 +502,10 @@ def audit_ampleness(config: AuditConfig, keep_reports: bool = True) -> AuditOutc
 
 
 def _flip_ground(report: pos.PositivityReport) -> pos.PositivityReport:
-    import dataclasses
-
     return dataclasses.replace(report, ground_truth=not report.ground_truth)
 
 
 def _flip_verdict(report: pos.PositivityReport, cid: str) -> pos.PositivityReport:
-    import dataclasses
-
     v = report.verdicts[cid]
     flipped = pos.CriterionResult(v.criterion, not v.holds, v.conclusive, v.witness,
                                   v.note, v.same_as)
@@ -512,8 +525,11 @@ def audit_nef_from_multiples(config: AuditConfig, keep_reports: bool = False) ->
         S = resolve_surface(ident)
         rng = SplitMix64(config.seed)
         weyl_checks = []
+        weyl_divisors = []
         for _ in range(config.n_divisors):
             D = sample_divisor(S, config.profile, rng)
+            if len(weyl_divisors) < 10:
+                weyl_divisors.append(D)
             out.checked += 1
             ev = pos.Evaluation(S, D, config.m_max)
             scan = pos.very_ample_multiples(S, ev)
@@ -531,11 +547,10 @@ def audit_nef_from_multiples(config: AuditConfig, keep_reports: bool = False) ->
                     S, D, "remark_surface",
                     f"very-ample tail from {scan.all_from} but not ample (fails {bad2})",
                     None))
-        # Weyl sub-check: fractional parts of irrational coefficients get
-        # arbitrarily small against any negative component pairing
-        rng2 = SplitMix64(config.seed)
-        for _ in range(min(config.n_divisors, 10)):
-            D = sample_divisor(S, config.profile, rng2)
+        # Weyl sub-check on the first ten divisors: fractional parts of
+        # irrational coefficients get arbitrarily small against any
+        # negative component pairing
+        for D in weyl_divisors:
             for j, lbl in enumerate(S.basis):
                 coef = D.coefficient(lbl)
                 if coef.is_rational:
@@ -570,8 +585,29 @@ def audit_nef_from_multiples(config: AuditConfig, keep_reports: bool = False) ->
 # bigness audit
 
 
+def _judge_one_sided(out: AuditOutcome, S: SurfaceModel, D: RDivisor, ground: bool,
+                     m_max: int, check: str, holds: bool, bound: Callable[[], Optional[int]],
+                     unproved: str, missed: str, spurious: str) -> None:
+    """The rule of the one-sided bigness checks.
+
+    Agreement with the ground truth records nothing.  A check that misses
+    a big D is inconclusive unless its onset bound, called only then, is
+    at most m_max; the unproved detail formats that bound.  Every other
+    disagreement is a discrepancy, detailed as missed or spurious.
+    """
+    if holds == ground:
+        return
+    if ground:
+        onset = bound()
+        if onset is None or onset > m_max:
+            out.inconclusives.append(_entry(S, D, check, unproved.format(onset), ground))
+            return
+    out.discrepancies.append(_entry(S, D, check, missed if ground else spurious, ground))
+
+
 def audit_bigness(config: AuditConfig, keep_reports: bool = False) -> AuditOutcome:
     out = AuditOutcome(suite="bigness", config=config)
+    m_max = config.m_max
     for ident in config.surfaces:
         S = resolve_surface(ident)
         catalog = pos.default_effective_catalog(S)
@@ -580,68 +616,35 @@ def audit_bigness(config: AuditConfig, keep_reports: bool = False) -> AuditOutco
         for _ in range(config.n_divisors):
             D = sample_divisor(S, config.profile, rng)
             out.checked += 1
-            ground = pos.is_big(S, D).big
+            ev = pos.Evaluation(S, D, m_max)
+            ground = pos.is_big(S, ev).big
             if config.fault == "flip_cone":
                 ground = not ground
-            ev = pos.Evaluation(S, D, config.m_max)
 
             growth = pos.big_growth_check(S, ev)
-            if growth.passed != ground:
-                gb = growth_bound(S, D)
-                if ground and (gb is None or gb > config.m_max):
-                    out.inconclusives.append(_entry(
-                        S, D, "lem_b1_growth",
-                        f"growth onset bound {gb} beyond m_max={config.m_max}", ground))
-                else:
-                    out.discrepancies.append(_entry(
-                        S, D, "lem_b1_growth",
-                        f"growth test {growth.passed} vs bigness {ground}", ground))
+            detail = f"growth test {growth.passed} vs bigness {ground}"
+            _judge_one_sided(out, S, D, ground, m_max, "lem_b1_growth", growth.passed,
+                             lambda: growth_bound(S, D),
+                             f"growth onset bound {{}} beyond m_max={m_max}", detail, detail)
 
             m0 = pos.claim_boh_check(S, ev, require_big=False)
-            if ground and m0 is None:
-                bb = boh_bound(S, D)
-                if bb is None or bb > config.m_max:
-                    out.inconclusives.append(_entry(
-                        S, D, "claim_boh", f"interior onset bound {bb} beyond m_max", ground))
-                else:
-                    out.discrepancies.append(_entry(
-                        S, D, "claim_boh", "big but no tail of big integral parts", ground))
-            if (not ground) and m0 is not None:
-                out.discrepancies.append(_entry(
-                    S, D, "claim_boh", f"not big yet [mD] big for all m >= {m0}", ground))
+            _judge_one_sided(out, S, D, ground, m_max, "claim_boh", m0 is not None,
+                             lambda: boh_bound(S, D), "interior onset bound {} beyond m_max",
+                             "big but no tail of big integral parts",
+                             f"not big yet [mD] big for all m >= {m0}")
 
             fb = pos.first_big_multiple(S, ev)
-            if ground and fb is None:
-                bb = boh_bound(S, D)
-                if bb is None or bb > config.m_max:
-                    out.inconclusives.append(_entry(
-                        S, D, "boh_some_multiple", f"onset bound {bb} beyond m_max", ground))
-                else:
-                    out.discrepancies.append(_entry(
-                        S, D, "boh_some_multiple", "big but no big integral multiple", ground))
-            if (not ground) and fb is not None:
-                out.discrepancies.append(_entry(
-                    S, D, "boh_some_multiple", f"[{fb}D] big though D is not", ground))
+            _judge_one_sided(out, S, D, ground, m_max, "boh_some_multiple", fb is not None,
+                             lambda: boh_bound(S, D), "onset bound {} beyond m_max",
+                             "big but no big integral multiple", f"[{fb}D] big though D is not")
 
-            kodaira_all = True
-            kodaira_inconclusive = False
-            for F in catalog:
-                mF = pos.kodaira_check(S, ev, F, require_big=False)
-                if mF is None:
-                    kodaira_all = False
-                    kb = kodaira_bound(S, D, F)
-                    if ground and (kb is None or kb > config.m_max):
-                        kodaira_inconclusive = True
-            if ground and not kodaira_all:
-                if kodaira_inconclusive:
-                    out.inconclusives.append(_entry(
-                        S, D, "kodaira", "kodaira onset beyond m_max for some F", ground))
-                else:
-                    out.discrepancies.append(_entry(
-                        S, D, "kodaira", "big but twisted-down sections missing", ground))
-            if (not ground) and kodaira_all:
-                out.discrepancies.append(_entry(
-                    S, D, "kodaira", "sections survive every F though D is not big", ground))
+            missing = [F for F in catalog
+                       if pos.kodaira_check(S, ev, F, require_big=False) is None]
+            _judge_one_sided(out, S, D, ground, m_max, "kodaira", not missing,
+                             lambda: pos._max_bound(kodaira_bound(S, D, F) for F in missing),
+                             "kodaira onset beyond m_max for some F",
+                             "big but twisted-down sections missing",
+                             "sections survive every F though D is not big")
 
             if ground and D.is_rational() and len(big_rational_samples) < 3 \
                     and config.fault is None:

@@ -38,6 +38,30 @@ def _default_m_max() -> int:
     return v
 
 
+def _exact_rational(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DivposError(f"{flag}: not an exact rational: {text!r}") from None
+
+
+def _profile(text: str) -> dict:
+    """rational:<num>/<den> or quadratic:<d>[:<height>] as an audit profile."""
+    kind, _, body = text.partition(":")
+    try:
+        if kind == "rational":
+            num, den = body.split("/")
+            return auditor.rational_profile(int(num), int(den))
+        if kind == "quadratic":
+            d, *height = body.split(":")
+            if len(height) <= 1:
+                return auditor.quadratic_profile(int(d), int(height[0]) if height else 10)
+    except ValueError:
+        pass
+    raise DivposError(
+        f"--profile: expected rational:<num>/<den> or quadratic:<d>[:<height>], got {text!r}")
+
+
 def _load_divisor(arg: str):
     if arg.startswith("@"):
         with open(arg[1:], "r", encoding="utf-8") as fh:
@@ -63,7 +87,7 @@ def cmd_check(args) -> int:
     S = resolve_surface(args.surface)
     D = _load_divisor(args.divisor)
     report = pos.build_report(
-        S, D, m_max=args.m_max, delta=Fraction(args.delta),
+        S, D, m_max=args.m_max, delta=_exact_rational("--delta", args.delta),
     )
     payload = report.to_json_dict()
     lines = [
@@ -92,25 +116,13 @@ def _config_from_args(args) -> auditor.AuditConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         return auditor.config_from_dict(data)
-    if args.profile.startswith("rational:"):
-        num, den = args.profile.split(":", 1)[1].split("/")
-        profile = auditor.rational_profile(int(num), int(den))
-    elif args.profile.startswith("quadratic:"):
-        parts = args.profile.split(":")[1:]
-        d = int(parts[0])
-        height = int(parts[1]) if len(parts) > 1 else 10
-        profile = auditor.quadratic_profile(d, height)
-    else:
-        raise DivposError(
-            f"profile: expected rational:<num>/<den> or quadratic:<d>[:<height>], got {args.profile!r}"
-        )
     return auditor.AuditConfig(
         seed=args.seed,
         surfaces=tuple(args.surface),
         n_divisors=args.n_divisors,
-        profile=profile,
+        profile=_profile(args.profile),
         m_max=args.m_max,
-        delta=Fraction(args.delta) if args.delta else None,
+        delta=_exact_rational("--delta", args.delta) if args.delta else None,
         fault=args.fault,
     )
 
@@ -147,7 +159,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    e_list = [int(x) for x in args.e_list.split(",")]
+    try:
+        e_list = [int(x) for x in args.e_list.split(",")]
+    except ValueError:
+        raise DivposError(
+            f"--e-list: expected comma-separated integers, got {args.e_list!r}") from None
     result = auditor.replicate_example_es_nna(e_list)
     lines = [f"ruled-surface counterexample, e in {e_list}"]
     for row in result["cases"]:

@@ -258,16 +258,7 @@ class QuadExt:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    # -- conversion / display ----------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        if self.M:
-            raise InvalidInput(f"{self} is irrational, not representable as a Fraction")
-        return Fraction(self.N, self.Q)
-
-    def __float__(self):
-        # display only; decisions never rely on this
-        return float(self.a) + float(self.b) * float(self.d) ** 0.5
+    # -- display -----------------------------------------------------------
 
     def __str__(self):
         return format_quadext(self)
@@ -343,14 +334,6 @@ def quadext(value: Union[QuadExt, int, Fraction, str]) -> QuadExt:
 
 
 # -- spec-named operation wrappers ------------------------------------------
-
-
-def add(x: QuadExt, y: QuadExt) -> QuadExt:
-    return quadext(x) + quadext(y)
-
-
-def mul(x: QuadExt, y: QuadExt) -> QuadExt:
-    return quadext(x) * quadext(y)
 
 
 def sign(x: QuadExt) -> int:

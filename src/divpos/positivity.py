@@ -28,7 +28,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import combinations, product
 from operator import add, mul
 from typing import Callable, Iterable, Optional, Union
 
@@ -54,7 +55,8 @@ DivisorOrEvaluation = Union[RDivisor, ZDivisor, str, "Evaluation"]
 
 def intersect(S: SurfaceModel, D: DivisorOrEvaluation, E: DivisorOrEvaluation) -> QuadExt:
     """Exact intersection number D.E via the surface's bilinear form."""
-    return quadext(S.pair_coords(_coefficients(S, D), _coefficients(S, E)))
+    return quadext(S.pair_coords(_evaluation(S, D, None).coefficients,
+                                 _evaluation(S, E, None).coefficients))
 
 
 def _pair_class(S: SurfaceModel, coeffs: Sequence[QuadExt], cls: Sequence[int]) -> QuadExt:
@@ -64,13 +66,8 @@ def _pair_class(S: SurfaceModel, coeffs: Sequence[QuadExt], cls: Sequence[int]) 
 def generator_pairings(S: SurfaceModel,
                        D: DivisorOrEvaluation) -> list[tuple[CurveClass, QuadExt]]:
     """(g, D.g) for each Mori generator g; an Evaluation keeps them as ``pairings``."""
-    coeffs = _coefficients(S, D)
+    coeffs = _evaluation(S, D, None).coefficients
     return [(g, _pair_class(S, coeffs, g.coords)) for g in S.mori_generators]
-
-
-def _pairings_of(S: SurfaceModel, D: DivisorOrEvaluation) -> list[tuple[CurveClass, QuadExt]]:
-    """An Evaluation's stored generator pairings, or those of a divisor."""
-    return _on(S, D).pairings if isinstance(D, Evaluation) else generator_pairings(S, D)
 
 
 def self_intersection(S: SurfaceModel, D: DivisorOrEvaluation) -> QuadExt:
@@ -79,14 +76,11 @@ def self_intersection(S: SurfaceModel, D: DivisorOrEvaluation) -> QuadExt:
 
 # ---------------------------------------------------------------------------
 # cone criteria (exact, two-sided)
-#
-# Each takes D as a divisor or as its Evaluation on S, whose stored
-# generator pairings it then reads.
 
 
 def is_nef(S: SurfaceModel, D: DivisorOrEvaluation) -> tuple[bool, Optional[str]]:
     """Nef test: D.g >= 0 for every cone generator; witness is a violator."""
-    bad = next((g.label for g, v in _pairings_of(S, D) if v.sign() < 0), None)
+    bad = next((g.label for g, v in _evaluation(S, D, None).pairings if v.sign() < 0), None)
     return bad is None, bad
 
 
@@ -96,7 +90,7 @@ def is_ample_cone(S: SurfaceModel, D: DivisorOrEvaluation) -> tuple[bool, Option
     With finitely many generators spanning the closed cone this is both
     sufficient and necessary; the witness names a non-positive generator.
     """
-    bad = next((g.label for g, v in _pairings_of(S, D) if v.sign() <= 0), None)
+    bad = next((g.label for g, v in _evaluation(S, D, None).pairings if v.sign() <= 0), None)
     return bad is None, bad
 
 
@@ -124,7 +118,7 @@ def ratio_bound(S: SurfaceModel, D: DivisorOrEvaluation, H: DivisorLike) -> Quad
     bad = next((g.label for g, v in hp if v.sign() <= 0), None)
     if bad is not None:
         raise InvalidInput(f"reference divisor is not ample (fails on {bad})")
-    return min(dv / hv for (_, dv), (_, hv) in zip(_pairings_of(S, D), hp))
+    return min(dv / hv for (_, dv), (_, hv) in zip(_evaluation(S, D, None).pairings, hp))
 
 
 def seshadri_bound(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -135,13 +129,13 @@ def seshadri_bound(S: SurfaceModel, D: DivisorOrEvaluation,
     the built-ins, where the generators are smooth curves sweeping the
     surface.  Default catalog: the cone generators with multiplicity 1.
     """
+    ev = _evaluation(S, D, None)
     if catalog is None:
-        return min(v / g.multiplicity for g, v in _pairings_of(S, D))
+        return min(v / g.multiplicity for g, v in ev.pairings)
     curves = tuple(catalog)
     if not curves:
         raise InvalidInput("empty curve catalog")
-    coeffs = _coefficients(S, D)
-    return min(_pair_class(S, coeffs, c.coords) / c.multiplicity for c in curves)
+    return min(_pair_class(S, ev.coefficients, c.coords) / c.multiplicity for c in curves)
 
 
 def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) -> bool:
@@ -157,7 +151,7 @@ def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) 
     delta = Fraction(delta)
     if delta <= 0:
         raise InvalidInput(f"delta must be positive, got {delta}")
-    pairings = [(v, S.basis_pairings(g.coords)) for g, v in _pairings_of(S, D)]
+    pairings = [(v, S.basis_pairings(g.coords)) for g, v in _evaluation(S, D, None).pairings]
     return all((v + step * col[j]).sign() > 0
                for j in range(S.rho) for step in (delta, -delta) for v, col in pairings)
 
@@ -176,19 +170,19 @@ class VAMultiples:
 class Evaluation:
     """What does not change for one divisor D on one surface S, computed once.
 
-    Built once per (S, D, m_max) and passed to the criteria in place of D.
-    It holds D's prime ``coefficients`` and ``multiples[m]`` = [mD] for
-    m = 0..m_max; ``twisted(G)`` is a read-only view of G + [mD] that
-    builds a row only when the row is read.  On first use it computes the
-    generator ``pairings`` (ground truth, violator, nefness, the cone half
-    of Nakai), the ``slopes`` on the sufficient-condition classes, the
-    ``onset(kind, G)`` bound of each (kind, twist) and the ``h0_counts``
-    column.  Re-verification (``auditor._reverify_report``,
+    Every criterion reads D through its Evaluation (see _evaluation).  It
+    holds D's prime ``coefficients``; on first read it builds
+    ``multiples[m]`` = [mD] for m = 0..m_max, the generator ``pairings``
+    (ground truth, violator, nefness, the cone half of Nakai), the
+    ``slopes`` on the sufficient-condition classes, the ``onset(kind, G)``
+    bound of each (kind, twist) and the ``h0_counts`` column.
+    ``twisted(G)`` is a read-only view of G + [mD] that builds a row only
+    when the row is read.  Re-verification (``auditor._reverify_report``,
     ``verify_big_certificate``) recomputes from the divisor and never
     reads these values.
     """
 
-    __slots__ = ("surface", "divisor", "m_max", "coefficients", "multiples",
+    __slots__ = ("surface", "divisor", "m_max", "coefficients", "_multiples",
                  "_pairings", "_slopes", "_bounds", "_h0_counts")
 
     def __init__(self, S: SurfaceModel, D: DivisorLike, m_max: int):
@@ -198,12 +192,19 @@ class Evaluation:
         self.divisor = rdivisor_on(S, D)
         self.m_max = m_max
         self.coefficients = self.divisor.coefficients(S.basis)
-        self.multiples = list(map(trusted_zdivisor,
-                                  integral_part_multiples(self.divisor, S.basis, m_max)))
+        self._multiples: Optional[list[ZDivisor]] = None
         self._pairings: Optional[list[tuple[CurveClass, QuadExt]]] = None
         self._slopes: Optional[dict[tuple[int, ...], QuadExt]] = None
         self._bounds: dict[tuple[str, ZDivisor], Optional[int]] = {}
         self._h0_counts: Optional[list[int]] = None
+
+    @property
+    def multiples(self) -> list[ZDivisor]:
+        """[mD] for m in 0..m_max."""
+        if self._multiples is None:
+            self._multiples = list(map(trusted_zdivisor, integral_part_multiples(
+                self.divisor, self.surface.basis, self.m_max)))
+        return self._multiples
 
     @property
     def pairings(self) -> list[tuple[CurveClass, QuadExt]]:
@@ -246,13 +247,6 @@ class Evaluation:
             return self.multiples
         return _TwistedRows(G.coords, self.multiples)
 
-    def is_big_multiple(self, m: int) -> bool:
-        """Whether [mD] lies in the interior of the effective cone."""
-        V = self.multiples[m]
-        if self.surface._unit_effective:
-            return min(V.coords) > 0
-        return is_big(self.surface, V).big
-
 
 class _TwistedRows(Sequence):
     """The rows g + [mD] of a twist g, each built when it is read."""
@@ -270,26 +264,17 @@ class _TwistedRows(Sequence):
         return trusted_zdivisor(tuple(map(add, self._g, self._rows[m].coords)))
 
 
-def _on(S: SurfaceModel, ev: Evaluation) -> Evaluation:
-    """ev, once it is known to be an evaluation on S."""
-    if ev.surface is not S:
-        raise InvalidInput(f"the evaluation was built on {ev.surface.name}, not on this surface")
-    return ev
-
-
-def _coefficients(S: SurfaceModel, D: DivisorOrEvaluation) -> tuple[QuadExt, ...]:
-    """D's prime coefficient vector on S; an Evaluation's stored one."""
-    if isinstance(D, Evaluation):
-        return _on(S, D).coefficients
-    return rdivisor_on(S, D).coefficients(S.basis)
-
-
 def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,
                 m_max: Optional[int]) -> Evaluation:
-    """D itself when it is an evaluation on S, else D evaluated up to m_max (default 200)."""
+    """D itself when it is an evaluation on S, else D evaluated up to m_max (default 200).
+
+    The one way a criterion gets at D: a divisor, its text or its
+    Evaluation.  An evaluation's m_max is its own; any other is refused.
+    """
     if not isinstance(D, Evaluation):
         return Evaluation(S, D, 200 if m_max is None else m_max)
-    _on(S, D)
+    if D.surface is not S:
+        raise InvalidInput(f"the evaluation was built on {D.surface.name}, not on this surface")
     if m_max is not None and m_max != D.m_max:
         raise InvalidInput(f"m_max={m_max!r} differs from the evaluation's m_max={D.m_max}")
     return D
@@ -320,18 +305,15 @@ def _tail_from(ok: Callable[[object], bool], items: Sequence, lo: int,
     return i
 
 
-# The scans below take D as a divisor or as its Evaluation on S.  For an
-# evaluation, m_max defaults to the evaluation's own and any other value
-# is refused; for a divisor it defaults to 200.  The tail scans take a
-# keyword-only onset: an onset bound for their predicate (see _tail_from
-# and onset_bound).  The default None reads every multiple from m_max down
-# to the first failure.
+# The tail scans take a keyword-only onset: an onset bound for their
+# predicate (see _tail_from and onset_bound).  The default None reads
+# every multiple from m_max down to the first failure.
 
 
 def very_ample_multiples(S: SurfaceModel, D: DivisorOrEvaluation,
                          m_max: Optional[int] = None, *,
                          onset: Optional[int] = None) -> VAMultiples:
-    """Scan very_ample([mD]) for m in [1, m_max]; D may be an Evaluation.
+    """Scan very_ample([mD]) for m in [1, m_max].
 
     first_m is found from the bottom up; onset, a very-ample onset bound,
     cuts only the scan for all_from.
@@ -349,7 +331,7 @@ def glob_gen_twist_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
                         onset: Optional[int] = None) -> Optional[int]:
     """Least m2 <= m_max with G + [mD] globally generated for all m in [m2, m_max].
 
-    D may be an Evaluation; onset is a global-generation onset bound for G.
+    onset is a global-generation onset bound for G.
     """
     gg = S.require_globally_generated()
     ev = _evaluation(S, D, m_max)
@@ -361,7 +343,7 @@ def vanishing_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
                    onset: Optional[int] = None) -> Optional[int]:
     """Least m1 <= m_max with h1 = h2 = 0 for G + [mD] on all m in [m1, m_max].
 
-    D may be an Evaluation; onset is a vanishing onset bound for G.
+    onset is a vanishing onset bound for G.
     cohomology runs on m = m_max, then (given an onset below m_max) on the
     onset, then down to the first failure, so its h1 >= 0 check sees only
     those multiples.  That is enough: the built-in h0 oracles are closed
@@ -387,9 +369,9 @@ def section_vanishing_scan(S: SurfaceModel, D: DivisorOrEvaluation,
 
     Targets: each generator curve C (all rational on the built-ins, so a
     section vanishing at a point exists iff deg([mD]|_C) > 0) and the
-    surface itself (h0([mD]) >= 1 and [mD] != 0).  D may be an Evaluation;
-    onset is a bound past which every target holds, such as the larger of
-    the very-ample and h0-positive onset bounds.
+    surface itself (h0([mD]) >= 1 and [mD] != 0).  onset is a bound past
+    which every target holds, such as the larger of the very-ample and
+    h0-positive onset bounds.
     """
     h0 = S.require_h0()
     ev = _evaluation(S, D, m_max)
@@ -403,7 +385,7 @@ def chi_growth(S: SurfaceModel, D: DivisorOrEvaluation,
     """Exact chi([mD]) by Riemann-Roch for each requested m.
 
     Also reports 2*chi([mD])/m^2 at the largest m, the empirical leading
-    coefficient against D.D.  D may be an Evaluation reaching max(m_list).
+    coefficient against D.D.  An Evaluation must reach max(m_list).
     """
     if not m_list:
         raise InvalidInput("m_list must be non-empty")
@@ -424,11 +406,7 @@ def chi_growth(S: SurfaceModel, D: DivisorOrEvaluation,
 
 def semigroup(S: SurfaceModel, D: DivisorOrEvaluation,
               m_max: Optional[int] = None) -> list[int]:
-    """N(X, D) up to m_max: the m with h0([mD]) > 0; verified add-closed.
-
-    D may be an Evaluation.
-    """
-    S.require_h0()   # OracleUnavailable before any evaluation
+    """N(X, D) up to m_max: the m with h0([mD]) > 0; verified add-closed."""
     ev = _evaluation(S, D, m_max)
     m_max = ev.m_max
     members = [m for m, n in enumerate(ev.h0_counts) if n > 0]
@@ -521,38 +499,48 @@ def rational_below(x: QuadExt) -> Fraction:
     return Fraction(1, x.inverse().floor() + 1)
 
 
-def is_big(S: SurfaceModel, D: DivisorLike) -> BigResult:
+def is_big(S: SurfaceModel, D: DivisorOrEvaluation) -> BigResult:
     """Interior-of-the-effective-cone test with an ample-plus-effective certificate.
 
     When the effective generators form a basis (all built-ins) the
     interior test is closed-form: all generator coordinates strictly
     positive.  The certificate exhibits D - epsilon*H = sum lambda_j E_j
     with a positive rational epsilon and exact non-negative lambda; it is
-    re-verified before being returned.
+    re-verified before being returned, as is the certificate of the
+    epsilon-ladder search used when the generators are supernumerary.
     """
-    coeffs = rdivisor_on(S, D).coefficients(S.basis)
-    lam = _effective_coordinates(S, coeffs)
+    ev = _evaluation(S, D, None)
+    lam = _effective_coordinates(S, ev.coefficients)
     if lam is None:
-        return _is_big_caratheodory(S, coeffs)
-    if any(x.sign() <= 0 for x in lam):
+        res = _is_big_caratheodory(S, ev.coefficients)
+    elif any(x.sign() <= 0 for x in lam):
         j = next(i for i, x in enumerate(lam) if x.sign() <= 0)
         return BigResult(False, None,
                          note=f"coordinate {j} on the effective cone is {format_quadext(lam[j])} <= 0")
-    H = _ample_reference(S)
-    hcoords = _effective_coordinates(S, [quadext(c) for c in H.coords])
-    assert hcoords is not None
-    ratios = [l / h for l, h in zip(lam, hcoords) if h.sign() > 0]
-    eps = rational_below(min(ratios))
-    resid = [l - h * eps for l, h in zip(lam, hcoords)]
-    if any(r.sign() < 0 for r in resid):
-        raise InternalError("big certificate residual went negative")
-    cert = {
-        "epsilon": str(eps),
-        "lambda": [format_quadext(r) for r in resid],
-        "ample_ref": list(H.coords),
-    }
-    verify_big_certificate(S, rdivisor_on(S, D), cert)
-    return BigResult(True, cert)
+    else:
+        H = _ample_reference(S)
+        hcoords = _effective_coordinates(S, [quadext(c) for c in H.coords])
+        assert hcoords is not None
+        ratios = [l / h for l, h in zip(lam, hcoords) if h.sign() > 0]
+        eps = rational_below(min(ratios))
+        resid = [l - h * eps for l, h in zip(lam, hcoords)]
+        if any(r.sign() < 0 for r in resid):
+            raise InternalError("big certificate residual went negative")
+        res = BigResult(True, {
+            "epsilon": str(eps),
+            "lambda": [format_quadext(r) for r in resid],
+            "ample_ref": list(H.coords),
+        })
+    if res.big:
+        verify_big_certificate(S, ev.divisor, res.certificate)
+    return res
+
+
+def _is_big_class(S: SurfaceModel, V: ZDivisor) -> bool:
+    """Whether an integral class lies in the interior of the effective cone."""
+    if S._unit_effective:
+        return min(V.coords) > 0
+    return is_big(S, V).big
 
 
 def _is_big_caratheodory(S: SurfaceModel, coeffs: Sequence[QuadExt]) -> BigResult:
@@ -562,8 +550,6 @@ def _is_big_caratheodory(S: SurfaceModel, coeffs: Sequence[QuadExt]) -> BigResul
     Sound for "big"; a boundary class deeper than the ladder floor would
     be reported not-big, noted in the verdict.
     """
-    from itertools import combinations
-
     H = _ample_reference(S)
     gens = S.effective_generators
     rho = S.rho
@@ -597,10 +583,22 @@ def _is_big_caratheodory(S: SurfaceModel, coeffs: Sequence[QuadExt]) -> BigResul
 
 
 def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:
-    """Re-check D = epsilon*H + sum lambda_j E_j exactly; InternalError on failure."""
+    """Re-check D = epsilon*H + sum lambda_j E_j exactly; InternalError on failure.
+
+    H must be ample with S.rho integer coordinates, and lambda must give
+    one entry per effective generator.
+    """
     eps = Fraction(cert["epsilon"])
     lam = [parse_quadext(x) for x in cert["lambda"]]
-    H = ZDivisor(tuple(cert["ample_ref"]))
+    ref = cert["ample_ref"]
+    if len(ref) != S.rho or any(type(x) is not int for x in ref):
+        raise InternalError(f"big certificate ample_ref {ref!r} is not {S.rho} integers")
+    if len(lam) != len(S.effective_generators):
+        raise InternalError(f"big certificate has {len(lam)} lambda entries for "
+                            f"{len(S.effective_generators)} effective generators")
+    H = ZDivisor(tuple(ref))
+    if not is_ample_cone(S, H)[0]:
+        raise InternalError(f"big certificate ample_ref {ref!r} is not ample")
     if eps <= 0 or any(x.sign() < 0 for x in lam):
         raise InternalError("big certificate has non-positive parts")
     coeffs = D.coefficients(S.basis)
@@ -614,29 +612,26 @@ def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:
 
 def claim_boh_check(S: SurfaceModel, D: DivisorOrEvaluation,
                     m_max: Optional[int] = None, require_big: bool = True) -> Optional[int]:
-    """Least m0 <= m_max with [mD] big for all m in [m0, m_max]; D may be an Evaluation."""
+    """Least m0 <= m_max with [mD] big for all m in [m0, m_max]."""
     ev = _evaluation(S, D, m_max)
-    if require_big and not is_big(S, ev.divisor).big:
+    if require_big and not is_big(S, ev).big:
         raise InvalidInput("divisor is not big")
-    return _tail_from(ev.is_big_multiple, range(ev.m_max + 1), 1)
+    return _tail_from(partial(_is_big_class, S), ev.multiples, 1)
 
 
 def first_big_multiple(S: SurfaceModel, D: DivisorOrEvaluation,
                        m_max: Optional[int] = None) -> Optional[int]:
-    """Least m >= 1 with [mD] big (the some-multiple form); D may be an Evaluation."""
-    ev = _evaluation(S, D, m_max)
-    return next((m for m in range(1, ev.m_max + 1) if ev.is_big_multiple(m)), None)
+    """Least m >= 1 with [mD] big (the some-multiple form)."""
+    mults = _evaluation(S, D, m_max).multiples
+    return next((m for m in range(1, len(mults)) if _is_big_class(S, mults[m])), None)
 
 
 def kodaira_check(S: SurfaceModel, D: DivisorOrEvaluation, F: ZDivisor,
                   m_max: Optional[int] = None, require_big: bool = True) -> Optional[int]:
-    """Least m in N(X, D) from which h0([mD] - F) > 0 persists to m_max.
-
-    D may be an Evaluation.
-    """
+    """Least m in N(X, D) from which h0([mD] - F) > 0 persists to m_max."""
     h0 = S.require_h0()
     ev = _evaluation(S, D, m_max)
-    if require_big and not is_big(S, ev.divisor).big:
+    if require_big and not is_big(S, ev).big:
         raise InvalidInput("divisor is not big")
     if h0(F) <= 0:
         raise InvalidInput(f"F = {S.format_z(F)} is not effective")
@@ -644,13 +639,8 @@ def kodaira_check(S: SurfaceModel, D: DivisorOrEvaluation, F: ZDivisor,
     members = [m for m, n in enumerate(ev.h0_counts) if n > 0]
     if not members:
         return None
-    best: Optional[int] = None
-    for m in reversed(members):
-        if h0(mults[m] - F) > 0:
-            best = m
-        else:
-            break
-    return best
+    i = _tail_from(lambda m: h0(mults[m] - F) > 0, members, 0)
+    return None if i is None else members[i]
 
 
 GROWTH_MIN_M_MAX = 4  # the growth test compares h0 at m_max with h0 at m_max // 2 >= 2
@@ -676,16 +666,17 @@ def big_growth_check(S: SurfaceModel, D: DivisorOrEvaluation,
     let linear counts pass (the constant just shrinks like 1/m).  The
     pointwise constant C = h0([m_max D])/(2 m_max^2) is still reported
     for comparison against half the self-intersection of nef divisors.
-    D may be an Evaluation; m_max must be at least GROWTH_MIN_M_MAX.  Only
-    the two counts it compares are computed.
+    m_max must be at least GROWTH_MIN_M_MAX.  Only the two counts it
+    compares are computed.
     """
-    h0 = S.require_h0()   # OracleUnavailable before any evaluation
+    h0 = S.require_h0()
     ev = _evaluation(S, D, m_max)
     m_max = ev.m_max
     if m_max < GROWTH_MIN_M_MAX:
         raise InvalidInput(f"m_max must be >= {GROWTH_MIN_M_MAX}, got {m_max}")
     m_h = m_max // 2
-    n_h, n_top = h0(ev.multiples[m_h]), h0(ev.multiples[m_max])
+    mults = ev.multiples
+    n_h, n_top = h0(mults[m_h]), h0(mults[m_max])
     return GrowthCheck(
         passed=n_h > 0 and n_top >= 3 * n_h,
         c_estimate=Fraction(n_top, 2 * m_max * m_max),
@@ -700,13 +691,9 @@ def big_growth_check(S: SurfaceModel, D: DivisorOrEvaluation,
 
 
 def _slopes(S: SurfaceModel, D: DivisorOrEvaluation, kind: str) -> list[QuadExt]:
-    """D.mu for each class mu of the kind's table; an Evaluation's stored slopes."""
-    table = S.sufficient_conditions[kind]
-    if isinstance(D, Evaluation):
-        slopes = _on(S, D).slopes
-        return [slopes[cls] for cls, _ in table]
-    coeffs = rdivisor_on(S, D).coefficients(S.basis)
-    return [_pair_class(S, coeffs, cls) for cls, _ in table]
+    """D.mu for each class mu of the kind's table."""
+    slopes = _evaluation(S, D, None).slopes
+    return [slopes[cls] for cls, _ in S.sufficient_conditions[kind]]
 
 
 def definitive_negative(S: SurfaceModel, D: DivisorOrEvaluation, kind: str) -> bool:
@@ -715,8 +702,7 @@ def definitive_negative(S: SurfaceModel, D: DivisorOrEvaluation, kind: str) -> b
     A sufficient condition mu >= c can never hold when the pairing slope
     D.mu is non-positive and even the largest fractional correction
     cannot lift m*(D.mu) up to c.  Turns "not found <= m_max" into a
-    definitive negative for the exists-m searches.  D may be an
-    Evaluation.
+    definitive negative for the exists-m searches.
     """
     if S.sufficient_conditions is None or kind not in S.sufficient_conditions:
         return False
@@ -753,8 +739,7 @@ def onset_bound(S: SurfaceModel, D: DivisorOrEvaluation, kind: str,
     class the returned bound can be wrong (ROADMAP item 1).  build_report
     therefore hands bounds to its scans only for nef D, whose slopes on
     the table classes are >= 0, since those classes lie in the closed
-    cone of curves.  D may be an Evaluation, whose stored slopes are read;
-    ``Evaluation.onset`` memoises the result.
+    cone of curves.  ``Evaluation.onset`` memoises the result.
     """
     if S.sufficient_conditions is None or kind not in S.sufficient_conditions:
         return None
@@ -911,13 +896,9 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
                  delta: Fraction = Fraction(1, 1000),
                  twists: Optional[Sequence[ZDivisor]] = None,
                  curve_catalog: Optional[Sequence[CurveClass]] = None) -> PositivityReport:
-    """Evaluate every criterion the surface supports and bundle the verdicts.
-
-    D may be an Evaluation; m_max then defaults to its own, else to 200.
-    """
+    """Evaluate every criterion the surface supports and bundle the verdicts."""
     ev = _evaluation(S, D, m_max)
     m_max = ev.m_max
-    rd = ev.divisor
     twists = list(twists) if twists is not None else default_twists(S)
     ground, bad_gen = is_ample_cone(S, ev)
     verdicts: dict[str, CriterionResult] = {}
@@ -1018,7 +999,7 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
         note="surface target plus generator-curve targets")
 
     # bigness -----------------------------------------------------------------
-    bigres = is_big(S, rd)
+    bigres = is_big(S, ev)
     verdicts["B1"] = CriterionResult(
         "B1", bigres.big, True,
         {"certificate": bigres.certificate} if bigres.certificate else {},
@@ -1065,7 +1046,7 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
 
     return PositivityReport(
         surface=S.name,
-        divisor=rd,
+        divisor=ev.divisor,
         ground_truth=ground,
         verdicts=verdicts,
         m_max=m_max,

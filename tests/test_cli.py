@@ -207,6 +207,12 @@ GOOD_CONFIG = {"seed": 1, "surfaces": ["p2"], "n_divisors": 2, "m_max": 20,
     ({"profile": {"rational": {"max_numerator": 3.0, "max_denominator": 2}}},
      "profile.rational.max_numerator"),
     ({"profile": {"quadratic": {"d": 2.5, "height": 3}}}, "profile.quadratic.d"),
+    ({"twists": [[-1.5]]}, "twists"),
+    ({"twists": [[0], "x"]}, "twists"),
+    ({"twists": 5}, "twists"),
+    ({"delta": 0.1}, "delta"),
+    ({"delta": "abc"}, "delta"),
+    ({"delta": [1, 2]}, "delta"),
 ])
 def test_audit_malformed_config_names_the_field(tmp_path, capsys, change, field):
     path = tmp_path / "audit.json"
@@ -214,6 +220,31 @@ def test_audit_malformed_config_names_the_field(tmp_path, capsys, change, field)
     code, _, err = run(capsys, "audit", "--suite", "ampleness", "--config", str(path))
     assert code == 3
     assert field in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["audit", "--profile", "rational:x/2"], "--profile"),
+    (["audit", "--profile", "quadratic:2:y"], "--profile"),
+    (["audit", "--profile", "rational:3"], "--profile"),
+    (["audit", "--profile", "quadratic:2:10:3"], "--profile"),
+    (["audit", "--delta", "abc"], "--delta"),
+    (["check", "--surface", "p2", "--divisor", "L", "--delta", "abc"], "--delta"),
+    (["check", "--surface", "p2", "--divisor", "L", "--delta", "1/0"], "--delta"),
+    (["counterexample", "--e-list", "2,x"], "--e-list"),
+])
+def test_malformed_flag_value_names_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert flag in err
+
+
+def test_audit_config_with_twists_and_delta_runs(tmp_path, capsys):
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({**GOOD_CONFIG, "twists": [[0], [-1]], "delta": "1/1000"}))
+    code, data, _ = run_json(capsys, "audit", "--suite", "ampleness", "--config", str(path))
+    assert code == 0
+    assert data["outcomes"][0]["config"]["twists"] == [[0], [-1]]
+    assert data["outcomes"][0]["config"]["delta"] == "1/1000"
 
 
 def test_audit_wellformed_config_runs(tmp_path, capsys):

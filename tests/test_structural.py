@@ -6,8 +6,10 @@ recurrence of tail predicates on the nef boundary, and the cone-membership
 fallback for supernumerary effective generators.
 """
 
+import ast
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import divpos.positivity as pos
 from divpos.divisor import RDivisor, ZDivisor, integral_part, integrality_denominator
+from divpos.errors import InternalError
 from divpos.exact_numbers import QuadExt
 from divpos.surface import SurfaceModel, CurveClass, hirzebruch, projective_plane
 
@@ -104,6 +107,36 @@ def test_caratheodory_interior_point_is_big():
                                res.certificate)
 
 
+def test_caratheodory_ladder_certificate_is_verified(monkeypatch):
+    S = surface_with_redundant_generator()
+    verified = []
+    real = pos.verify_big_certificate
+
+    def recording(S, D, cert):
+        verified.append(cert)
+        return real(S, D, cert)
+
+    monkeypatch.setattr(pos, "verify_big_certificate", recording)
+    res = pos.is_big(S, RDivisor({"C0": 2, "f": 3}))
+    assert res.note == "epsilon-ladder membership"
+    assert verified == [res.certificate] and len(res.certificate["lambda"]) == 3
+
+
+@pytest.mark.parametrize("D, cert", [
+    # C0 is not big: a zero reference class is not ample
+    ("C0", {"epsilon": "1", "lambda": ["1", "0"], "ample_ref": [0, 0]}),
+    # a rank-3 reference on a rank-2 surface, with one lambda for two generators
+    ("C0", {"epsilon": "1", "lambda": ["1"], "ample_ref": [0, 0, 5]}),
+    # one lambda for two generators, the rest of the certificate sound
+    ("C0 + 3*f", {"epsilon": "1", "lambda": ["0"], "ample_ref": [1, 3]}),
+    # a bool is not an integer coordinate
+    ("C0 + 3*f", {"epsilon": "1", "lambda": ["0", "0"], "ample_ref": [True, 3]}),
+])
+def test_forged_big_certificates_are_refused(D, cert):
+    with pytest.raises(InternalError, match="big certificate"):
+        pos.verify_big_certificate(F2, pos.rdivisor_on(F2, D), cert)
+
+
 def test_caratheodory_boundary_not_big():
     S = surface_with_redundant_generator()
     assert not pos.is_big(S, RDivisor({"f": 1})).big
@@ -163,3 +196,20 @@ def test_each_report_computes_the_per_divisor_constants_once(S, D, monkeypatch):
     allowed.update({cls for table in S.sufficient_conditions.values() for cls, _ in table})
     seen = Counter(w for v, w in pairings if v == coeffs and all(type(x) is int for x in w))
     assert seen and all(n <= allowed[w] for w, n in seen.items()), (seen, allowed)
+
+
+# -- one per-divisor path --------------------------------------------------------------
+
+
+def test_only_evaluation_normalises_a_divisor():
+    """isinstance(..., Evaluation) only in _evaluation, and once for chi_growth's default."""
+    tree = ast.parse(Path(pos.__file__).read_text())
+    sites = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            sites += [fn.name for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                      and "Evaluation" in ast.unparse(node.args[1])]
+    assert "_evaluation" in sites
+    outside = [name for name in sites if name != "_evaluation"]
+    assert outside in ([], ["chi_growth"]), outside
