@@ -179,12 +179,12 @@ def cmd_counterexample(args) -> int:
 
 def cmd_semigroup(args) -> int:
     S = resolve_surface(args.surface)
-    D = _load_divisor(args.divisor)
-    members = pos.semigroup(S, D, args.m_max)
+    ev = pos.Evaluation(S, _load_divisor(args.divisor), args.m_max)
+    members = pos.semigroup(S, ev)
     payload = {
         "schema_version": "v1",
         "surface": S.name,
-        "divisor": format_divisor(pos.rdivisor_on(S, D)),
+        "divisor": format_divisor(ev.divisor),
         "m_max": args.m_max,
         "semigroup": members,
     }

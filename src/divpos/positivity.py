@@ -513,27 +513,28 @@ def is_big(S: SurfaceModel, D: DivisorOrEvaluation) -> BigResult:
     lam = _effective_coordinates(S, ev.coefficients)
     if lam is None:
         res = _is_big_caratheodory(S, ev.coefficients)
-    elif any(x.sign() <= 0 for x in lam):
+        if res.big:
+            verify_big_certificate(S, ev.divisor, res.certificate)
+        return res
+    if any(x.sign() <= 0 for x in lam):
         j = next(i for i, x in enumerate(lam) if x.sign() <= 0)
         return BigResult(False, None,
                          note=f"coordinate {j} on the effective cone is {format_quadext(lam[j])} <= 0")
-    else:
-        H = _ample_reference(S)
-        hcoords = _effective_coordinates(S, [quadext(c) for c in H.coords])
-        assert hcoords is not None
-        ratios = [l / h for l, h in zip(lam, hcoords) if h.sign() > 0]
-        eps = rational_below(min(ratios))
-        resid = [l - h * eps for l, h in zip(lam, hcoords)]
-        if any(r.sign() < 0 for r in resid):
-            raise InternalError("big certificate residual went negative")
-        res = BigResult(True, {
-            "epsilon": str(eps),
-            "lambda": [format_quadext(r) for r in resid],
-            "ample_ref": list(H.coords),
-        })
-    if res.big:
-        verify_big_certificate(S, ev.divisor, res.certificate)
-    return res
+    H = _ample_reference(S)
+    hcoords = _effective_coordinates(S, [quadext(c) for c in H.coords])
+    assert hcoords is not None
+    ratios = [l / h for l, h in zip(lam, hcoords) if h.sign() > 0]
+    eps = rational_below(min(ratios))
+    resid = [l - h * eps for l, h in zip(lam, hcoords)]
+    if any(r.sign() < 0 for r in resid):
+        raise InternalError("big certificate residual went negative")
+    cert = {
+        "epsilon": str(eps),
+        "lambda": [format_quadext(r) for r in resid],
+        "ample_ref": list(H.coords),
+    }
+    verify_big_certificate(S, ev.divisor, cert)
+    return BigResult(True, cert)
 
 
 def _is_big_class(S: SurfaceModel, V: ZDivisor) -> bool:

@@ -19,12 +19,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_auditor import small_quadratic_config, small_rational_config
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from test_auditor import small_quadratic_config, small_rational_config  # noqa: E402
-
-from divpos import auditor  # noqa: E402
+from divpos import auditor
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "audit_outcomes.json"
 

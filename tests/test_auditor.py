@@ -181,6 +181,33 @@ def test_bigness_fault_detected():
     assert out.discrepancies
 
 
+@pytest.mark.parametrize("ground, holds, bound, recorded", [
+    (True, True, 5, None),
+    (False, False, 5, None),
+    (True, False, None, ("inconclusive", "onset None")),
+    (True, False, 121, ("inconclusive", "onset 121")),
+    (True, False, 120, ("discrepancy", "missed")),
+    (False, True, 5, ("discrepancy", "spurious")),
+])
+def test_one_sided_bigness_rule(ground, holds, bound, recorded):
+    from divpos.surface import hirzebruch
+
+    out = auditor.AuditOutcome("bigness", small_rational_config())
+    asked = []
+
+    def onset():
+        asked.append(bound)
+        return bound
+
+    auditor._judge_one_sided(out, hirzebruch(2), RDivisor({"f": 1}), ground, 120, "check",
+                             holds, onset, "onset {}", "missed", "spurious")
+    got = [("discrepancy", e["detail"]) for e in out.discrepancies] + \
+        [("inconclusive", e["detail"]) for e in out.inconclusives]
+    assert got == ([recorded] if recorded else [])
+    # the bound is computed only for a missed positive
+    assert asked == ([bound] if ground and not holds else [])
+
+
 # -- per-divisor bounds -------------------------------------------------------------------
 
 
