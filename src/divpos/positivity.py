@@ -881,28 +881,40 @@ def _max_bound(bounds: Iterable[Optional[int]]) -> Optional[int]:
     return None if None in bounds else max(bounds)
 
 
-def _twist_scan_result(cid: str, S: SurfaceModel, twists: Sequence[ZDivisor], m_max: int,
-                       onsets: Sequence[Optional[int]],
-                       bound: Optional[int]) -> CriterionResult:
-    """Fold one scan's onset per twist; the criterion holds from the latest onset on."""
-    per_twist = {}
-    worst: Optional[int] = 0
-    for G, m in zip(twists, onsets):
-        per_twist[S.format_z(G)] = m
-        worst = None if (worst is None or m is None) else max(worst, m)
-    return _scan_result(cid, worst, m_max, bound, {"per_twist": per_twist}, proxy=True)
+# The criteria that read a surface oracle: criterion id -> (the SurfaceModel
+# field of the oracle, the note of its inconclusive verdict on a surface that
+# lacks it).  Field names only: the scans are called by name at call time.
+_ORACLE_OF = {
+    "P1": ("very_ample", "surface lacks a very_ample oracle"),
+    "QI": ("h0", "no h0 oracle"),
+    "QII": ("globally_generated", "no globally_generated oracle"),
+    "QIV": ("h0", "no h0 oracle"),
+    "B2": ("h0", "no h0 oracle"),
+    "B3": ("h0", "no h0 oracle"),
+    "B4": ("h0", "no h0 oracle"),
+}
+
+# The integral-part substitutions: alias -> the Q-series criterion it repeats.
+_ALIASES = {
+    "P2": "QI", "P3": "QII", "P4": "QIII", "P5": "QIV", "P6": "QV",
+    "P7": "QVI", "P8": "QVII", "P9": "QVIII", "P10": "QIX", "P11": "QX",
+    "Ri": "QII", "Rii": "QVI", "Riii": "QVII", "Riv": "QVIII",
+    "Rv": "QIX", "Rvi": "QX",
+}
 
 
 def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] = None,
                  delta: Fraction = Fraction(1, 1000),
-                 twists: Optional[Sequence[ZDivisor]] = None,
-                 curve_catalog: Optional[Sequence[CurveClass]] = None) -> PositivityReport:
+                 twists: Optional[Sequence[ZDivisor]] = None) -> PositivityReport:
     """Evaluate every criterion the surface supports and bundle the verdicts."""
     ev = _evaluation(S, D, m_max)
     m_max = ev.m_max
     twists = list(twists) if twists is not None else default_twists(S)
     ground, bad_gen = is_ample_cone(S, ev)
-    verdicts: dict[str, CriterionResult] = {}
+    # a criterion whose oracle the surface lacks is inconclusive and not computed below
+    verdicts: dict[str, CriterionResult] = {
+        cid: CriterionResult(cid, None, False, {}, note=note)
+        for cid, (oracle, note) in _ORACLE_OF.items() if getattr(S, oracle) is None}
 
     pair_witness = {g.label: format_quadext(v) for g, v in ev.pairings}
 
@@ -913,13 +925,22 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
     def scan_onset(kind: str, G: Optional[ZDivisor] = None) -> Optional[int]:
         return ev.onset(kind, G) if nef else None
 
+    def twist_scan(cid: str, scan: Callable, kind: str, bound: Optional[int]) -> CriterionResult:
+        """scan(S, ev, G) once per twist G; the criterion holds from the latest onset on."""
+        per_twist = {S.format_z(G): scan(S, ev, G, onset=scan_onset(kind, G)) for G in twists}
+        return _scan_result(cid, _max_bound(per_twist.values()), m_max, bound,
+                            {"per_twist": per_twist}, proxy=True)
+
+    def max_onset(kind: str) -> Optional[int]:
+        return _max_bound(ev.onset(kind, G) for G in twists)
+
     # exact criteria ------------------------------------------------------
     verdicts["QIX"] = CriterionResult(
         "QIX", ground, True,
         {"pairings": pair_witness, **({"violator": bad_gen} if bad_gen else {})})
     nakai_ok, nakai_wit = nakai_test(S, ev)
     verdicts["QVI"] = CriterionResult("QVI", nakai_ok, True, nakai_wit)
-    sesh = seshadri_bound(S, ev, curve_catalog)
+    sesh = seshadri_bound(S, ev)
     verdicts["QVII"] = CriterionResult(
         "QVII", sesh.sign() > 0, True, {"epsilon": format_quadext(sesh)})
     H = _ample_reference(S)
@@ -931,41 +952,6 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
         "QX", neighborhood_test(S, ev, delta), True, {"delta": str(delta)})
 
     # bounded searches ------------------------------------------------------
-    have_va = S.very_ample is not None
-    have_gg = S.globally_generated is not None
-    have_h0 = S.h0 is not None
-
-    if have_va:
-        va = very_ample_multiples(S, ev, onset=scan_onset("very_ample"))
-        if va.first_m is None and definitive_negative(S, ev, "very_ample"):
-            verdicts["P1"] = CriterionResult(
-                "P1", False, True, {"m_max": m_max},
-                note="closed-form oracle excludes very ampleness of every [mD]")
-        else:
-            verdicts["P1"] = _scan_result("P1", va.first_m, m_max, ev.onset("very_ample"))
-    else:
-        verdicts["P1"] = CriterionResult("P1", None, False, {},
-                                         note="surface lacks a very_ample oracle")
-        va = None
-
-    if have_h0:
-        verdicts["QI"] = _twist_scan_result(
-            "QI", S, twists, m_max,
-            [vanishing_test(S, ev, G, onset=scan_onset("vanishing", G)) for G in twists],
-            _max_bound(ev.onset("vanishing", G) for G in twists))
-    else:
-        verdicts["QI"] = CriterionResult("QI", None, False, {}, note="no h0 oracle")
-
-    if have_gg:
-        verdicts["QII"] = _twist_scan_result(
-            "QII", S, twists, m_max,
-            [glob_gen_twist_test(S, ev, G, onset=scan_onset("globally_generated", G))
-             for G in twists],
-            _max_bound(ev.onset("globally_generated", G) for G in twists))
-    else:
-        verdicts["QII"] = CriterionResult("QII", None, False, {},
-                                          note="no globally_generated oracle")
-
     # tail criteria: decided exactly on polyhedral cones, scans as witnesses.
     # On a surface with a rational polyhedral cone of curves the three "for
     # all m >= m0" criteria reduce exactly to strict positivity on the cone
@@ -975,72 +961,66 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
     #     subsequence supplied by equidistribution (irrational ones);
     #   - strict positivity drives [mD] linearly deep into the region each
     #     closed-form oracle carves out.
-    tail_ok, tail_wit = ground, {"non_positive_generator": bad_gen} if bad_gen else {}
+    tail_wit = {"non_positive_generator": bad_gen} if bad_gen else {}
     conclusive_tail = S.sufficient_conditions is not None
-    if va is not None:
+
+    def tail(cid: str, witness: dict, note: str) -> CriterionResult:
+        return CriterionResult(cid, ground if conclusive_tail else None, conclusive_tail,
+                               witness, note=note)
+
+    if "P1" not in verdicts:
+        va = very_ample_multiples(S, ev, onset=scan_onset("very_ample"))
+        if va.first_m is None and definitive_negative(S, ev, "very_ample"):
+            verdicts["P1"] = CriterionResult(
+                "P1", False, True, {"m_max": m_max},
+                note="closed-form oracle excludes very ampleness of every [mD]")
+        else:
+            verdicts["P1"] = _scan_result("P1", va.first_m, m_max, ev.onset("very_ample"))
         tail_wit = {**tail_wit, "first_m": va.first_m, "all_from": va.all_from}
-    verdicts["QIII"] = CriterionResult(
-        "QIII", tail_ok if conclusive_tail else None, conclusive_tail, tail_wit,
-        note="decided by cone positivity; scan attached" if conclusive_tail else "")
-    if have_h0:
+    if "QI" not in verdicts:
+        verdicts["QI"] = twist_scan("QI", vanishing_test, "vanishing", max_onset("vanishing"))
+    if "QII" not in verdicts:
+        verdicts["QII"] = twist_scan("QII", glob_gen_twist_test, "globally_generated",
+                                     max_onset("globally_generated"))
+    verdicts["QIII"] = tail("QIII", tail_wit,
+                            "decided by cone positivity; scan attached" if conclusive_tail else "")
+    if "QIV" not in verdicts:
         m4 = section_vanishing_scan(S, ev, onset=_max_bound(
             [scan_onset("very_ample"), scan_onset("h0_positive")]))
-        verdicts["QIV"] = CriterionResult(
-            "QIV", tail_ok if conclusive_tail else None, conclusive_tail,
-            {**tail_wit, "scan_m4": m4},
-            note="curve targets via degrees on rational generators")
-    else:
-        verdicts["QIV"] = CriterionResult("QIV", None, False, {}, note="no h0 oracle")
-    sample = list(range(1, min(6, m_max + 1)))
-    chi_rows, chi_lead = chi_growth(S, ev, sample)
-    verdicts["QV"] = CriterionResult(
-        "QV", tail_ok if conclusive_tail else None, conclusive_tail,
-        {"chi_samples": [[m, c] for m, c in chi_rows],
-         "leading_estimate": str(chi_lead) if chi_lead is not None else None},
-        note="surface target plus generator-curve targets")
+        verdicts["QIV"] = tail("QIV", {**tail_wit, "scan_m4": m4},
+                               "curve targets via degrees on rational generators")
+    chi_rows, chi_lead = chi_growth(S, ev, list(range(1, min(6, m_max + 1))))
+    verdicts["QV"] = tail(
+        "QV", {"chi_samples": [[m, c] for m, c in chi_rows],
+               "leading_estimate": str(chi_lead) if chi_lead is not None else None},
+        "surface target plus generator-curve targets")
 
     # bigness -----------------------------------------------------------------
     bigres = is_big(S, ev)
-    verdicts["B1"] = CriterionResult(
-        "B1", bigres.big, True,
-        {"certificate": bigres.certificate} if bigres.certificate else {},
-        note=bigres.note)
-    if have_h0:
-        if m_max >= GROWTH_MIN_M_MAX:
-            growth = big_growth_check(S, ev)
-            verdicts["B2"] = CriterionResult(
-                "B2", growth.passed, True,
-                {"c_estimate": str(growth.c_estimate), "leading": str(growth.leading),
-                 "anchor_m": growth.anchor_m, "anchor_c": str(growth.anchor_c)},
-                note="section-growth surrogate for the birational-map criterion")
-        else:
-            verdicts["B2"] = CriterionResult(
-                "B2", None, False, {"m_max": m_max},
-                note=f"the section-growth test needs m_max >= {GROWTH_MIN_M_MAX}")
-        fb = first_big_multiple(S, ev)
-        verdicts["B3"] = _scan_result("B3", fb, m_max, None)
-        verdicts["B4"] = _twist_scan_result(
-            "B4", S, twists, m_max,
-            [_h0_tail(S, ev, G, onset=scan_onset("h0_positive", G)) for G in twists],
-            ev.onset("h0_positive"))
-    else:
-        for cid in ("B2", "B3", "B4"):
-            verdicts[cid] = CriterionResult(cid, None, False, {}, note="no h0 oracle")
+    big_wit = {"certificate": bigres.certificate} if bigres.certificate else {}
+    verdicts["B1"] = CriterionResult("B1", bigres.big, True, big_wit, note=bigres.note)
+    if m_max < GROWTH_MIN_M_MAX:
+        verdicts.setdefault("B2", CriterionResult(
+            "B2", None, False, {"m_max": m_max},
+            note=f"the section-growth test needs m_max >= {GROWTH_MIN_M_MAX}"))
+    if "B2" not in verdicts:
+        growth = big_growth_check(S, ev)
+        verdicts["B2"] = CriterionResult(
+            "B2", growth.passed, True,
+            {"c_estimate": str(growth.c_estimate), "leading": str(growth.leading),
+             "anchor_m": growth.anchor_m, "anchor_c": str(growth.anchor_c)},
+            note="section-growth surrogate for the birational-map criterion")
+    if "B3" not in verdicts:
+        verdicts["B3"] = _scan_result("B3", first_big_multiple(S, ev), m_max, None)
+    if "B4" not in verdicts:
+        verdicts["B4"] = twist_scan("B4", _h0_tail, "h0_positive", ev.onset("h0_positive"))
     for cid in ("B5", "B6", "B7"):
         verdicts[cid] = CriterionResult(
-            cid, bigres.big, True,
-            {"certificate": bigres.certificate} if bigres.certificate else {},
-            note="ample-plus-effective decomposition at the numerical level",
-            same_as="B1")
+            cid, bigres.big, True, big_wit,
+            note="ample-plus-effective decomposition at the numerical level", same_as="B1")
 
     # alias series ---------------------------------------------------------
-    alias_map = {
-        "P2": "QI", "P3": "QII", "P4": "QIII", "P5": "QIV", "P6": "QV",
-        "P7": "QVI", "P8": "QVII", "P9": "QVIII", "P10": "QIX", "P11": "QX",
-        "Ri": "QII", "Rii": "QVI", "Riii": "QVII", "Riv": "QVIII",
-        "Rv": "QIX", "Rvi": "QX",
-    }
-    for new, old in alias_map.items():
+    for new, old in _ALIASES.items():
         base = verdicts[old]
         verdicts[new] = CriterionResult(new, base.holds, base.conclusive,
                                         base.witness, base.note, same_as=old)

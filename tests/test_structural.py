@@ -213,3 +213,33 @@ def test_only_evaluation_normalises_a_divisor():
     assert "_evaluation" in sites
     outside = [name for name in sites if name != "_evaluation"]
     assert outside in ([], ["chi_growth"]), outside
+
+
+def _build_report_tree() -> ast.FunctionDef:
+    tree = ast.parse(Path(pos.__file__).read_text())
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "build_report")
+
+
+def test_build_report_reads_oracles_only_through_the_missing_oracle_table():
+    """No S.very_ample / S.globally_generated / S.h0 in build_report: _ORACLE_OF decides."""
+    fn = _build_report_tree()
+    reads = [ast.unparse(n) for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+             and n.attr in ("very_ample", "globally_generated", "h0")]
+    assert reads == []
+    assert any(isinstance(n, ast.Name) and n.id == "_ORACLE_OF" for n in ast.walk(fn))
+    assert {oracle for oracle, _ in pos._ORACLE_OF.values()} == {
+        "very_ample", "globally_generated", "h0"}
+
+
+def test_build_report_runs_each_per_twist_scan_through_the_one_helper():
+    """QI, QII and B4 hand their scans to twist_scan, the one place a scan runs per twist."""
+    fn = _build_report_tree()
+    scans = {"vanishing_test", "glob_gen_twist_test", "_h0_tail"}
+    direct = [ast.unparse(n) for n in ast.walk(fn) if isinstance(n, ast.Call)
+              and getattr(n.func, "id", None) in scans]
+    assert direct == []
+    handed = [n.args[1].id for n in ast.walk(fn) if isinstance(n, ast.Call)
+              and getattr(n.func, "id", None) == "twist_scan"]
+    assert sorted(handed) == sorted(scans)
+    named = [n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in scans]
+    assert sorted(named) == sorted(scans)
