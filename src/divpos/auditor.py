@@ -38,7 +38,7 @@ from divpos.divisor import (
     integrality_denominator,
 )
 from divpos.errors import ConfigError, InvalidInput
-from divpos.exact_numbers import QuadExt, format_quadext, weyl_find
+from divpos.exact_numbers import QuadExt, format_quadext, sqrt_of, weyl_find
 from divpos.surface import SurfaceModel, resolve_surface
 
 MASK64 = (1 << 64) - 1
@@ -196,6 +196,7 @@ def sample_divisor(S: SurfaceModel, profile: dict, rng: SplitMix64) -> RDivisor:
     """One nonzero divisor with coefficients drawn uniformly over the height box."""
     kind = _profile_kind(profile)
     body = profile[kind]
+    root = sqrt_of(body["d"]) if kind == "quadratic" else None  # one square-free split per call
     while True:
         terms = {}
         for lbl in S.basis:
@@ -208,7 +209,7 @@ def sample_divisor(S: SurfaceModel, profile: dict, rng: SplitMix64) -> RDivisor:
                 q = body.get("max_denominator", 4)
                 a = Fraction(rng.randint(-h, h), rng.randint(1, q))
                 b = Fraction(rng.randint(-h, h), rng.randint(1, q))
-                coef = QuadExt(a, b, body["d"])
+                coef = a + b * root
             terms[lbl] = coef
         D = RDivisor(terms)
         if not D.is_zero():

@@ -406,20 +406,27 @@ def chi_growth(S: SurfaceModel, D: DivisorOrEvaluation,
 
 def semigroup(S: SurfaceModel, D: DivisorOrEvaluation,
               m_max: Optional[int] = None) -> list[int]:
-    """N(X, D) up to m_max: the m with h0([mD]) > 0; verified add-closed."""
+    """N(X, D) up to m_max: the m with h0([mD]) > 0; verified add-closed.
+
+    Closure is checked on the member bitset: for each member m1 <= m_max/2
+    the members m2 >= m1, shifted up by m1, must lie in the set.  That is
+    three m_max-bit integer operations per such member, and a failure names
+    the least bad sum s = m1 + m2 of the least m1.
+    """
     ev = _evaluation(S, D, m_max)
     m_max = ev.m_max
-    members = [m for m, n in enumerate(ev.h0_counts) if n > 0]
-    inside = set(members)
-    for i, m1 in enumerate(members):
-        for m2 in members[i:]:
-            s = m1 + m2
-            if s > m_max:
-                break
-            if s not in inside:
-                raise InternalError(
-                    f"semigroup not closed: {m1} and {m2} in N(X, D) but {s} is not"
-                )
+    counts = ev.h0_counts
+    members = [m for m, n in enumerate(counts) if n > 0]
+    holes = int("".join("0" if n > 0 else "1" for n in reversed(counts)), 2)  # bit s: s not in
+    inside = ~holes  # bit s: s in N(X, D) or s > m_max
+    for m1 in members:
+        if 2 * m1 > m_max:
+            break
+        bad = (inside >> m1 << 2 * m1) & holes  # m1 + m2 for the members m2 >= m1, not in
+        if bad:
+            s = (bad & -bad).bit_length() - 1
+            raise InternalError(
+                f"semigroup not closed: {m1} and {s - m1} in N(X, D) but {s} is not")
     return members
 
 
@@ -435,17 +442,22 @@ class BigResult:
 
 
 def _ample_reference(S: SurfaceModel) -> ZDivisor:
-    """The spec's ample class, else the first ample class of a small box, searched once per S."""
-    if S.ample_reference is not None:
-        return S.ample_reference
-    found = S.__dict__.get("_found_ample")
+    """S's ample class, else the first ample class of a small box; proved ample once per S."""
+    found = S.__dict__.get("_proved_ample")
     if found is None:
-        found = next((V for V in map(ZDivisor, product(range(4), repeat=S.rho))
-                      if not V.is_zero() and is_ample_cone(S, V)[0]), None)
+        if S.ample_reference is not None:
+            found = S.ample_reference
+            ok, bad = is_ample_cone(S, found)
+            if not ok:
+                raise InvalidInput(f"surface spec field 'ample': {list(found.coords)} is not "
+                                   f"ample on {S.name!r} (fails on {bad})")
+        else:
+            found = next((V for V in map(ZDivisor, product(range(4), repeat=S.rho))
+                          if not V.is_zero() and is_ample_cone(S, V)[0]), None)
         if found is None:
             raise InvalidInput(
                 f"no ample class found for surface {S.name!r}; set 'ample' in its spec")
-        object.__setattr__(S, "_found_ample", found)
+        object.__setattr__(S, "_proved_ample", found)
     return found
 
 
@@ -587,7 +599,8 @@ def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:
     """Re-check D = epsilon*H + sum lambda_j E_j exactly; InternalError on failure.
 
     H must be ample with S.rho integer coordinates, and lambda must give
-    one entry per effective generator.
+    one entry per effective generator.  An H other than S's reference class,
+    which _ample_reference proves once per surface, is proved ample here.
     """
     eps = Fraction(cert["epsilon"])
     lam = [parse_quadext(x) for x in cert["lambda"]]
@@ -598,7 +611,7 @@ def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:
         raise InternalError(f"big certificate has {len(lam)} lambda entries for "
                             f"{len(S.effective_generators)} effective generators")
     H = ZDivisor(tuple(ref))
-    if not is_ample_cone(S, H)[0]:
+    if H != _ample_reference(S) and not is_ample_cone(S, H)[0]:
         raise InternalError(f"big certificate ample_ref {ref!r} is not ample")
     if eps <= 0 or any(x.sign() < 0 for x in lam):
         raise InternalError("big certificate has non-positive parts")

@@ -348,6 +348,12 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     and generators, and every h0_table entry V whose K - V is also in the
     table must give h1(V) = h0(V) + h0(K - V) - chi(V) >= 0.  The scans
     rely on this, since they skip the multiples below a tail.
+
+    matrix, chi, canonical, effective_generators, each generator's coords
+    and multiplicity, and the optional ample class take JSON integers only
+    (not bools), with rho entries per class; anything else raises
+    InvalidInput naming the field.  The ample class is proved ample when
+    it is first used (positivity._ample_reference).
     """
     for fieldname in ("name", "basis", "matrix", "mori_generators",
                       "effective_generators", "canonical", "chi", "oracle"):
@@ -355,18 +361,19 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
             raise InvalidInput(f"surface spec lacks field {fieldname!r}")
     basis = tuple(str(b) for b in spec["basis"])
     rho = len(basis)
-    matrix = tuple(tuple(int(x) for x in row) for row in spec["matrix"])
+    matrix = _spec_ints("'matrix'", spec["matrix"], rho, rho)
     gens = []
-    for g in spec["mori_generators"]:
+    for i, g in enumerate(spec["mori_generators"]):
+        where = f"'mori_generators' entry {i}"
         if isinstance(g, Mapping):
-            gens.append(CurveClass(str(g["label"]), tuple(g["coords"]),
-                                   int(g.get("multiplicity", 1))))
+            gens.append(CurveClass(
+                str(g["label"]), _spec_ints(f"{where} 'coords'", g["coords"], rho),
+                _spec_ints(f"{where} 'multiplicity'", g.get("multiplicity", 1))))
         else:
-            gens.append(CurveClass("+".join(map(str, g)), tuple(g)))
-    eff = tuple(ZDivisor(tuple(v)) for v in spec["effective_generators"])
-    K = ZDivisor(tuple(spec["canonical"]))
-    if len(K.coords) != rho:
-        raise InvalidInput("surface spec field 'canonical' has wrong rank")
+            gens.append(CurveClass("+".join(map(str, g)), _spec_ints(where, g, rho)))
+    eff = tuple(ZDivisor(v) for v in _spec_ints("'effective_generators'",
+                                                 spec["effective_generators"], None, rho))
+    K = ZDivisor(_spec_ints("'canonical'", spec["canonical"], rho))
 
     oracle = spec["oracle"]
     va = gg = h0 = table = None
@@ -383,7 +390,7 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
         suff = ref.sufficient_conditions
     elif isinstance(oracle, Mapping):
         if "h0_table" in oracle:
-            table = {_table_key("h0_table", key): _table_count(key, v)
+            table = {_table_key("h0_table", key): _spec_ints(f"'h0_table': entry {key!r}", v)
                      for key, v in oracle["h0_table"].items()}
 
             def h0(V: ZDivisor, _table=table) -> int:
@@ -403,9 +410,7 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     else:
         raise InvalidInput("surface spec field 'oracle' must be a string or object")
 
-    amp = None
-    if "ample" in spec:
-        amp = ZDivisor(tuple(spec["ample"]))
+    amp = ZDivisor(_spec_ints("'ample'", spec["ample"], rho)) if "ample" in spec else None
     S = SurfaceModel(
         name=str(spec["name"]),
         basis=basis,
@@ -413,7 +418,7 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
         mori_generators=tuple(gens),
         effective_generators=eff,
         canonical_class=K,
-        chi_structure=int(spec["chi"]),
+        chi_structure=_spec_ints("'chi'", spec["chi"]),
         very_ample=va,
         globally_generated=gg,
         h0=h0,
@@ -432,6 +437,24 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     return S
 
 
+def _spec_ints(where: str, value, *shape: Optional[int]):
+    """A spec value of JSON integers (not bools), nested to ``shape``; InvalidInput naming it.
+
+    No shape: one integer.  Each shape entry is the length of one list level,
+    None for any length: (rho,) is a class, (rho, rho) the matrix, (None, rho)
+    a list of classes.  Lists come back as tuples.
+    """
+    if not shape:
+        if type(value) is not int:
+            raise InvalidInput(f"surface spec field {where} is {value!r}, expected an integer")
+        return value
+    n = shape[0]
+    if not isinstance(value, (list, tuple)) or n not in (None, len(value)):
+        raise InvalidInput(f"surface spec field {where} is {value!r}, expected a list"
+                           + ("" if n is None else f" of {n} entries"))
+    return tuple(_spec_ints(f"{where} entry {i}", x, *shape[1:]) for i, x in enumerate(value))
+
+
 def _table_key(fieldname: str, key: str) -> tuple[int, ...]:
     """The coordinates of a table-oracle key "c1,c2,..."; InvalidInput naming field and key."""
     try:
@@ -439,14 +462,6 @@ def _table_key(fieldname: str, key: str) -> tuple[int, ...]:
     except (AttributeError, ValueError):
         raise InvalidInput(f"surface spec field {fieldname!r}: key {key!r} is not "
                            "a comma-separated list of integers") from None
-
-
-def _table_count(key: str, value) -> int:
-    """An h0_table count, which must be a JSON integer; InvalidInput naming the key."""
-    if type(value) is not int:
-        raise InvalidInput(f"surface spec field 'h0_table': entry {key!r} has count "
-                           f"{value!r}, expected an integer")
-    return value
 
 
 def _lattice_fields(S: SurfaceModel) -> dict:

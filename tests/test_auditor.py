@@ -74,6 +74,35 @@ def test_sampler_never_returns_zero():
         assert not D.is_zero()
 
 
+@pytest.mark.parametrize("d", [2, 8, 12, 1000003])
+def test_quadratic_sampler_splits_the_radicand_once_per_call(d, monkeypatch):
+    """The sampled coefficients are QuadExt(a, b, d) of the same draws, as exact triples."""
+    from divpos import exact_numbers
+    from divpos.exact_numbers import QuadExt
+    from divpos.surface import hirzebruch
+
+    S = hirzebruch(2)
+    profile = auditor.quadratic_profile(d, 10)
+    rng, replay = auditor.SplitMix64(d), auditor.SplitMix64(d)
+    splits = []
+    real = exact_numbers.squarefree_decompose
+    monkeypatch.setattr(exact_numbers, "squarefree_decompose",
+                        lambda n: splits.append(n) or real(n))
+    for _ in range(40):
+        splits.clear()
+        D = auditor.sample_divisor(S, profile, rng)
+        assert splits == [d]
+        while True:
+            expect = {lbl: QuadExt(Fraction(replay.randint(-10, 10), replay.randint(1, 4)),
+                                   Fraction(replay.randint(-10, 10), replay.randint(1, 4)), d)
+                      for lbl in S.basis}
+            if any(not c.is_zero() for c in expect.values()):
+                break
+        got = {lbl: D.coefficient(lbl) for lbl in S.basis}
+        assert ({k: (c.N, c.M, c.Q, c.d) for k, c in got.items()}
+                == {k: (c.N, c.M, c.Q, c.d) for k, c in expect.items()})
+
+
 # -- ampleness audit ------------------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """Criterion-level tests: worked examples, certificates, scan witnesses."""
 
+import dataclasses
 import json
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import divpos.positivity as pos
 from divpos.divisor import RDivisor, ZDivisor, parse_divisor
-from divpos.errors import InvalidInput
+from divpos.errors import InternalError, InvalidInput
 from divpos.exact_numbers import QuadExt, parse_quadext
 from divpos.surface import (CurveClass, cohomology, hirzebruch, projective_plane,
                             surface_from_spec)
@@ -116,6 +118,31 @@ def test_ample_reference_is_searched_once_per_surface(monkeypatch):
         pos.build_report(S, "C0 + 3*f", m_max=30)
         counts.append(len(calls))
     assert counts[0] - counts[1] == per_search
+
+
+@pytest.mark.parametrize("ample", [[0, 1], [1, 2], [-1, -3]])
+def test_spec_ample_class_is_proved_on_use_and_named(ample):
+    S = surface_from_spec({**F2_SPEC, "ample": ample})
+    with pytest.raises(InvalidInput, match=r"field 'ample': \[.*\] is not ample on 'f2-spec'"):
+        pos.build_report(S, "C0 + 3*f", m_max=10)
+
+
+def test_reference_class_is_proved_once_and_not_again_by_its_certificates(monkeypatch):
+    calls = []
+    original = pos.is_ample_cone
+    monkeypatch.setattr(pos, "is_ample_cone", lambda S, D: calls.append(D) or original(S, D))
+    S = hirzebruch(2)
+    assert pos._ample_reference(S) == ZDivisor((1, 3)) and len(calls) == 1
+    D = pos.rdivisor_on(S, D_AMPLE)
+    cert = pos.is_big(S, D).certificate
+    assert cert["ample_ref"] == [1, 3] and len(calls) == 1
+    pos.verify_big_certificate(S, D, {"epsilon": "1", "lambda": ["0", "0"], "ample_ref": [1, 3]})
+    assert len(calls) == 1
+    # any other reference is proved ample by the certificate check itself
+    with pytest.raises(InternalError, match="is not ample"):
+        pos.verify_big_certificate(S, D, {"epsilon": "1", "lambda": ["0", "0"],
+                                          "ample_ref": [1, 2]})
+    assert len(calls) == 2
 
 
 def test_missing_ample_class_is_refused_on_use_not_at_load():
@@ -268,6 +295,56 @@ def test_semigroup_examples():
     assert pos.semigroup(F2, parse_divisor("C0 - 1/2*f"), 10) == [0]
     assert pos.semigroup(F2, D_BOUNDARY, 20) == list(range(21))
     assert pos.semigroup(F2, RDivisor({}), 7) == list(range(8))
+
+
+def _pairwise_closure_error(members: list[int], m_max: int) -> Optional[str]:
+    """The add-closure check over all pairs of members, as it read before the bitset."""
+    inside = set(members)
+    for i, m1 in enumerate(members):
+        for m2 in members[i:]:
+            s = m1 + m2
+            if s > m_max:
+                break
+            if s not in inside:
+                return f"semigroup not closed: {m1} and {m2} in N(X, D) but {s} is not"
+    return None
+
+
+@pytest.mark.parametrize("members", [
+    {0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12},   # 7 missing: 1 + 6
+    {0, 3, 5, 6, 9, 10, 12},                   # 3 + 5 = 8 missing
+    {0, 4, 8, 9, 12},                          # closed: 4 + 9 and 8 + 8 pass m_max
+    {0, 2, 4, 6, 8, 10, 12},                   # closed
+    {0, 12},                                   # closed: 12 + 12 is past m_max
+    {0, 7, 11},                                # closed below m_max
+    {0, 5, 6, 7, 8, 9, 10, 11, 12},            # closed
+    {0, 1, 3},                                 # 1 + 1 = 2 missing
+    {0, 3, 6, 12},                             # 3 + 3 = 6 in, 3 + 6 = 9 missing
+])
+def test_semigroup_closure_fails_as_the_pairwise_check_did(members):
+    """A stubbed h0 column on P^2 with D = L: the member set is exactly ``members``."""
+    S = dataclasses.replace(P2, h0=lambda V: int(V.coords[0] in members))
+    expected = _pairwise_closure_error(sorted(members), 12)
+    if expected is None:
+        assert pos.semigroup(S, "L", 12) == sorted(members)
+    else:
+        with pytest.raises(InternalError) as info:
+            pos.semigroup(S, "L", 12)
+        assert str(info.value) == expected
+
+
+@given(st.sets(st.integers(min_value=1, max_value=40), max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_semigroup_closure_agrees_with_the_pairwise_check(members):
+    members = members | {0}
+    S = dataclasses.replace(P2, h0=lambda V: int(V.coords[0] in members))
+    expected = _pairwise_closure_error(sorted(members), 40)
+    try:
+        got = pos.semigroup(S, "L", 40)
+    except InternalError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None and got == sorted(members)
 
 
 def test_kodaira_examples():

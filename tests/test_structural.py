@@ -217,10 +217,11 @@ def test_only_evaluation_normalises_a_divisor():
 
 def _build_report_tree() -> ast.FunctionDef:
     tree = ast.parse(Path(pos.__file__).read_text())
-    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "build_report")
+    return next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "build_report")
 
 
-def test_build_report_reads_oracles_only_through_the_missing_oracle_table():
+def test_build_report_reads_oracles_only_through_one_table():
     """No S.very_ample / S.globally_generated / S.h0 in build_report: _ORACLE_OF decides."""
     fn = _build_report_tree()
     reads = [ast.unparse(n) for n in ast.walk(fn) if isinstance(n, ast.Attribute)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -292,6 +293,37 @@ TOY = {
 def test_h0_table_checked_at_load_names_the_key(table, key):
     with pytest.raises(InvalidInput, match=f"'h0_table': (entry|key) '{key}'"):
         surface_from_spec({**TOY, "oracle": {"h0_table": table}})
+
+
+F2_C0_F = [{"label": "C0", "coords": [1, 0]}, {"label": "f", "coords": [0, 1]}]
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("chi", 1.9, "'chi'"),                                        # not truncated,
+    ("chi", True, "'chi'"),                                       # not bool,
+    ("chi", "1", "'chi'"),                                        # not text
+    ("canonical", [-2.5, -4], "'canonical' entry 0"),
+    ("canonical", [-2, -4, 0], "'canonical'"),                    # rank 3 on rank 2
+    ("matrix", [[-2, 1], [1, 0.0]], "'matrix' entry 1 entry 1"),
+    ("matrix", [[-2, 1]], "'matrix'"),
+    ("matrix", [[-2, 1], [1]], "'matrix' entry 1"),
+    ("effective_generators", [[1, 0], [0, True]], "'effective_generators' entry 1 entry 1"),
+    ("effective_generators", [[1, 0], [1]], "'effective_generators' entry 1"),
+    ("effective_generators", "C0", "'effective_generators'"),
+    ("mori_generators", [{"label": "C0", "coords": [1.2, 0]}, F2_C0_F[1]],
+     "'mori_generators' entry 0 'coords' entry 0"),
+    ("mori_generators", [{**F2_C0_F[0], "multiplicity": 1.5}, F2_C0_F[1]],
+     "'mori_generators' entry 0 'multiplicity'"),
+    ("mori_generators", [F2_C0_F[0], {"label": "f", "coords": [0, 1, 0]}],
+     "'mori_generators' entry 1 'coords'"),
+    ("mori_generators", [[1, 0], [0.5, 1]], "'mori_generators' entry 1 entry 0"),
+    ("ample", [1], "'ample'"),                                    # not zipped short
+    ("ample", [1, 2.5], "'ample' entry 1"),
+])
+def test_spec_integer_fields_checked_at_load_name_the_field(field, value, where):
+    spec = {**surface_to_spec(F2), "oracle": "hirzebruch:2", field: value}
+    with pytest.raises(InvalidInput, match=f"surface spec field {re.escape(where)} is "):
+        surface_from_spec(spec)
 
 
 @pytest.mark.parametrize("fieldname", ["h0_table", "very_ample_table",
