@@ -349,11 +349,9 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     table must give h1(V) = h0(V) + h0(K - V) - chi(V) >= 0.  The scans
     rely on this, since they skip the multiples below a tail.
 
-    matrix, chi, canonical, effective_generators, each generator's coords
-    and multiplicity, and the optional ample class take JSON integers only
-    (not bools), with rho entries per class; anything else raises
-    InvalidInput naming the field.  The ample class is proved ample when
-    it is first used (positivity._ample_reference).
+    The integer fields (matrix, chi, canonical, effective_generators, the
+    generators' coords and multiplicity, ample) take JSON ints only, rho per
+    class; anything else raises InvalidInput naming the field.
     """
     for fieldname in ("name", "basis", "matrix", "mori_generators",
                       "effective_generators", "canonical", "chi", "oracle"):
@@ -438,11 +436,9 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
 
 
 def _spec_ints(where: str, value, *shape: Optional[int]):
-    """A spec value of JSON integers (not bools), nested to ``shape``; InvalidInput naming it.
+    """JSON ints (not bools) nested in lists of the lengths in ``shape`` (None: any), as tuples.
 
-    No shape: one integer.  Each shape entry is the length of one list level,
-    None for any length: (rho,) is a class, (rho, rho) the matrix, (None, rho)
-    a list of classes.  Lists come back as tuples.
+    No shape is one int, (rho,) a class, (None, rho) a list of classes.
     """
     if not shape:
         if type(value) is not int:
