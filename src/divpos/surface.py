@@ -368,7 +368,8 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
                 str(g["label"]), _spec_ints(f"{where} 'coords'", g["coords"], rho),
                 _spec_ints(f"{where} 'multiplicity'", g.get("multiplicity", 1))))
         else:
-            gens.append(CurveClass("+".join(map(str, g)), _spec_ints(where, g, rho)))
+            coords = _spec_ints(where, g, rho)
+            gens.append(CurveClass("+".join(map(str, coords)), coords))
     eff = tuple(ZDivisor(v) for v in _spec_ints("'effective_generators'",
                                                  spec["effective_generators"], None, rho))
     K = ZDivisor(_spec_ints("'canonical'", spec["canonical"], rho))

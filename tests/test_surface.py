@@ -317,6 +317,7 @@ F2_C0_F = [{"label": "C0", "coords": [1, 0]}, {"label": "f", "coords": [0, 1]}]
     ("mori_generators", [F2_C0_F[0], {"label": "f", "coords": [0, 1, 0]}],
      "'mori_generators' entry 1 'coords'"),
     ("mori_generators", [[1, 0], [0.5, 1]], "'mori_generators' entry 1 entry 0"),
+    ("mori_generators", [[1, 0], 5], "'mori_generators' entry 1"),
     ("ample", [1], "'ample'"),                                    # not zipped short
     ("ample", [1, 2.5], "'ample' entry 1"),
 ])
