@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
+from math import lcm
 from operator import add, mul
 from typing import Callable, Iterable, Optional, Union
 
@@ -43,7 +44,7 @@ from divpos.divisor import (
 )
 from divpos.errors import InternalError, InvalidInput
 from divpos.exact_numbers import QuadExt, format_quadext, parse_quadext, quadext
-from divpos.surface import CurveClass, SurfaceModel, chi_rr, cohomology, rdivisor_on
+from divpos.surface import CurveClass, Region, SurfaceModel, chi_rr, cohomology, rdivisor_on
 
 DivisorLike = Union[RDivisor, ZDivisor, str]
 DivisorOrEvaluation = Union[RDivisor, ZDivisor, str, "Evaluation"]
@@ -112,12 +113,14 @@ def ratio_bound(S: SurfaceModel, D: DivisorOrEvaluation, H: DivisorLike) -> Quad
     """min over curve generators of (D.C)/(H.C) for an ample reference H.
 
     Positive iff D is ample; the minimum is the best epsilon in the ratio
-    criterion.
+    criterion.  H = S's reference class reuses the pairings that proved it.
     """
-    hp = generator_pairings(S, H)
-    bad = next((g.label for g, v in hp if v.sign() <= 0), None)
-    if bad is not None:
-        raise InvalidInput(f"reference divisor is not ample (fails on {bad})")
+    proved, hp = getattr(S, "_proved_ample", (None, None))
+    if H != proved:
+        hp = generator_pairings(S, H)
+        bad = next((g.label for g, v in hp if v.sign() <= 0), None)
+        if bad is not None:
+            raise InvalidInput(f"reference divisor is not ample (fails on {bad})")
     return min(dv / hv for (_, dv), (_, hv) in zip(_evaluation(S, D, None).pairings, hp))
 
 
@@ -305,23 +308,128 @@ def _tail_from(ok: Callable[[object], bool], items: Sequence, lo: int,
     return i
 
 
+def _first_from(ok: Callable[[object], bool], items: Sequence, lo: int,
+                first: Optional[int] = None) -> Optional[int]:
+    """Least i >= lo with ok(items[i]); None if there is none.
+
+    first, when given, is that index as an exact region decides it, and
+    len(items) when the region has no member.  Then only items[first] and
+    items[first - 1] (when first > lo) are read: the first must pass and
+    the second fail, else InternalError.
+    """
+    if first is None:
+        return next((i for i in range(lo, len(items)) if ok(items[i])), None)
+    if (first < len(items) and not ok(items[first])) or (first > lo and ok(items[first - 1])):
+        raise InternalError(f"region's first member m = {first} contradicted by the predicate")
+    return first if first < len(items) else None
+
+
+# -- exact regions (rational D on a surface with SurfaceModel.regions) ----------
+
+
+def _period_forms(region: Region, ev: "Evaluation", G: ZDivisor) -> tuple[int, list[list]]:
+    """(q, pieces) for a rational D, q a common denominator, so [(m + q)D] = [mD] + qD.
+
+    Each form (w, c) of the region becomes (w, c - w.G, w.qD): it holds at
+    G + [mD] iff w.[mD] >= c - w.G, and w.qD is its step from m to m + q.
+    """
+    q = lcm(*(c.Q for c in ev.coefficients))
+    qD = [c.N * (q // c.Q) for c in ev.coefficients]
+    return q, [[(w, c - sum(map(mul, w, G.coords)), sum(map(mul, w, qD))) for w, c in piece]
+               for piece in region]
+
+
+def _region_runs(pieces: list[list], row: Sequence[int], sign: int,
+                 K: int) -> list[tuple[int, int]]:
+    """The k in [0, K] whose row [(m + sign*k*q)D] is in the region, row = [mD].
+
+    One (first, last) run per piece that holds somewhere; pieces as _period_forms.
+    """
+    runs = []
+    for piece in pieces:
+        first, last = 0, K
+        for w, c, s in piece:
+            v = sum(map(mul, w, row)) - c   # the form holds at k iff v + k*s >= 0
+            s *= sign
+            if s > 0:
+                first = max(first, -(v // s))
+            elif s < 0:
+                last = min(last, v // -s)
+            elif v < 0:
+                last = -1
+        if first <= last:
+            runs.append((first, last))
+    return runs
+
+
+def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
+    """Least m0 with G + [mD] in the region for every m in [m0, m_max]; None if row m_max is not.
+
+    D must be rational.  The rows m - k*q of one residue class step by -qD,
+    so _region_runs decides each class at once.  Classes are visited from
+    the top row down, and the visit stops once no class left can hold a
+    failure above the highest one found: the cost is O(min(q, m_max - m0 + 1)).
+    """
+    rows = ev.multiples
+    top = tuple(map(add, G.coords, rows[ev.m_max].coords))
+    if not any(all(sum(map(mul, w, top)) >= c for w, c in piece) for piece in region):
+        return None   # the common case of a scan that fails at once, without the set-up
+    q, pieces = _period_forms(region, ev, G)
+    worst = -1   # the highest m whose row is outside the region
+    m = ev.m_max
+    while m > worst and m > ev.m_max - q:
+        k = 0   # the least k with row m - k*q outside the region
+        for first, last in sorted(_region_runs(pieces, rows[m].coords, -1, m // q)):
+            if first <= k:
+                k = max(k, last + 1)
+        if k <= m // q:
+            worst = max(worst, m - k * q)
+        m -= 1
+    return None if worst == ev.m_max else worst + 1
+
+
+def region_first(region: Region, ev: "Evaluation", G: ZDivisor, lo: int) -> int:
+    """Least m in [lo, m_max] with G + [mD] in the region; m_max + 1 when there is none.
+
+    D must be rational; the residue classes are visited from lo up, at a
+    cost of O(min(q, first - lo + 1)).  A piece is dropped first when one of
+    its forms fails at every m >= lo: with step s = w.qD <= 0, w.[mD] is at
+    most m*s/q + lift <= lo*s/q + lift, lift the sizes of w's negative entries.
+    """
+    q, pieces = _period_forms(region, ev, G)
+    pieces = [piece for piece in pieces if all(
+        s > 0 or lo * s + q * (-sum(x for x in w if x < 0) - c) >= 0 for w, c, s in piece)]
+    rows = ev.multiples
+    best = ev.m_max + 1
+    m = lo
+    while pieces and m < best and m < lo + q:
+        runs = _region_runs(pieces, rows[m].coords, 1, (ev.m_max - m) // q)
+        if runs:
+            best = min(best, m + q * min(first for first, _ in runs))
+        m += 1
+    return best
+
+
 # The tail scans take a keyword-only onset: an onset bound for their
-# predicate (see _tail_from and onset_bound).  The default None reads
-# every multiple from m_max down to the first failure.
+# predicate (see _tail_from and onset_bound), or the exact tail start an
+# exact region gives (region_tail).  The default None reads every multiple
+# from m_max down to the first failure.  The bottom-up scans take a
+# keyword-only first, the exact first member (region_first, _first_from).
 
 
 def very_ample_multiples(S: SurfaceModel, D: DivisorOrEvaluation,
                          m_max: Optional[int] = None, *,
-                         onset: Optional[int] = None) -> VAMultiples:
+                         onset: Optional[int] = None,
+                         first: Optional[int] = None) -> VAMultiples:
     """Scan very_ample([mD]) for m in [1, m_max].
 
-    first_m is found from the bottom up; onset, a very-ample onset bound,
-    cuts only the scan for all_from.
+    first_m is found from the bottom up, or checked at first; onset, a
+    very-ample onset bound, cuts only the scan for all_from.
     """
     va = S.require_very_ample()
     ev = _evaluation(S, D, m_max)
     mults = ev.multiples
-    first = next((m for m in range(1, len(mults)) if va(mults[m])), None)
+    first = _first_from(va, mults, 1, first)
     all_from = None if first is None else _tail_from(va, mults, first, onset)
     return VAMultiples(first_m=first, all_from=all_from, m_max=ev.m_max)
 
@@ -440,25 +548,34 @@ class BigResult:
 
 
 def _ample_reference(S: SurfaceModel) -> ZDivisor:
-    """S's ample class, else the first ample class of a small box; proved ample once per S."""
+    """S's ample class, else the first ample class of a small box; proved ample once per S.
+
+    The class is kept on S with the generator pairings that proved it,
+    which ratio_bound reads.
+    """
     # getattr, not S.__dict__: reading __dict__ turns S's inline attribute values
     # into a dict, and every later S.<field> in the scans gets slower (about 5%)
-    found = getattr(S, "_proved_ample", None)
-    if found is None:
+    proved = getattr(S, "_proved_ample", None)
+    if proved is None:
         if S.ample_reference is not None:
-            found = S.ample_reference
-            ok, bad = is_ample_cone(S, found)
-            if not ok:
-                raise InvalidInput(f"surface spec field 'ample': {list(found.coords)} is not "
+            candidates = [S.ample_reference]
+        else:
+            candidates = (V for V in map(ZDivisor, product(range(4), repeat=S.rho))
+                          if not V.is_zero())
+        for H in candidates:
+            hev = _evaluation(S, H, None)
+            ok, bad = is_ample_cone(S, hev)
+            if ok:
+                proved = (H, hev.pairings)
+                break
+            if S.ample_reference is not None:
+                raise InvalidInput(f"surface spec field 'ample': {list(H.coords)} is not "
                                    f"ample on {S.name!r} (fails on {bad})")
         else:
-            found = next((V for V in map(ZDivisor, product(range(4), repeat=S.rho))
-                          if not V.is_zero() and is_ample_cone(S, V)[0]), None)
-        if found is None:
             raise InvalidInput(
                 f"no ample class found for surface {S.name!r}; set 'ample' in its spec")
-        object.__setattr__(S, "_proved_ample", found)
-    return found
+        object.__setattr__(S, "_proved_ample", proved)
+    return proved[0]
 
 
 def _solve_square(cols: list[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> Optional[list[QuadExt]]:
@@ -634,10 +751,10 @@ def claim_boh_check(S: SurfaceModel, D: DivisorOrEvaluation,
 
 
 def first_big_multiple(S: SurfaceModel, D: DivisorOrEvaluation,
-                       m_max: Optional[int] = None) -> Optional[int]:
-    """Least m >= 1 with [mD] big (the some-multiple form)."""
-    mults = _evaluation(S, D, m_max).multiples
-    return next((m for m in range(1, len(mults)) if _is_big_class(S, mults[m])), None)
+                       m_max: Optional[int] = None, *,
+                       first: Optional[int] = None) -> Optional[int]:
+    """Least m >= 1 with [mD] big (the some-multiple form); first as in _first_from."""
+    return _first_from(partial(_is_big_class, S), _evaluation(S, D, m_max).multiples, 1, first)
 
 
 def kodaira_check(S: SurfaceModel, D: DivisorOrEvaluation, F: ZDivisor,
@@ -923,6 +1040,8 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
     ev = _evaluation(S, D, m_max)
     m_max = ev.m_max
     twists = list(twists) if twists is not None else default_twists(S)
+    if not twists:
+        raise InvalidInput("twists must name at least one twist class")
     ground, bad_gen = is_ample_cone(S, ev)
     # a criterion whose oracle the surface lacks is inconclusive and not computed below
     verdicts: dict[str, CriterionResult] = {
@@ -932,11 +1051,21 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
     pair_witness = {g.label: format_quadext(v) for g, v in ev.pairings}
 
     # each onset bound is shared by its verdict and its scan; a scan gets
-    # it only for nef D (see onset_bound)
+    # it only for nef D (see onset_bound).  Where that leaves a scan without
+    # one and D is rational, an exact region decides where its tail starts,
+    # and where the bottom-up scans find their first member
     nef = all(v.sign() >= 0 for _, v in ev.pairings)
+    regions = S.regions if all(c.is_rational for c in ev.coefficients) else None
+    zero = trusted_zdivisor((0,) * S.rho)
 
-    def scan_onset(kind: str, G: Optional[ZDivisor] = None) -> Optional[int]:
-        return ev.onset(kind, G) if nef else None
+    def scan_onset(kind: str, G: ZDivisor = zero) -> Optional[int]:
+        bound = ev.onset(kind, G) if nef else None
+        if bound is None and regions is not None:
+            return region_tail(regions[kind], ev, G)
+        return bound
+
+    def scan_first(kind: str) -> Optional[int]:
+        return None if regions is None else region_first(regions[kind], ev, zero, 1)
 
     def twist_scan(cid: str, scan: Callable, kind: str, bound: Optional[int]) -> CriterionResult:
         """scan(S, ev, G) once per twist G; the criterion holds from the latest onset on."""
@@ -982,7 +1111,8 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
                                witness, note=note)
 
     if "P1" not in verdicts:
-        va = very_ample_multiples(S, ev, onset=scan_onset("very_ample"))
+        va = very_ample_multiples(S, ev, onset=scan_onset("very_ample"),
+                                  first=scan_first("very_ample"))
         if va.first_m is None and definitive_negative(S, ev, "very_ample"):
             verdicts["P1"] = CriterionResult(
                 "P1", False, True, {"m_max": m_max},
@@ -1024,7 +1154,8 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
              "anchor_m": growth.anchor_m, "anchor_c": str(growth.anchor_c)},
             note="section-growth surrogate for the birational-map criterion")
     if "B3" not in verdicts:
-        verdicts["B3"] = _scan_result("B3", first_big_multiple(S, ev), m_max, None)
+        verdicts["B3"] = _scan_result("B3", first_big_multiple(S, ev, first=scan_first("big")),
+                                      m_max, None)
     if "B4" not in verdicts:
         verdicts["B4"] = twist_scan("B4", _h0_tail, "h0_positive", ev.onset("h0_positive"))
     for cid in ("B5", "B6", "B7"):

@@ -50,6 +50,13 @@ class CurveClass:
 # built-in models carry them.
 SuffCond = tuple[tuple[int, ...], int]
 
+# An exact region of integral classes: a union (tuple) of pieces, each a
+# conjunction (tuple) of integer forms (w, c) meaning w.coords >= c.  A
+# built-in model carries one per scan predicate, keyed like its
+# sufficient-condition tables plus "big"; each equals the predicate on every
+# integral class, so a rational divisor's scans can be decided from it.
+Region = tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+
 
 @dataclass(frozen=True)
 class SurfaceModel:
@@ -65,6 +72,7 @@ class SurfaceModel:
     h0: Optional[Callable[[ZDivisor], int]] = None
     ample_reference: Optional[ZDivisor] = None
     sufficient_conditions: Optional[Mapping[str, tuple[SuffCond, ...]]] = None
+    regions: Optional[Mapping[str, Region]] = None
     spec: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -220,7 +228,10 @@ def hirzebruch(e: int) -> SurfaceModel:
     Basis [C0, f] with C0 a section of self-intersection -e and f a
     fiber; both cones are generated by C0 and f.  a*C0 + b*f is very
     ample iff a >= 1 and b >= a*e + 1, globally generated iff a >= 0 and
-    b >= a*e, and h0 counts the pushforward line-bundle sections.
+    b >= a*e, and h0 counts the pushforward line-bundle sections.  By the
+    same splitting (Hartshorne III Ex. 8.4, V.2.18), h1 = h2 = 0 exactly on
+    {a >= 0, b - e*a >= -1}, {a = -1} and {a = -2, b = -e - 1}; for e = 0
+    the last piece is {b = -1, a <= -2}.
     """
     if e < 0:
         raise InvalidInput(f"hirzebruch needs e >= 0, got {e}")
@@ -248,6 +259,17 @@ def hirzebruch(e: int) -> SurfaceModel:
         "h0_positive": ((cls_f, 0), (cls_b, 0)),
         "vanishing": ((cls_f, 0), (cls_c0, -1)),
     }
+    a, b, b_ea = (1, 0), (0, 1), (-e, 1)   # the forms a, b and b - e*a
+    neg_a, neg_b = (-1, 0), (0, -1)
+    last = (((a, -2), (neg_a, 2), (b, -e - 1), (neg_b, e + 1)) if e > 0
+            else ((b, -1), (neg_b, 1), (neg_a, 2)))
+    regions = {
+        "very_ample": (((a, 1), (b_ea, 1)),),
+        "globally_generated": (((a, 0), (b_ea, 0)),),
+        "h0_positive": (((a, 0), (b, 0)),),
+        "vanishing": (((a, 0), (b_ea, -1)), ((a, -1), (neg_a, 1)), last),
+        "big": (((a, 1), (b, 1)),),
+    }
     return SurfaceModel(
         name=f"hirzebruch:{e}",
         basis=("C0", "f"),
@@ -264,6 +286,7 @@ def hirzebruch(e: int) -> SurfaceModel:
         h0=h0,
         ample_reference=ZDivisor((1, e + 1)),
         sufficient_conditions=suff,
+        regions=regions,
     )
 
 
@@ -286,6 +309,14 @@ def projective_plane() -> SurfaceModel:
         "h0_positive": ((cls_l, 0),),
         "vanishing": ((cls_l, -2),),  # h1 always 0; h2 = 0 once deg >= -2
     }
+    n = (1,)
+    regions = {
+        "very_ample": (((n, 1),),),
+        "globally_generated": (((n, 0),),),
+        "h0_positive": (((n, 0),),),
+        "vanishing": (((n, -2),),),
+        "big": (((n, 1),),),
+    }
     return SurfaceModel(
         name="p2",
         basis=("L",),
@@ -299,6 +330,7 @@ def projective_plane() -> SurfaceModel:
         h0=h0,
         ample_reference=ZDivisor((1,)),
         sufficient_conditions=suff,
+        regions=regions,
     )
 
 
@@ -351,7 +383,8 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
 
     The integer fields (matrix, chi, canonical, effective_generators, the
     generators' coords and multiplicity, ample) take JSON ints only, rho per
-    class; anything else raises InvalidInput naming the field.
+    class; anything else raises InvalidInput naming the field.  Each
+    mori_generators entry is a class or an object with "label" and "coords".
     """
     for fieldname in ("name", "basis", "matrix", "mori_generators",
                       "effective_generators", "canonical", "chi", "oracle"):
@@ -360,10 +393,16 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     basis = tuple(str(b) for b in spec["basis"])
     rho = len(basis)
     matrix = _spec_ints("'matrix'", spec["matrix"], rho, rho)
+    if not isinstance(spec["mori_generators"], (list, tuple)):
+        raise InvalidInput(f"surface spec field 'mori_generators' is "
+                           f"{spec['mori_generators']!r}, expected a list")
     gens = []
     for i, g in enumerate(spec["mori_generators"]):
         where = f"'mori_generators' entry {i}"
         if isinstance(g, Mapping):
+            missing = [key for key in ("label", "coords") if key not in g]
+            if missing:
+                raise InvalidInput(f"surface spec field {where} lacks {missing[0]!r}")
             gens.append(CurveClass(
                 str(g["label"]), _spec_ints(f"{where} 'coords'", g["coords"], rho),
                 _spec_ints(f"{where} 'multiplicity'", g.get("multiplicity", 1))))
@@ -376,7 +415,7 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
 
     oracle = spec["oracle"]
     va = gg = h0 = table = None
-    suff = None
+    suff = regions = None
     if isinstance(oracle, str):
         try:
             ref = _builtin_surface(oracle)
@@ -386,7 +425,7 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
             raise InvalidInput(f"surface spec field 'oracle': {oracle!r} is not a builtin id; "
                                "expected 'p2' or 'hirzebruch:E'")
         va, gg, h0 = ref.very_ample, ref.globally_generated, ref.h0
-        suff = ref.sufficient_conditions
+        suff, regions = ref.sufficient_conditions, ref.regions
     elif isinstance(oracle, Mapping):
         if "h0_table" in oracle:
             table = {_table_key("h0_table", key): _spec_ints(f"'h0_table': entry {key!r}", v)
@@ -423,6 +462,7 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
         h0=h0,
         ample_reference=amp,
         sufficient_conditions=suff,
+        regions=regions,
         spec=dict(spec),
     )
     if isinstance(oracle, str):

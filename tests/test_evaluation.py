@@ -19,7 +19,8 @@ import divpos.positivity as pos
 from divpos.divisor import RDivisor, ZDivisor, parse_divisor
 from divpos.errors import InternalError, InvalidInput
 from divpos.exact_numbers import QuadExt
-from divpos.surface import cohomology, hirzebruch, projective_plane
+from divpos.surface import (cohomology, hirzebruch, projective_plane, surface_from_spec,
+                            surface_to_spec)
 
 SURFACES = [hirzebruch(e) for e in range(4)] + [projective_plane()]
 F2 = SURFACES[2]
@@ -278,9 +279,11 @@ def assert_report_matches_full_scans(S, D, m_max, twists):
         assert report.verdicts["QII"].witness["per_twist"][label] == \
             pos.glob_gen_twist_test(S, D, G, m_max)
         assert report.verdicts["B4"].witness["per_twist"][label] == pos._h0_tail(S, ev, G)
-    assert report.verdicts["QIII"].witness["all_from"] == \
-        pos.very_ample_multiples(S, D, m_max).all_from
+    va = pos.very_ample_multiples(S, D, m_max)
+    assert report.verdicts["QIII"].witness["first_m"] == va.first_m
+    assert report.verdicts["QIII"].witness["all_from"] == va.all_from
     assert report.verdicts["QIV"].witness["scan_m4"] == pos.section_vanishing_scan(S, D, m_max)
+    assert report.verdicts["B3"].witness.get("witness_m") == pos.first_big_multiple(S, D, m_max)
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,6 +356,141 @@ def test_each_onset_bound_is_computed_once_per_report(S, D, monkeypatch):
     pos.build_report(S, D, 30)
     assert len(calls) <= 1 + 3 * len(pos.default_twists(S))
     assert len(set(calls)) == len(calls)
+
+
+# -- exact regions ---------------------------------------------------------------------
+
+REGION_SURFACES = [hirzebruch(e) for e in range(8)] + [projective_plane()]
+
+
+def in_region(region, coords):
+    return any(all(sum(w * x for w, x in zip(form, coords)) >= c for form, c in piece)
+               for piece in region)
+
+
+def test_every_region_is_its_predicate_on_integral_classes():
+    """Each region against cohomology and the oracles, on every class with |coords| <= 40."""
+    box = range(-40, 41)
+    for S in REGION_SURFACES:
+        assert sorted(S.regions) == sorted([*S.sufficient_conditions, "big"])
+        for coords in (zip(box) if S.rho == 1 else ((a, b) for a in box for b in box)):
+            V = ZDivisor(coords)
+            h0, h1, h2 = cohomology(S, V)
+            truth = {"very_ample": S.very_ample(V), "globally_generated": S.globally_generated(V),
+                     "h0_positive": h0 > 0, "vanishing": h1 == h2 == 0,
+                     "big": pos._is_big_class(S, V)}
+            got = {kind: in_region(region, coords) for kind, region in S.regions.items()}
+            assert got == truth, (S.name, coords)
+
+
+def test_a_spec_borrowing_a_builtin_oracle_borrows_its_regions():
+    spec = {**surface_to_spec(F2), "name": "f2-spec"}
+    assert surface_from_spec(spec).regions == F2.regions
+    assert surface_from_spec({**spec, "oracle": {"h0_table": {"0,0": 1}}}).regions is None
+
+
+rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def assert_region_helpers_match_a_brute_force_scan(S, D, region, G, lo, m_max):
+    flags = [in_region(region, row.coords)
+             for row in brute_twisted(G, brute_multiples(S, D, m_max))]
+    ev = pos.Evaluation(S, D, m_max)
+    assert pos.region_tail(region, ev, G) == brute_tail(flags, 0)
+    first = next((m for m in range(lo, m_max + 1) if flags[m]), m_max + 1)
+    assert pos.region_first(region, ev, G, lo) == first
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REGION_SURFACES), st.data(), st.integers(1, 60))
+def test_region_tail_and_first_member_match_a_brute_force_scan(S, data, m_max):
+    D = RDivisor({lbl: data.draw(rational) for lbl in S.basis})
+    # a union of two regions has overlapping, even nested, pieces
+    region = sum((S.regions[kind] for kind in data.draw(
+        st.lists(st.sampled_from(sorted(S.regions)), min_size=1, max_size=2))), ())
+    G = ZDivisor(data.draw(st.tuples(*[st.integers(-4, 4)] * S.rho)))
+    assert_region_helpers_match_a_brute_force_scan(S, D, region, G, data.draw(st.integers(0, 2)),
+                                                   m_max)
+
+
+def test_region_tail_steps_past_a_run_nested_in_an_earlier_one():
+    # below the top row of G + [mD], the h0 > 0 run of k contains the very-ample one
+    region = F2.regions["h0_positive"] + F2.regions["very_ample"]
+    assert_region_helpers_match_a_brute_force_scan(
+        F2, parse_divisor("5/3*C0 + 3*f"), region, ZDivisor((-1, -1)), 1, 12)
+
+
+@st.composite
+def rational_divisors(draw):
+    """A built-in surface and a rational divisor off the interior of the nef cone.
+
+    Kinds: the nef boundary b = e*a, non-nef (b - e*a < 0 or a < 0), and
+    negative (no positive coefficient).  The onset bounds leave the scans
+    of most of these without a bound, so the regions decide them.
+    """
+    S = draw(st.sampled_from(SURFACES))
+    kind = draw(st.sampled_from(["boundary", "non-nef", "negative"]))
+    x, y = draw(rational), draw(rational)
+    if S.rho == 1:
+        return S, RDivisor({"L": -abs(x) if kind == "negative" else x})
+    e = -S.intersection_matrix[0][0]
+    if kind == "boundary":
+        return S, RDivisor({"C0": abs(x), "f": abs(x) * e})
+    if kind == "negative":
+        return S, RDivisor({"C0": -abs(x), "f": -abs(y)})
+    if draw(st.booleans()):
+        return S, RDivisor({"C0": -abs(x) - Fraction(1, 12), "f": y})
+    return S, RDivisor({"C0": x, "f": x * e - abs(y) - Fraction(1, 12)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_divisors(), st.integers(1, 60), st.data())
+def test_region_decided_report_matches_the_full_scans(sd, m_max, data):
+    S, D = sd
+    twists = pos.default_twists(S)
+    if data.draw(st.booleans(), label="random twists"):
+        twists = [ZDivisor(c) for c in data.draw(st.lists(
+            st.tuples(*[st.integers(-3, 3)] * S.rho), min_size=1, max_size=4, unique=True))]
+    assert_report_matches_full_scans(S, D, m_max, twists)
+
+
+@pytest.mark.parametrize("kind, piece, D", [
+    # rows G + [mD] with G = -C0 - f are (m - 1, [m/2] - 1): h0 > 0 from m = 2,
+    # but the shifted region admits row 1 as well, so the tail guard reads it
+    ("h0_positive", (((1, 0), 0), ((0, 1), -1)), "C0 + 1/2*f"),
+    # [mD] = (m, [m/2]): big from m = 2; shifted down, the region claims row 1,
+    ("big", (((1, 0), 1), ((0, 1), 0)), "C0 + 1/2*f"),
+    # shifted up, it claims row 4, and row 3 below it is big too
+    ("big", (((1, 0), 1), ((0, 1), 2)), "C0 + 1/2*f"),
+    # [mD] = (m, 3m) is very ample from m = 1; the shifted region claims m = 2
+    ("very_ample", (((1, 0), 1), ((-2, 1), 2)), "C0 + 3*f"),
+])
+def test_a_region_shifted_by_one_trips_the_guard(kind, piece, D):
+    S = dataclasses.replace(F2, regions={**F2.regions, kind: (piece,)})
+    with pytest.raises(InternalError, match="contradicted"):
+        pos.build_report(S, D, 40)
+    pos.build_report(F2, D, 40)
+
+
+@pytest.mark.parametrize("e, D", [(0, "9/2*C0"), (2, "3/2*C0 + 3*f"), (3, "3/2*C0 + 4*f")])
+def test_report_cost_of_a_rational_boundary_divisor_does_not_grow_with_m_max(e, D):
+    """The same few cohomology and oracle calls at m_max 2000 and 20000 (the parent
+    code made 4,008 / 2,010 / 4 cohomology and 18,026 / 6,044 / 8,020 oracle calls at 2000)."""
+    counts = []
+    for m_max in (2000, 20000):
+        oracle_calls = []
+
+        def counting(f):
+            return lambda V: oracle_calls.append(V) or f(V)
+
+        base = hirzebruch(e)
+        S = dataclasses.replace(base, very_ample=counting(base.very_ample),
+                                globally_generated=counting(base.globally_generated),
+                                h0=counting(base.h0))
+        with counted_cohomology() as calls:
+            pos.build_report(S, D, m_max)
+        counts.append((len(calls), len(oracle_calls)))
+    assert counts[0] == counts[1] and counts[0][1] <= 50, counts
 
 
 # -- m_max at the library boundary ---------------------------------------------------

@@ -91,6 +91,27 @@ def test_ratio_bound_requires_ample_reference():
         pos.ratio_bound(F2, D_AMPLE, "f")
 
 
+def test_ratio_bound_reads_the_pairings_that_proved_the_reference(monkeypatch):
+    S = hirzebruch(2)
+    ev = pos.Evaluation(S, D_BOUNDARY, 10)
+    assert ev.pairings and pos._ample_reference(S) == ZDivisor((1, 3))
+    calls = []
+    real = pos.generator_pairings
+    monkeypatch.setattr(pos, "generator_pairings", lambda S, D: calls.append(D) or real(S, D))
+    assert pos.ratio_bound(S, ev, ZDivisor((1, 3))) == QuadExt(0) and calls == []
+    # any other reference, or the same class as text, is paired and checked here
+    assert pos.ratio_bound(S, ev, "C0 + 3*f") == QuadExt(0) and len(calls) == 1
+    with pytest.raises(InvalidInput, match="not ample"):
+        pos.ratio_bound(S, ev, ZDivisor((1, 2)))
+    pos.build_report(S, ev)
+    assert len(calls) == 2   # the report pairs no reference class
+
+
+def test_empty_twist_catalog_is_refused_naming_twists():
+    with pytest.raises(InvalidInput, match="twists"):
+        pos.build_report(F2, D_AMPLE, 20, twists=[])
+
+
 F2_SPEC = {"name": "f2-spec", "basis": ["C0", "f"], "matrix": [[-2, 1], [1, 0]],
            "mori_generators": [[1, 0], [0, 1]], "effective_generators": [[1, 0], [0, 1]],
            "canonical": [-2, -4], "chi": 1, "oracle": "hirzebruch:2"}

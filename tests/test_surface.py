@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from divpos.auditor import SplitMix64
+from divpos.cli import main
 from divpos.divisor import ZDivisor
 from divpos.errors import InternalError, InvalidInput, OracleUnavailable
 from divpos.surface import (
@@ -325,6 +326,22 @@ def test_spec_integer_fields_checked_at_load_name_the_field(field, value, where)
     spec = {**surface_to_spec(F2), "oracle": "hirzebruch:2", field: value}
     with pytest.raises(InvalidInput, match=f"surface spec field {re.escape(where)} is "):
         surface_from_spec(spec)
+
+
+@pytest.mark.parametrize("value, message", [
+    (5, "field 'mori_generators' is 5, expected a list"),
+    ([F2_C0_F[0], {"coords": [0, 1]}], "field 'mori_generators' entry 1 lacks 'label'"),
+    ([{"label": "C0"}, F2_C0_F[1]], "field 'mori_generators' entry 0 lacks 'coords'"),
+])
+def test_malformed_mori_generators_exit_3_naming_the_field_and_entry(value, message, tmp_path,
+                                                                     capsys):
+    spec = {**surface_to_spec(F2), "oracle": "hirzebruch:2", "mori_generators": value}
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        surface_from_spec(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check", "--surface", str(path), "--divisor", "C0 + 3*f"]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fieldname", ["h0_table", "very_ample_table",
