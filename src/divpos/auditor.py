@@ -85,8 +85,8 @@ class AuditConfig:
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
         if self.n_divisors < 1:
             raise ConfigError("n_divisors must be >= 1")
-        if self.m_max < 10:
-            raise ConfigError("m_max must be >= 10")
+        if not 10 <= self.m_max <= pos.M_MAX_LIMIT:
+            raise ConfigError(f"m_max must be in [10, {pos.M_MAX_LIMIT}], got {self.m_max}")
         if not self.surfaces:
             raise ConfigError("surfaces must name at least one surface")
         if not isinstance(self.profile, dict):

@@ -33,8 +33,8 @@ def _default_m_max() -> int:
         v = int(raw)
     except ValueError:
         raise DivposError(f"DIVPOS_M_MAX: not an integer: {raw!r}") from None
-    if v < 10:
-        raise DivposError(f"DIVPOS_M_MAX: must be >= 10, got {v}")
+    if not 10 <= v <= pos.M_MAX_LIMIT:
+        raise DivposError(f"DIVPOS_M_MAX: must be in [10, {pos.M_MAX_LIMIT}], got {v}")
     return v
 
 
@@ -290,8 +290,8 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "m_max"):
             if args.m_max is None:
                 args.m_max = _default_m_max()
-            elif args.m_max < 1:
-                raise DivposError(f"--m-max: must be >= 1, got {args.m_max}")
+            elif not 1 <= args.m_max <= pos.M_MAX_LIMIT:
+                raise DivposError(f"--m-max: must be in [1, {pos.M_MAX_LIMIT}], got {args.m_max}")
         if getattr(args, "surface", None) is None and args.command == "audit":
             args.surface = ["hirzebruch:2", "p2"]
         return args.func(args)

@@ -24,7 +24,7 @@ from typing import Union
 
 from divpos import _kernels
 from divpos.errors import InternalError, InvalidInput, RepresentationError
-from divpos.exact_numbers import ZERO, QuadExt, format_quadext, parse_quadext, quadext
+from divpos.exact_numbers import ZERO, QuadExt, check_size, format_quadext, parse_quadext, quadext
 
 CoefLike = Union[QuadExt, int, Fraction, str]
 
@@ -418,7 +418,11 @@ def parse_divisor(text: str) -> RDivisor:
             label = m.group("label3")
         terms.append((label, coef * sgn))
         first = False
-    return RDivisor(terms)
+    D = RDivisor(terms)
+    if len(D.terms) < len(terms):   # parse_quadext bounds each term; repeated labels add up
+        for coef in D.terms.values():
+            check_size(coef, text)
+    return D
 
 
 def format_divisor(D: RDivisor) -> str:

@@ -34,6 +34,10 @@ RatLike = Union[int, Fraction, str]
 
 RADICAND_MAX = 10**12  # trial division up to sqrt(d) = 10**6
 
+# The most bits of a parsed coefficient's integers (at most 4,215 digits): str()
+# refuses integers past 4,300 digits, so a longer value could not be written out.
+COEFFICIENT_BITS = 14_000
+
 
 def squarefree_decompose(d: int) -> tuple[int, int]:
     """Write d = s*s*d0 with d0 square-free; returns (d0, s).  0 <= d <= RADICAND_MAX."""
@@ -416,16 +420,30 @@ def parse_quadext(text: str) -> QuadExt:
             raise InvalidInput(f"missing operator in coefficient {text!r} before {s[pos - len(m.group(0)):]!r}")
         if m.group("rad"):
             coef = _as_fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-            term = QuadExt(0, sign_pending * coef, int(m.group("d")))
+            digits = m.group("d").lstrip("0")
+            if len(digits) > len(str(RADICAND_MAX)):   # before int() meets its digit limit
+                raise InvalidInput(f"radicand {digits[:20]}... ({len(digits)} digits) "
+                                   f"exceeds the bound {RADICAND_MAX}")
+            term = QuadExt(0, sign_pending * coef, int(digits or "0"))
         else:
             term = quadext(sign_pending * _as_fraction(m.group("rat")))
-        total = total + term
+        try:
+            total = total + term
+        except MixedFieldError:
+            raise InvalidInput(f"coefficient {text!r} mixes two square roots") from None
         sign_pending = 1
         expecting_term = False
         saw_term = True
     if expecting_term or not saw_term:
         raise InvalidInput(f"dangling sign in coefficient {text!r}")
-    return total
+    return check_size(total, text)
+
+
+def check_size(x: QuadExt, text: str) -> QuadExt:
+    """x, parsed from text, unless its integers exceed COEFFICIENT_BITS (InvalidInput)."""
+    if max(abs(x.N), abs(x.M), x.Q).bit_length() > COEFFICIENT_BITS:
+        raise InvalidInput(f"a coefficient of {text[:40]!r}... exceeds {COEFFICIENT_BITS} bits")
+    return x
 
 
 def format_quadext(x: QuadExt) -> str:

@@ -162,6 +162,8 @@ def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) 
 # ---------------------------------------------------------------------------
 # bounded m-scans
 
+M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; a check at the cap takes ~2 s, 200 MB
+
 
 @dataclass(frozen=True)
 class VAMultiples:
@@ -175,10 +177,10 @@ class Evaluation:
 
     Every criterion reads D through its Evaluation (see _evaluation).  It
     holds D's prime ``coefficients``; on first read it builds
-    ``multiples[m]`` = [mD] for m = 0..m_max, the generator ``pairings``
+    ``multiples[m]`` = [mD] for m = 0..m_max (see _Rows), the generator ``pairings``
     (ground truth, violator, nefness, the cone half of Nakai), the
-    ``slopes`` on the sufficient-condition classes, the ``onset(kind, G)``
-    bound of each (kind, twist) and the ``h0_counts`` column.
+    ``slope(w)`` = w.D of each region form w the onset bounds read, the
+    ``onset(kind, G)`` bound of each (kind, twist) and the ``h0_counts`` column.
     ``twisted(G)`` is a read-only view of G + [mD] that builds a row only
     when the row is read.  Re-verification (``auditor._reverify_report``,
     ``verify_big_certificate``) recomputes from the divisor and never
@@ -186,27 +188,27 @@ class Evaluation:
     """
 
     __slots__ = ("surface", "divisor", "m_max", "coefficients", "_multiples",
-                 "_pairings", "_slopes", "_bounds", "_h0_counts")
+                 "_pairings", "slopes", "_bounds", "_h0_counts")
 
     def __init__(self, S: SurfaceModel, D: DivisorLike, m_max: int):
-        if not isinstance(m_max, int) or m_max < 1:
-            raise InvalidInput(f"m_max must be an integer >= 1, got {m_max!r}")
+        if not isinstance(m_max, int) or not 1 <= m_max <= M_MAX_LIMIT:
+            raise InvalidInput(f"m_max must be an integer in [1, {M_MAX_LIMIT}], got {m_max!r}")
         self.surface = S
         self.divisor = rdivisor_on(S, D)
         self.m_max = m_max
         self.coefficients = self.divisor.coefficients(S.basis)
-        self._multiples: Optional[list[ZDivisor]] = None
+        self._multiples: Optional[_Rows] = None
         self._pairings: Optional[list[tuple[CurveClass, QuadExt]]] = None
-        self._slopes: Optional[dict[tuple[int, ...], QuadExt]] = None
+        self.slopes: dict[tuple[int, ...], QuadExt] = {}
         self._bounds: dict[tuple[str, ZDivisor], Optional[int]] = {}
         self._h0_counts: Optional[list[int]] = None
 
     @property
-    def multiples(self) -> list[ZDivisor]:
+    def multiples(self) -> "_Rows":
         """[mD] for m in 0..m_max."""
         if self._multiples is None:
-            self._multiples = list(map(trusted_zdivisor, integral_part_multiples(
-                self.divisor, self.surface.basis, self.m_max)))
+            self._multiples = _Rows(integral_part_multiples(
+                self.divisor, self.surface.basis, self.m_max))
         return self._multiples
 
     @property
@@ -216,13 +218,12 @@ class Evaluation:
             self._pairings = generator_pairings(self.surface, self)
         return self._pairings
 
-    @property
-    def slopes(self) -> dict[tuple[int, ...], QuadExt]:
-        """{mu: D.mu} over the classes mu of the sufficient-condition tables."""
-        if self._slopes is None:
-            S = self.surface
-            self._slopes = {cls: _pair_class(S, self.coefficients, cls) for cls in S._table_parts}
-        return self._slopes
+    def slope(self, w: tuple[int, ...]) -> QuadExt:
+        """w.D for an integer form w on the coordinates, memoised in ``slopes``."""
+        s = self.slopes.get(w)
+        if s is None:
+            s = self.slopes[w] = quadext(sum(c * x for x, c in zip(w, self.coefficients) if x))
+        return s
 
     def onset(self, kind: str, G: Optional[ZDivisor] = None) -> Optional[int]:
         """onset_bound(S, D, kind, G), computed once per (kind, G); G defaults to 0."""
@@ -248,23 +249,33 @@ class Evaluation:
                                f"the surface has rank {self.surface.rho}")
         if G.is_zero():
             return self.multiples
-        return _TwistedRows(G.coords, self.multiples)
+        return _Rows(self.multiples.coords, G.coords)
 
 
-class _TwistedRows(Sequence):
-    """The rows g + [mD] of a twist g, each built when it is read."""
+class _Rows(Sequence):
+    """The rows g + [mD] of a twist g (None: [mD]), each made a ZDivisor when first read.
 
-    __slots__ = ("_g", "_rows")
+    Only the coordinate tuples of [mD] are built up front: the garbage collector stops
+    tracking tuples of ints, and at m_max 2000 a column of ZDivisors made its full
+    collections about four times as frequent (check-deep, 3,000 ops).
+    """
 
-    def __init__(self, g: tuple[int, ...], rows: list[ZDivisor]):
+    __slots__ = ("coords", "_g", "_built")
+
+    def __init__(self, coords: list[tuple[int, ...]], g: Optional[tuple[int, ...]] = None):
+        self.coords = coords
         self._g = g
-        self._rows = rows
+        self._built: list[Optional[ZDivisor]] = [None] * len(coords)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.coords)
 
     def __getitem__(self, m: int) -> ZDivisor:
-        return trusted_zdivisor(tuple(map(add, self._g, self._rows[m].coords)))
+        V = self._built[m]
+        if V is None:
+            row = self.coords[m] if self._g is None else tuple(map(add, self._g, self.coords[m]))
+            V = self._built[m] = trusted_zdivisor(row)
+        return V
 
 
 def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -370,8 +381,8 @@ def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
     the top row down, and the visit stops once no class left can hold a
     failure above the highest one found: the cost is O(min(q, m_max - m0 + 1)).
     """
-    rows = ev.multiples
-    top = tuple(map(add, G.coords, rows[ev.m_max].coords))
+    rows = ev.multiples.coords
+    top = tuple(map(add, G.coords, rows[ev.m_max]))
     if not any(all(sum(map(mul, w, top)) >= c for w, c in piece) for piece in region):
         return None   # the common case of a scan that fails at once, without the set-up
     q, pieces = _period_forms(region, ev, G)
@@ -379,7 +390,7 @@ def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
     m = ev.m_max
     while m > worst and m > ev.m_max - q:
         k = 0   # the least k with row m - k*q outside the region
-        for first, last in sorted(_region_runs(pieces, rows[m].coords, -1, m // q)):
+        for first, last in sorted(_region_runs(pieces, rows[m], -1, m // q)):
             if first <= k:
                 k = max(k, last + 1)
         if k <= m // q:
@@ -399,11 +410,11 @@ def region_first(region: Region, ev: "Evaluation", G: ZDivisor, lo: int) -> int:
     q, pieces = _period_forms(region, ev, G)
     pieces = [piece for piece in pieces if all(
         s > 0 or lo * s + q * (-sum(x for x in w if x < 0) - c) >= 0 for w, c, s in piece)]
-    rows = ev.multiples
+    rows = ev.multiples.coords
     best = ev.m_max + 1
     m = lo
     while pieces and m < best and m < lo + q:
-        runs = _region_runs(pieces, rows[m].coords, 1, (ev.m_max - m) // q)
+        runs = _region_runs(pieces, rows[m], 1, (ev.m_max - m) // q)
         if runs:
             best = min(best, m + q * min(first for first, _ in runs))
         m += 1
@@ -585,7 +596,6 @@ def _solve_square(cols: list[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> Opti
     # augmented matrix rows
     A = [[quadext(cols[j][i]) for j in range(k)] + [quadext(rhs[i])] for i in range(n)]
     row = 0
-    pivots = []
     for col in range(k):
         piv = next((r for r in range(row, n) if A[r][col].sign() != 0), None)
         if piv is None:
@@ -597,7 +607,6 @@ def _solve_square(cols: list[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> Opti
             if r != row and A[r][col].sign() != 0:
                 f = A[r][col]
                 A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-        pivots.append(col)
         row += 1
         if row == n:
             break
@@ -821,27 +830,23 @@ def big_growth_check(S: SurfaceModel, D: DivisorOrEvaluation,
 # onset bounds for the bounded searches
 
 
-def _slopes(S: SurfaceModel, D: DivisorOrEvaluation, kind: str) -> list[QuadExt]:
-    """D.mu for each class mu of the kind's table."""
-    slopes = _evaluation(S, D, None).slopes
-    return [slopes[cls] for cls, _ in S.sufficient_conditions[kind]]
-
-
 def definitive_negative(S: SurfaceModel, D: DivisorOrEvaluation, kind: str) -> bool:
     """Closed-form proof that the predicate fails at [mD] for every m >= 1.
 
-    A sufficient condition mu >= c can never hold when the pairing slope
-    D.mu is non-positive and even the largest fractional correction
-    cannot lift m*(D.mu) up to c.  Turns "not found <= m_max" into a
-    definitive negative for the exists-m searches.
+    A form w >= c of the kind's region piece the onset bounds read can
+    never hold when the slope w.D is non-positive and even the largest
+    fractional correction cannot lift m*(w.D) up to c.  Turns "not found
+    <= m_max" into a definitive negative for the exists-m searches.
     """
-    if S.sufficient_conditions is None or kind not in S.sufficient_conditions:
+    if S.regions is None or kind not in S.regions:
         return False
-    for (cls, c), slope in zip(S.sufficient_conditions[kind], _slopes(S, D, kind)):
+    ev = _evaluation(S, D, None)
+    for w, c in S.regions[kind][0]:
+        slope = ev.slope(w)
         if slope.sign() > 0:
             continue
-        _, _, lift = S._table_parts[cls]   # -{mD}.mu is at most the negative column part
-        # [mD].mu <= m*slope + lift <= slope_at_m1 + lift for slope <= 0
+        lift = -sum(x for x in w if x < 0)   # -w.{mD} is at most w's negative part
+        # w.[mD] <= m*slope + lift <= slope_at_m1 + lift for slope <= 0
         top = slope + lift if slope.sign() < 0 else lift
         if top < c:
             return True
@@ -859,29 +864,29 @@ def onset_bound(S: SurfaceModel, D: DivisorOrEvaluation, kind: str,
                 twist: Optional[ZDivisor] = None) -> Optional[int]:
     """Effective bound B: the predicate holds at G + [mD] for every m >= B.
 
-    kind indexes the surface's sufficient-condition table
-    ("very_ample", "globally_generated", "vanishing", "h0_positive").
-    Each table entry (mu, c) asks for m*(D.mu) >= need, where need folds
-    in c, G.mu and the largest fractional correction.  A positive slope
-    D.mu gives the least such m; a slope <= 0 is skipped when need < 0,
-    and otherwise the result is None, as it is for a surface without a
-    table.  The skip is sound for slope 0 only: m times a negative slope
-    falls without bound, so for a D with a negative slope on some table
-    class the returned bound can be wrong (ROADMAP item 1).  build_report
-    therefore hands bounds to its scans only for nef D, whose slopes on
-    the table classes are >= 0, since those classes lie in the closed
-    cone of curves.  ``Evaluation.onset`` memoises the result.
+    Each form (w, c) of the first piece of the kind's region, a sufficient
+    condition, asks for m*(w.D) >= need, where need folds in c, w.G and the
+    largest fractional correction.  A positive slope w.D gives the least
+    such m; a slope <= 0 is skipped when need < 0, and otherwise the result
+    is None, as it is for a surface without regions.  The skip is sound for
+    slope 0 only: m times a negative slope falls without bound, so for a D
+    with a negative slope on some form the returned bound can be wrong
+    (ROADMAP item 1).  build_report therefore hands bounds to its scans
+    only for nef D, whose slopes on those forms are >= 0.
+    ``Evaluation.onset`` memoises the result.
     """
-    if S.sufficient_conditions is None or kind not in S.sufficient_conditions:
+    if S.regions is None or kind not in S.regions:
         return None
+    ev = _evaluation(S, D, None)
     bound = 1
-    for (cls, c), slope in zip(S.sufficient_conditions[kind], _slopes(S, D, kind)):
-        column, overshoot, _ = S._table_parts[cls]
-        g_mu = sum(map(mul, twist.coords, column)) if twist is not None else 0
+    for w, c in S.regions[kind][0]:
+        slope = ev.slope(w)
+        overshoot = sum(x for x in w if x > 0)   # w.{mD} stays below it
+        g_w = sum(map(mul, twist.coords, w)) if twist is not None else 0
         # the fractional correction is strictly below the overshoot only
-        # when some basis class pairs positively; otherwise keep full slack
+        # when some coordinate has a positive weight; otherwise keep full slack
         slack = 1 if overshoot > 0 else 0
-        need = c - slack - g_mu + overshoot
+        need = c - slack - g_w + overshoot
         if slope.sign() <= 0:
             if need < 0:
                 continue  # condition already slack for every m
@@ -1104,7 +1109,7 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
     #   - strict positivity drives [mD] linearly deep into the region each
     #     closed-form oracle carves out.
     tail_wit = {"non_positive_generator": bad_gen} if bad_gen else {}
-    conclusive_tail = S.sufficient_conditions is not None
+    conclusive_tail = S.regions is not None
 
     def tail(cid: str, witness: dict, note: str) -> CriterionResult:
         return CriterionResult(cid, ground if conclusive_tail else None, conclusive_tail,

@@ -44,17 +44,11 @@ class CurveClass:
         return ZDivisor(self.coords)
 
 
-# A sufficient-condition entry (mu, c): the predicate holds for every
-# integral V with V.mu >= c, where mu is a pairing class.  Used to derive
-# effective onset bounds for the bounded-search criteria; only the
-# built-in models carry them.
-SuffCond = tuple[tuple[int, ...], int]
-
 # An exact region of integral classes: a union (tuple) of pieces, each a
-# conjunction (tuple) of integer forms (w, c) meaning w.coords >= c.  A
-# built-in model carries one per scan predicate, keyed like its
-# sufficient-condition tables plus "big"; each equals the predicate on every
-# integral class, so a rational divisor's scans can be decided from it.
+# conjunction (tuple) of integer forms (w, c) meaning w.coords >= c.  A built-in
+# model carries one per scan predicate, equal to it on every integral class, so a
+# rational divisor's scans can be decided from it.  The first piece is a
+# sufficient condition, with w >= 0 on the nef cone: the onset bounds read it.
 Region = tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
 
 
@@ -71,7 +65,6 @@ class SurfaceModel:
     globally_generated: Optional[Callable[[ZDivisor], bool]] = None
     h0: Optional[Callable[[ZDivisor], int]] = None
     ample_reference: Optional[ZDivisor] = None
-    sufficient_conditions: Optional[Mapping[str, tuple[SuffCond, ...]]] = None
     regions: Optional[Mapping[str, Region]] = None
     spec: Optional[dict] = field(default=None, compare=False)
 
@@ -101,15 +94,6 @@ class SurfaceModel:
         # whether the effective generators are the basis classes, in order
         object.__setattr__(self, "_unit_effective", [v.coords for v in self.effective_generators]
                            == [tuple(int(i == j) for i in range(rho)) for j in range(rho)])
-        # per sufficient-condition class mu, read by the onset bounds: the column
-        # e_j.mu, the sum of its positive entries (the overshoot {mD}.mu stays
-        # below) and of its negative entries' sizes (the most -{mD}.mu can lift)
-        parts = {}
-        for table in (self.sufficient_conditions or {}).values():
-            for cls, _ in table:
-                col = self.basis_pairings(cls)
-                parts[cls] = (col, sum(p for p in col if p > 0), -sum(p for p in col if p < 0))
-        object.__setattr__(self, "_table_parts", parts)
 
     @property
     def rho(self) -> int:
@@ -248,17 +232,6 @@ def hirzebruch(e: int) -> SurfaceModel:
         a, b = V.coords
         return _kernels.h0_hirzebruch(e, a, b)
 
-    # pairing classes: f detects the C0-coefficient, C0 + e*f detects the
-    # f-coefficient, C0 detects b - e*a
-    cls_f = (0, 1)
-    cls_c0 = (1, 0)
-    cls_b = (1, e)
-    suff = {
-        "very_ample": ((cls_f, 1), (cls_c0, 1)),
-        "globally_generated": ((cls_f, 0), (cls_c0, 0)),
-        "h0_positive": ((cls_f, 0), (cls_b, 0)),
-        "vanishing": ((cls_f, 0), (cls_c0, -1)),
-    }
     a, b, b_ea = (1, 0), (0, 1), (-e, 1)   # the forms a, b and b - e*a
     neg_a, neg_b = (-1, 0), (0, -1)
     last = (((a, -2), (neg_a, 2), (b, -e - 1), (neg_b, e + 1)) if e > 0
@@ -285,7 +258,6 @@ def hirzebruch(e: int) -> SurfaceModel:
         globally_generated=gg,
         h0=h0,
         ample_reference=ZDivisor((1, e + 1)),
-        sufficient_conditions=suff,
         regions=regions,
     )
 
@@ -302,13 +274,6 @@ def projective_plane() -> SurfaceModel:
     def h0(V: ZDivisor) -> int:
         return _kernels.h0_p2(V.coords[0])
 
-    cls_l = (1,)
-    suff = {
-        "very_ample": ((cls_l, 1),),
-        "globally_generated": ((cls_l, 0),),
-        "h0_positive": ((cls_l, 0),),
-        "vanishing": ((cls_l, -2),),  # h1 always 0; h2 = 0 once deg >= -2
-    }
     n = (1,)
     regions = {
         "very_ample": (((n, 1),),),
@@ -329,7 +294,6 @@ def projective_plane() -> SurfaceModel:
         globally_generated=gg,
         h0=h0,
         ample_reference=ZDivisor((1,)),
-        sufficient_conditions=suff,
         regions=regions,
     )
 
@@ -383,21 +347,23 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
 
     The integer fields (matrix, chi, canonical, effective_generators, the
     generators' coords and multiplicity, ample) take JSON ints only, rho per
-    class; anything else raises InvalidInput naming the field.  Each
-    mori_generators entry is a class or an object with "label" and "coords".
+    class; basis is a list of label strings, h0_table an object and the
+    other tables lists.  Anything else raises InvalidInput naming the field.
+    Each mori_generators entry is a class or an object with "label" and "coords".
     """
+    if not isinstance(spec, Mapping):
+        raise InvalidInput(f"surface spec is {spec!r}, expected an object")
     for fieldname in ("name", "basis", "matrix", "mori_generators",
                       "effective_generators", "canonical", "chi", "oracle"):
         if fieldname not in spec:
             raise InvalidInput(f"surface spec lacks field {fieldname!r}")
-    basis = tuple(str(b) for b in spec["basis"])
+    basis = tuple(_spec_shape("basis", spec["basis"], list))
+    if not all(isinstance(b, str) for b in basis):
+        raise InvalidInput(f"surface spec field 'basis' is {spec['basis']!r}, expected labels")
     rho = len(basis)
     matrix = _spec_ints("'matrix'", spec["matrix"], rho, rho)
-    if not isinstance(spec["mori_generators"], (list, tuple)):
-        raise InvalidInput(f"surface spec field 'mori_generators' is "
-                           f"{spec['mori_generators']!r}, expected a list")
     gens = []
-    for i, g in enumerate(spec["mori_generators"]):
+    for i, g in enumerate(_spec_shape("mori_generators", spec["mori_generators"], list)):
         where = f"'mori_generators' entry {i}"
         if isinstance(g, Mapping):
             missing = [key for key in ("label", "coords") if key not in g]
@@ -414,8 +380,7 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     K = ZDivisor(_spec_ints("'canonical'", spec["canonical"], rho))
 
     oracle = spec["oracle"]
-    va = gg = h0 = table = None
-    suff = regions = None
+    va = gg = h0 = table = regions = None
     if isinstance(oracle, str):
         try:
             ref = _builtin_surface(oracle)
@@ -425,11 +390,11 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
             raise InvalidInput(f"surface spec field 'oracle': {oracle!r} is not a builtin id; "
                                "expected 'p2' or 'hirzebruch:E'")
         va, gg, h0 = ref.very_ample, ref.globally_generated, ref.h0
-        suff, regions = ref.sufficient_conditions, ref.regions
+        regions = ref.regions
     elif isinstance(oracle, Mapping):
         if "h0_table" in oracle:
             table = {_table_key("h0_table", key): _spec_ints(f"'h0_table': entry {key!r}", v)
-                     for key, v in oracle["h0_table"].items()}
+                     for key, v in _spec_shape("h0_table", oracle["h0_table"], Mapping).items()}
 
             def h0(V: ZDivisor, _table=table) -> int:
                 try:
@@ -439,11 +404,12 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
                         f"h0 table has no entry for {V.coords}"
                     ) from None
         if "very_ample_table" in oracle:
-            vat = {_table_key("very_ample_table", key) for key in oracle["very_ample_table"]}
+            vat = {_table_key("very_ample_table", key)
+                   for key in _spec_shape("very_ample_table", oracle["very_ample_table"], list)}
             va = lambda V, _s=vat: V.coords in _s  # noqa: E731
         if "globally_generated_table" in oracle:
-            ggt = {_table_key("globally_generated_table", key)
-                   for key in oracle["globally_generated_table"]}
+            ggt = {_table_key("globally_generated_table", key) for key in _spec_shape(
+                "globally_generated_table", oracle["globally_generated_table"], list)}
             gg = lambda V, _s=ggt: V.coords in _s  # noqa: E731
     else:
         raise InvalidInput("surface spec field 'oracle' must be a string or object")
@@ -461,7 +427,6 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
         globally_generated=gg,
         h0=h0,
         ample_reference=amp,
-        sufficient_conditions=suff,
         regions=regions,
         spec=dict(spec),
     )
@@ -501,8 +466,16 @@ def _table_key(fieldname: str, key: str) -> tuple[int, ...]:
                            "a comma-separated list of integers") from None
 
 
+def _spec_shape(fieldname: str, value, kind: type):
+    """value if it is a list (kind list) or an object (kind Mapping); else InvalidInput."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        raise InvalidInput(f"surface spec field {fieldname!r} is {value!r}, expected "
+                           + ("a list" if kind is list else "an object"))
+    return value
+
+
 def _lattice_fields(S: SurfaceModel) -> dict:
-    """The spec fields whose values a borrowed oracle and its onset tables assume."""
+    """The spec fields whose values a borrowed oracle and its regions assume."""
     return {
         "matrix": S.intersection_matrix,
         "canonical": S.canonical_class.coords,

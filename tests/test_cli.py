@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+import divpos.positivity as pos
 from divpos.cli import build_parser, main
+from divpos.errors import InvalidInput
+from divpos.surface import projective_plane
 
 
 def run(capsys, *argv):
@@ -116,6 +119,10 @@ def test_radicand_beyond_bound_exits_3(capsys):
                        "--divisor", "sqrt(1000000000039)*C0 + 3*f")
     assert code == 3
     assert "radicand 1000000000039" in err and str(10**12) in err
+    code, _, err = run(capsys, "check", "--surface", "hirzebruch:2",
+                       "--divisor", f"sqrt({'7' * 5000})*C0 + 3*f")
+    assert code == 3
+    assert "radicand 7777" in err and "5000 digits" in err and str(10**12) in err
 
 
 def test_radicand_below_bound_is_decided(capsys):
@@ -278,6 +285,30 @@ def test_nonpositive_m_max_names_flag(capsys, command, m_max):
     assert code == 3
     assert out == ""
     assert "--m-max" in err
+
+
+@pytest.mark.parametrize("m_max", [pos.M_MAX_LIMIT, pos.M_MAX_LIMIT + 1])
+def test_m_max_above_the_cap_is_refused_naming_its_source(capsys, monkeypatch, tmp_path, m_max):
+    """--m-max, DIVPOS_M_MAX, a config's m_max and Evaluation take m_max up to M_MAX_LIMIT.
+
+    Validation only: a malformed divisor or fault stops each run once m_max has passed.
+    """
+    over = m_max > pos.M_MAX_LIMIT
+    bad_divisor = ("check", "--surface", "p2", "--divisor", "L +")
+    code, _, err = run(capsys, *bad_divisor, "--m-max", str(m_max))
+    assert code == 3 and ("--m-max" in err) == over, err
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({**GOOD_CONFIG, "m_max": m_max, "fault": "unknown"}))
+    code, _, err = run(capsys, "audit", "--config", str(path))
+    assert code == 3 and ("m_max" in err) == over and ("fault" in err) != over, err
+    monkeypatch.setenv("DIVPOS_M_MAX", str(m_max))
+    code, _, err = run(capsys, *bad_divisor)
+    assert code == 3 and ("DIVPOS_M_MAX" in err) == over, err
+    if over:
+        with pytest.raises(InvalidInput, match="m_max"):
+            pos.Evaluation(projective_plane(), "L", m_max)
+    else:
+        assert pos.Evaluation(projective_plane(), "L", m_max).m_max == m_max
 
 
 @pytest.mark.parametrize("m_max", ["1", "2", "3"])

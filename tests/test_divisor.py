@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divpos.divisor import (
@@ -22,7 +22,7 @@ from divpos.divisor import (
     round_decompose,
 )
 from divpos.errors import InvalidInput, RepresentationError
-from divpos.exact_numbers import QuadExt
+from divpos.exact_numbers import RADICAND_MAX, QuadExt, format_quadext, parse_quadext
 
 BASIS = ("C0", "f")
 
@@ -269,6 +269,31 @@ def test_parse_divisor_rejects_garbage():
     for bad in ("", "C0 +", "3/2 C0", "* f", "2**f"):
         with pytest.raises(InvalidInput):
             parse_divisor(bad)
+
+
+# pieces of both grammars, with radicands at and beyond RADICAND_MAX, and numbers
+# near and past the interpreter's 4,300-digit limit on integer text
+PIECES = ["0", "1", "2", "3", "12", "007", "/", "+", "-", "*", "**", "(", ")", "sqrt(",
+          "sqrt(2)", "sqrt(0)", "sqrt(sqrt(2))", " ", "\t", "C0", "f", "L", "x", "_1", ".", "e5",
+          str(RADICAND_MAX), str(RADICAND_MAX + 1), "7" * 5000, "0" * 5000 + "3", "9" * 4000,
+          "1/" + "3" * 3000]
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.one_of(st.lists(st.sampled_from(PIECES), max_size=12).map("".join),
+                 st.text(max_size=30)))
+@example(f"sqrt({RADICAND_MAX})*C0")
+@example(f"sqrt({RADICAND_MAX + 1})*C0")
+@example(f"sqrt({'7' * 5000})*C0")
+@example(f"({'9' * 4000}+1/{'3' * 3000})*C0")
+def test_parsers_round_trip_or_raise_invalid_input(text):
+    """Any text parses to a value its formatter writes back, or raises InvalidInput."""
+    for parse, fmt in ((parse_quadext, format_quadext), (parse_divisor, format_divisor)):
+        try:
+            value = parse(text)
+        except InvalidInput:
+            continue
+        assert parse(fmt(value)) == value
 
 
 def test_spec_roundtrip_general():

@@ -212,6 +212,11 @@ def test_radicand_bound():
         squarefree_decompose(RADICAND_MAX + 39)
     with pytest.raises(InvalidInput, match="radicand"):
         parse_quadext(f"sqrt({RADICAND_MAX + 39})")
+    # digits are counted before int() meets the interpreter's 4,300-digit limit
+    with pytest.raises(InvalidInput,
+                       match=rf"radicand 7{{20}}\.\.\. \(5000 digits\) .*{RADICAND_MAX}"):
+        parse_quadext("sqrt(" + "0" * 10 + "7" * 5000 + ")")
+    assert parse_quadext("sqrt(" + "0" * 5000 + "2)") == QuadExt(0, 1, 2)
 
 
 # -- text round-trip --------------------------------------------------------------

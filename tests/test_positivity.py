@@ -414,28 +414,55 @@ def test_first_big_multiple():
 # -- onset bounds ---------------------------------------------------------------------
 
 
-def test_onset_bound_is_valid():
-    """Every m past the bound satisfies the predicate; spot-check densely."""
-    cases = [
-        (D_AMPLE, "very_ample", None),
-        (D_AMPLE, "globally_generated", ZDivisor((-1, -1))),
-        (parse_divisor("1/3*C0 + 5/4*f"), "very_ample", None),
-        (parse_divisor("1/3*C0 + 5/4*f"), "vanishing", ZDivisor((-1, 0))),
-        (RDivisor({"C0": SQRT2, "f": SQRT2 * 3}), "very_ample", None),
-    ]
-    for D, kind, twist in cases:
-        bound = pos.onset_bound(F2, D, kind, twist)
-        assert bound is not None
-        mults = pos.Evaluation(F2, D, bound + 40).multiples
-        for m in range(bound, bound + 40):
-            V = mults[m] if twist is None else twist + mults[m]
-            if kind == "very_ample":
-                assert F2.very_ample(V), (D, m)
-            elif kind == "globally_generated":
-                assert F2.globally_generated(V), (D, m)
-            elif kind == "vanishing":
-                _, h1, h2 = cohomology(F2, V)
-                assert h1 == 0 and h2 == 0, (D, m)
+ONSET_SURFACES = [hirzebruch(e) for e in range(8)] + [P2]
+positive = st.fractions(min_value=0, max_value=6, max_denominator=12)
+
+
+@st.composite
+def nef_divisors(draw):
+    """A built-in surface and x*N1 + y*N2 over its nef-cone generators, x, y >= 0 rational or
+    in Q(sqrt d)."""
+    S = draw(st.sampled_from(ONSET_SURFACES))
+    d = draw(st.sampled_from([0, 2, 3, 5]))
+
+    def weight():
+        x = QuadExt(draw(positive), draw(positive) - 3 if d else 0, d)
+        return -x if x.sign() < 0 else x
+
+    if S.rho == 1:
+        return S, RDivisor({"L": weight()})
+    e = -S.intersection_matrix[0][0]
+    x, y = weight(), weight()   # x*(C0 + e*f) + y*f
+    return S, RDivisor({"C0": x, "f": x * e + y})
+
+
+PREDICATES = {
+    "very_ample": lambda S, V: S.very_ample(V),
+    "globally_generated": lambda S, V: S.globally_generated(V),
+    "h0_positive": lambda S, V: S.h0(V) > 0,
+    "vanishing": lambda S, V: cohomology(S, V)[1:] == (0, 0),
+    "big": lambda S, V: pos._is_big_class(S, V),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(nef_divisors())
+def test_onset_bound_is_valid(sd):
+    """For nef D, every kind and every default twist G: the predicate holds at
+    G + [mD] for m in [B, B + 40], [mD] floored by brute force.  Ample D gets every bound."""
+    S, D = sd
+    coeffs = D.coefficients(S.basis)
+    ample = pos.is_ample_cone(S, D)[0]
+    assert sorted(PREDICATES) == sorted(S.regions)
+    for kind in PREDICATES:
+        for G in pos.default_twists(S):
+            bound = pos.onset_bound(S, D, kind, G)
+            if bound is None:
+                assert not ample, (kind, G)
+                continue
+            for m in range(bound, bound + 41):
+                V = G + ZDivisor(tuple((c * m).floor() for c in coeffs))
+                assert PREDICATES[kind](S, V), (kind, G, m)
 
 
 def test_onset_bound_none_for_boundary():

@@ -8,6 +8,7 @@ fallback for supernumerary effective generators.
 
 import ast
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,8 @@ import divpos.positivity as pos
 from divpos.divisor import RDivisor, ZDivisor, integral_part, integrality_denominator
 from divpos.errors import InternalError
 from divpos.exact_numbers import QuadExt
-from divpos.surface import SurfaceModel, CurveClass, hirzebruch, projective_plane
+from divpos.surface import (SurfaceModel, CurveClass, hirzebruch, projective_plane,
+                            surface_from_spec, surface_to_spec)
 
 F2 = hirzebruch(2)
 coef = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -175,7 +177,7 @@ def test_report_cone_verdicts_scale_invariant(q):
     (hirzebruch(0), "(1+sqrt(3))*C0 - 1/2*f"), (projective_plane(), "2/3*L"),
 ])
 def test_each_report_computes_the_per_divisor_constants_once(S, D, monkeypatch):
-    """One [mD] column, and at most one pairing of D per generator and per table class."""
+    """One [mD] column, and at most one pairing of D per generator."""
     multiples, pairings = [], []
     real_multiples, real_pair = pos.integral_part_multiples, SurfaceModel.pair_coords
 
@@ -193,9 +195,26 @@ def test_each_report_computes_the_per_divisor_constants_once(S, D, monkeypatch):
     assert len(multiples) == 1
     coeffs = pos.rdivisor_on(S, D).coefficients(S.basis)
     allowed = Counter(g.coords for g in S.mori_generators)
-    allowed.update({cls for table in S.sufficient_conditions.values() for cls, _ in table})
     seen = Counter(w for v, w in pairings if v == coeffs and all(type(x) is int for x in w))
     assert seen and all(n <= allowed[w] for w, n in seen.items()), (seen, allowed)
+
+
+# -- one table per predicate -----------------------------------------------------------
+
+
+def test_regions_are_the_only_predicate_table():
+    """No SurfaceModel field or derived attribute but regions is keyed by scan predicates,
+    and positivity names no second table."""
+    kinds = {"very_ample", "globally_generated", "h0_positive", "vanishing", "big"}
+    borrowed = surface_from_spec({**surface_to_spec(F2), "name": "f2-spec"})
+    for S in [hirzebruch(e) for e in range(4)] + [projective_plane(), borrowed]:
+        tables = [name for name, value in vars(S).items()
+                  if isinstance(value, Mapping) and kinds & set(value)]
+        assert tables == ["regions"], (S.name, tables)
+    tree = ast.parse(Path(pos.__file__).read_text())
+    names = {getattr(n, "attr", None) or getattr(n, "id", None) or getattr(n, "value", None)
+             for n in ast.walk(tree) if isinstance(n, (ast.Attribute, ast.Name, ast.Constant))}
+    assert not names & {"sufficient_conditions", "_table_parts", "_slopes"}
 
 
 # -- one per-divisor path --------------------------------------------------------------

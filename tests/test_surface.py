@@ -321,11 +321,25 @@ F2_C0_F = [{"label": "C0", "coords": [1, 0]}, {"label": "f", "coords": [0, 1]}]
     ("mori_generators", [[1, 0], 5], "'mori_generators' entry 1"),
     ("ample", [1], "'ample'"),                                    # not zipped short
     ("ample", [1, 2.5], "'ample' entry 1"),
+    # the shapes of the other fields, and of the spec itself (field None)
+    ("basis", 5, "'basis'"),
+    ("basis", "C0", "'basis'"),                                   # not split into labels
+    ("basis", ["C0", 1], "'basis'"),
+    ("oracle", {"h0_table": []}, "'h0_table'"),
+    ("oracle", {"very_ample_table": 5}, "'very_ample_table'"),
+    ("oracle", {"globally_generated_table": {"0,0": 1}}, "'globally_generated_table'"),
+    (None, 7, None),
 ])
-def test_spec_integer_fields_checked_at_load_name_the_field(field, value, where):
-    spec = {**surface_to_spec(F2), "oracle": "hirzebruch:2", field: value}
-    with pytest.raises(InvalidInput, match=f"surface spec field {re.escape(where)} is "):
+def test_spec_integer_fields_checked_at_load_name_the_field(field, value, where, tmp_path,
+                                                            capsys):
+    spec = {**surface_to_spec(F2), "oracle": "hirzebruch:2", field: value} if field else value
+    message = f"surface spec field {where} is " if field else f"surface spec is {value!r}"
+    with pytest.raises(InvalidInput, match=re.escape(message)):
         surface_from_spec(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check", "--surface", str(path), "--divisor", "C0 + 3*f"]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, message", [
