@@ -1,9 +1,10 @@
 """Seeded audit suites tying every criterion to the ground-truth oracles.
 
-Each suite samples divisors deterministically, evaluates the full
-criterion battery, and classifies every (divisor, criterion) pair as
-agreement, discrepancy, or inconclusive.  The classification follows the
-one-sided nature of the bounded searches:
+``run_audit`` samples divisors deterministically and evaluates each once;
+every suite reads that one evaluation, runs its criteria, and classifies
+every (divisor, criterion) pair as agreement, discrepancy, or
+inconclusive.  The classification follows the one-sided nature of the
+bounded searches:
 
 * exact criteria (cones, Nakai, Seshadri, ratio, neighborhood) must
   match the cone oracle outright;
@@ -140,6 +141,8 @@ def _profile_kind(profile: dict) -> str:
 
 
 def config_from_dict(data: dict) -> AuditConfig:
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be an object, got {data!r:.60}")
     for fieldname in ("seed", "surfaces", "n_divisors", "profile"):
         if fieldname not in data:
             raise ConfigError(f"config lacks field {fieldname!r}")
@@ -338,6 +341,60 @@ def _entry(S: SurfaceModel, D: RDivisor, criterion: str, detail: str,
 
 
 # ---------------------------------------------------------------------------
+# the audit loop
+
+SUITES = ("ampleness", "nef_from_multiples", "bigness")
+
+
+@dataclass
+class SurfaceAudit:
+    """What the suites read of one surface, derived once per surface by run_audit."""
+
+    surface: SurfaceModel
+    delta: Fraction                # the ampleness reports' neighborhood radius
+    twists: list[ZDivisor]         # the ampleness reports' twist catalog
+    catalog: list[ZDivisor]        # the bigness suite's effective catalog
+    keep_reports: bool
+    weyl_divisors: list[RDivisor] = field(default_factory=list)  # nef: the first ten
+    big_rational: list[RDivisor] = field(default_factory=list)   # bigness: up to three
+
+
+def run_audit(config: AuditConfig, suites: Sequence[str] = SUITES,
+              keep_reports: bool = False) -> list[AuditOutcome]:
+    """One outcome per named suite, in the order named, over config's sampled divisors.
+
+    Each surface is resolved once and its delta, twists, effective catalog
+    and sampler are made once; each divisor is sampled once and its one
+    Evaluation is handed to every suite.  After the divisors come the
+    per-surface checks: nef's Weyl sub-check and bigness's B + sN spot checks.
+    """
+    if not set(suites) <= set(SUITES) or len(set(suites)) < len(suites):
+        raise ConfigError(f"suites must be distinct names from {list(SUITES)}, "
+                          f"got {list(suites)!r}")
+    outcomes = [AuditOutcome(suite=name, config=config) for name in suites]
+    for ident in config.surfaces:
+        S = resolve_surface(ident)
+        site = SurfaceAudit(
+            S, config.delta if config.delta is not None
+            else min(Fraction(1, 1000), safe_delta(S, config.profile)),
+            [ZDivisor(t) for t in config.twists] if config.twists else pos.default_twists(S),
+            pos.default_effective_catalog(S), keep_reports)
+        rng = SplitMix64(config.seed)
+        for _ in range(config.n_divisors):
+            ev = pos.Evaluation(S, sample_divisor(S, config.profile, rng), config.m_max)
+            for name, out in zip(suites, outcomes):
+                # looked up per call, so a suite is found under whatever binds its name now
+                globals()["audit_" + name](site, ev, out)
+                out.checked += 1
+        for name, out in zip(suites, outcomes):
+            if name == "nef_from_multiples":
+                _weyl_checks(S, site.weyl_divisors, out)
+            elif name == "bigness":
+                _bqr_spot_checks(S, site.catalog, site.big_rational, out)
+    return outcomes
+
+
+# ---------------------------------------------------------------------------
 # ampleness audit
 
 
@@ -475,31 +532,20 @@ def _reverify_report(S: SurfaceModel, D: RDivisor, report: pos.PositivityReport,
                                             report.ground_truth))
 
 
-def audit_ampleness(config: AuditConfig, keep_reports: bool = True) -> AuditOutcome:
-    out = AuditOutcome(suite="ampleness", config=config)
-    delta_cfg = config.delta
-    for ident in config.surfaces:
-        S0 = resolve_surface(ident)
-        S = _fault_surface(S0, config.fault)
-        delta = delta_cfg if delta_cfg is not None else min(
-            Fraction(1, 1000), safe_delta(S0, config.profile))
-        twists = ([ZDivisor(t) for t in config.twists]
-                  if config.twists else pos.default_twists(S0))
-        rng = SplitMix64(config.seed)
-        for _ in range(config.n_divisors):
-            D = sample_divisor(S0, config.profile, rng)
-            ev = pos.Evaluation(S, D, config.m_max)
-            report = pos.build_report(S, ev, delta=delta, twists=twists)
-            if config.fault == "flip_cone":
-                report = _flip_ground(report)
-            elif config.fault == "flip_ratio":
-                report = _flip_verdict(report, "QVIII")
-            _classify_ampleness(S0, ev, report, config, out)
-            _reverify_report(S0, D, report, out)
-            out.checked += 1
-            if keep_reports:
-                out.reports.append(report)
-    return out
+def audit_ampleness(site: SurfaceAudit, ev: pos.Evaluation, out: AuditOutcome) -> None:
+    """Judge one divisor's report against the cone oracle and re-verify its witnesses."""
+    S, D, fault = site.surface, ev.divisor, out.config.fault
+    if fault == "flip_gg":   # the report is built on the changed surface
+        ev = pos.Evaluation(_fault_surface(S, fault), D, ev.m_max)
+    report = pos.build_report(ev.surface, ev, delta=site.delta, twists=site.twists)
+    if fault == "flip_cone":
+        report = _flip_ground(report)
+    elif fault == "flip_ratio":
+        report = _flip_verdict(report, "QVIII")
+    _classify_ampleness(S, ev, report, out.config, out)
+    _reverify_report(S, D, report, out)
+    if site.keep_reports:
+        out.reports.append(report)
 
 
 def _flip_ground(report: pos.PositivityReport) -> pos.PositivityReport:
@@ -519,67 +565,63 @@ def _flip_verdict(report: pos.PositivityReport, cid: str) -> pos.PositivityRepor
 # nef-from-multiples audit
 
 
-def audit_nef_from_multiples(config: AuditConfig, keep_reports: bool = False) -> AuditOutcome:
+def audit_nef_from_multiples(site: SurfaceAudit, ev: pos.Evaluation, out: AuditOutcome) -> None:
     """Tail of very-ample integral parts forces nef (and ample on rank-2 cones)."""
-    out = AuditOutcome(suite="nef_from_multiples", config=config)
-    for ident in config.surfaces:
-        S = resolve_surface(ident)
-        rng = SplitMix64(config.seed)
-        weyl_checks = []
-        weyl_divisors = []
-        for _ in range(config.n_divisors):
-            D = sample_divisor(S, config.profile, rng)
-            if len(weyl_divisors) < 10:
-                weyl_divisors.append(D)
-            out.checked += 1
-            ev = pos.Evaluation(S, D, config.m_max)
-            scan = pos.very_ample_multiples(S, ev)
-            window = (integrality_denominator(D, S.basis) if D.is_rational() else 50)
-            if scan.all_from is None or config.m_max - scan.all_from < window:
+    S, D = site.surface, ev.divisor
+    if len(site.weyl_divisors) < 10:
+        site.weyl_divisors.append(D)
+    scan = pos.very_ample_multiples(S, ev)
+    window = (integrality_denominator(D, S.basis) if D.is_rational() else 50)
+    if scan.all_from is None or out.config.m_max - scan.all_from < window:
+        return
+    nef_ok, bad = pos.is_nef(S, ev)
+    if not nef_ok:
+        out.discrepancies.append(_entry(
+            S, D, "claim_3nef",
+            f"very-ample tail from {scan.all_from} but D.{bad} < 0", None))
+    amp_ok, bad2 = pos.is_ample_cone(S, ev)
+    if not amp_ok:
+        out.discrepancies.append(_entry(
+            S, D, "remark_surface",
+            f"very-ample tail from {scan.all_from} but not ample (fails {bad2})",
+            None))
+
+
+def _weyl_checks(S: SurfaceModel, divisors: list[RDivisor], out: AuditOutcome) -> None:
+    """Weyl sub-check on a surface's first ten divisors.
+
+    Fractional parts of irrational coefficients get arbitrarily small
+    against any negative component pairing.
+    """
+    weyl_checks = []
+    for D in divisors:
+        for j, lbl in enumerate(S.basis):
+            coef = D.coefficient(lbl)
+            if coef.is_rational:
                 continue
-            nef_ok, bad = pos.is_nef(S, ev)
-            if not nef_ok:
-                out.discrepancies.append(_entry(
-                    S, D, "claim_3nef",
-                    f"very-ample tail from {scan.all_from} but D.{bad} < 0", None))
-            amp_ok, bad2 = pos.is_ample_cone(S, ev)
-            if not amp_ok:
-                out.discrepancies.append(_entry(
-                    S, D, "remark_surface",
-                    f"very-ample tail from {scan.all_from} but not ample (fails {bad2})",
-                    None))
-        # Weyl sub-check on the first ten divisors: fractional parts of
-        # irrational coefficients get arbitrarily small against any
-        # negative component pairing
-        for D in weyl_divisors:
-            for j, lbl in enumerate(S.basis):
-                coef = D.coefficient(lbl)
-                if coef.is_rational:
+            ej = ZDivisor(tuple(1 if i == j else 0 for i in range(S.rho)))
+            for g in S.mori_generators:
+                pairing = S.pair_z(ej, g.as_zdivisor())
+                if pairing >= 0:
                     continue
-                ej = ZDivisor(tuple(1 if i == j else 0 for i in range(S.rho)))
-                for g in S.mori_generators:
-                    pairing = S.pair_z(ej, g.as_zdivisor())
-                    if pairing >= 0:
+                mag = -pairing
+                if mag < 2:
+                    k_found = 1  # frac < 1 always; the inequality is automatic
+                else:
+                    k_found = weyl_find(coef, Fraction(1, mag), 1, k_max=10**5)
+                    check = (coef * k_found).frac() * mag
+                    if not (check < QuadExt(1)):
+                        out.discrepancies.append(_entry(
+                            S, D, "weyl_principle",
+                            f"frac({k_found}*{format_quadext(coef)})*{mag} >= 1", None))
                         continue
-                    mag = -pairing
-                    if mag < 2:
-                        k_found = 1  # frac < 1 always; the inequality is automatic
-                    else:
-                        k_found = weyl_find(coef, Fraction(1, mag), 1, k_max=10**5)
-                        check = (coef * k_found).frac() * mag
-                        if not (check < QuadExt(1)):
-                            out.discrepancies.append(_entry(
-                                S, D, "weyl_principle",
-                                f"frac({k_found}*{format_quadext(coef)})*{mag} >= 1", None))
-                            continue
-                    weyl_checks.append({
-                        "surface": S.name,
-                        "coefficient": format_quadext(coef),
-                        "pairing": pairing,
-                        "k": k_found,
-                    })
-        out.replications.setdefault("weyl_checks", []).extend(weyl_checks)
-    return out
+                weyl_checks.append({
+                    "surface": S.name,
+                    "coefficient": format_quadext(coef),
+                    "pairing": pairing,
+                    "k": k_found,
+                })
+    out.replications.setdefault("weyl_checks", []).extend(weyl_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -606,73 +648,66 @@ def _judge_one_sided(out: AuditOutcome, S: SurfaceModel, D: RDivisor, ground: bo
     out.discrepancies.append(_entry(S, D, check, missed if ground else spurious, ground))
 
 
-def audit_bigness(config: AuditConfig, keep_reports: bool = False) -> AuditOutcome:
-    out = AuditOutcome(suite="bigness", config=config)
-    m_max = config.m_max
-    for ident in config.surfaces:
-        S = resolve_surface(ident)
-        catalog = pos.default_effective_catalog(S)
-        rng = SplitMix64(config.seed)
-        big_rational_samples: list[RDivisor] = []
-        for _ in range(config.n_divisors):
-            D = sample_divisor(S, config.profile, rng)
-            out.checked += 1
-            ev = pos.Evaluation(S, D, m_max)
-            ground = pos.is_big(S, ev).big
-            if config.fault == "flip_cone":
-                ground = not ground
+def audit_bigness(site: SurfaceAudit, ev: pos.Evaluation, out: AuditOutcome) -> None:
+    """Judge the one-sided bigness checks of one divisor against the effective-cone oracle."""
+    S, D, m_max = site.surface, ev.divisor, out.config.m_max
+    ground = pos.is_big(S, ev).big
+    if out.config.fault == "flip_cone":
+        ground = not ground
 
-            growth = pos.big_growth_check(S, ev)
-            detail = f"growth test {growth.passed} vs bigness {ground}"
-            _judge_one_sided(out, S, D, ground, m_max, "lem_b1_growth", growth.passed,
-                             lambda: growth_bound(S, D),
-                             f"growth onset bound {{}} beyond m_max={m_max}", detail, detail)
+    growth = pos.big_growth_check(S, ev)
+    detail = f"growth test {growth.passed} vs bigness {ground}"
+    _judge_one_sided(out, S, D, ground, m_max, "lem_b1_growth", growth.passed,
+                     lambda: growth_bound(S, D),
+                     f"growth onset bound {{}} beyond m_max={m_max}", detail, detail)
 
-            m0 = pos.claim_boh_check(S, ev, require_big=False)
-            _judge_one_sided(out, S, D, ground, m_max, "claim_boh", m0 is not None,
-                             lambda: boh_bound(S, D), "interior onset bound {} beyond m_max",
-                             "big but no tail of big integral parts",
-                             f"not big yet [mD] big for all m >= {m0}")
+    m0 = pos.claim_boh_check(S, ev, require_big=False)
+    _judge_one_sided(out, S, D, ground, m_max, "claim_boh", m0 is not None,
+                     lambda: boh_bound(S, D), "interior onset bound {} beyond m_max",
+                     "big but no tail of big integral parts",
+                     f"not big yet [mD] big for all m >= {m0}")
 
-            fb = pos.first_big_multiple(S, ev)
-            _judge_one_sided(out, S, D, ground, m_max, "boh_some_multiple", fb is not None,
-                             lambda: boh_bound(S, D), "onset bound {} beyond m_max",
-                             "big but no big integral multiple", f"[{fb}D] big though D is not")
+    fb = pos.first_big_multiple(S, ev)
+    _judge_one_sided(out, S, D, ground, m_max, "boh_some_multiple", fb is not None,
+                     lambda: boh_bound(S, D), "onset bound {} beyond m_max",
+                     "big but no big integral multiple", f"[{fb}D] big though D is not")
 
-            missing = [F for F in catalog
-                       if pos.kodaira_check(S, ev, F, require_big=False) is None]
-            _judge_one_sided(out, S, D, ground, m_max, "kodaira", not missing,
-                             lambda: pos._max_bound(kodaira_bound(S, D, F) for F in missing),
-                             "kodaira onset beyond m_max for some F",
-                             "big but twisted-down sections missing",
-                             "sections survive every F though D is not big")
+    missing = [F for F in site.catalog
+               if pos.kodaira_check(S, ev, F, require_big=False) is None]
+    _judge_one_sided(out, S, D, ground, m_max, "kodaira", not missing,
+                     lambda: pos._max_bound(kodaira_bound(S, D, F) for F in missing),
+                     "kodaira onset beyond m_max for some F",
+                     "big but twisted-down sections missing",
+                     "sections survive every F though D is not big")
 
-            if ground and D.is_rational() and len(big_rational_samples) < 3 \
-                    and config.fault is None:
-                big_rational_samples.append(D)
+    if ground and D.is_rational() and len(site.big_rational) < 3 \
+            and out.config.fault is None:
+        site.big_rational.append(D)
 
-        # big + s * effective stays big, including irrational s
-        sqrt_d = 2
-        spot = []
-        for B in big_rational_samples:
-            for F in catalog:
-                N = RDivisor({lbl: c for lbl, c in zip(S.basis, F.coords)})
-                for s in (QuadExt(Fraction(1, 3)), QuadExt(0, 1, sqrt_d), QuadExt(2)):
-                    cand = B + N.scaled(s)
-                    res = pos.is_big(S, cand)
-                    spot.append({
-                        "surface": S.name,
-                        "base": format_divisor(B),
-                        "effective": S.format_z(F),
-                        "s": format_quadext(s),
-                        "big": res.big,
-                    })
-                    if not res.big:
-                        out.discrepancies.append(_entry(
-                            S, cand, "re_bqr",
-                            f"B + sN not big for s={format_quadext(s)}", True))
-        out.replications.setdefault("bqr_spot_checks", []).extend(spot)
-    return out
+
+def _bqr_spot_checks(S: SurfaceModel, catalog: list[ZDivisor], big_rational: list[RDivisor],
+                     out: AuditOutcome) -> None:
+    """Big + s * effective stays big, including irrational s, on up to three big rational B."""
+    sqrt_d = 2
+    spot = []
+    for B in big_rational:
+        for F in catalog:
+            N = RDivisor({lbl: c for lbl, c in zip(S.basis, F.coords)})
+            for s in (QuadExt(Fraction(1, 3)), QuadExt(0, 1, sqrt_d), QuadExt(2)):
+                cand = B + N.scaled(s)
+                res = pos.is_big(S, cand)
+                spot.append({
+                    "surface": S.name,
+                    "base": format_divisor(B),
+                    "effective": S.format_z(F),
+                    "s": format_quadext(s),
+                    "big": res.big,
+                })
+                if not res.big:
+                    out.discrepancies.append(_entry(
+                        S, cand, "re_bqr",
+                        f"B + sN not big for s={format_quadext(s)}", True))
+    out.replications.setdefault("bqr_spot_checks", []).extend(spot)
 
 
 # ---------------------------------------------------------------------------

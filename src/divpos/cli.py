@@ -128,17 +128,10 @@ def _config_from_args(args) -> auditor.AuditConfig:
 
 
 def cmd_audit(args) -> int:
-    config = _config_from_args(args)
-    suites = {
-        "ampleness": auditor.audit_ampleness,
-        "nef": auditor.audit_nef_from_multiples,
-        "bigness": auditor.audit_bigness,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    outcomes = []
-    for name in names:
-        keep = args.format == "json" and args.full_reports
-        outcomes.append(suites[name](config, keep_reports=keep))
+    suites = auditor.SUITES if args.suite == "all" else [
+        {"nef": "nef_from_multiples"}.get(args.suite, args.suite)]
+    outcomes = auditor.run_audit(_config_from_args(args), suites,
+                                 keep_reports=args.format == "json" and args.full_reports)
     payload = {
         "schema_version": "v1",
         "outcomes": [o.to_json_dict() for o in outcomes],
@@ -289,7 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "m_max"):
             if args.m_max is None:
-                args.m_max = _default_m_max()
+                if not getattr(args, "config", None):   # a config file sets its own m_max
+                    args.m_max = _default_m_max()
             elif not 1 <= args.m_max <= pos.M_MAX_LIMIT:
                 raise DivposError(f"--m-max: must be in [1, {pos.M_MAX_LIMIT}], got {args.m_max}")
         if getattr(args, "surface", None) is None and args.command == "audit":

@@ -454,6 +454,18 @@ def divisor_to_spec(D: RDivisor) -> dict:
 
 
 def divisor_from_spec(spec: Mapping) -> RDivisor:
+    """The divisor of a JSON spec; a malformed shape raises InvalidInput naming the field."""
+    if not isinstance(spec, Mapping):
+        raise InvalidInput(f"divisor spec must be an object, got {spec!r:.60}")
     if "terms" not in spec:
         raise InvalidInput("divisor spec lacks field 'terms'")
-    return RDivisor(dict(spec["terms"]), spec.get("expansions"))
+    terms, expansions = spec["terms"], spec.get("expansions")
+    if not isinstance(terms, Mapping) or not all(
+            isinstance(c, str) or type(c) is int for c in terms.values()):
+        raise InvalidInput(f"divisor spec field 'terms' must map labels to coefficient "
+                           f"strings or integers, got {terms!r:.60}")
+    if expansions is not None and (not isinstance(expansions, Mapping) or not all(
+            isinstance(v, list) and all(type(x) is int for x in v) for v in expansions.values())):
+        raise InvalidInput(f"divisor spec field 'expansions' must map labels to lists of "
+                           f"integers, got {expansions!r:.60}")
+    return RDivisor(dict(terms), expansions)

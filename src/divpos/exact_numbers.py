@@ -37,6 +37,8 @@ RADICAND_MAX = 10**12  # trial division up to sqrt(d) = 10**6
 # The most bits of a parsed coefficient's integers (at most 4,215 digits): str()
 # refuses integers past 4,300 digits, so a longer value could not be written out.
 COEFFICIENT_BITS = 14_000
+COEFFICIENT_DIGITS = 4_215   # the most digits of a literal's integer: 10**4215 exceeds the bits
+_DIGIT_RUN = re.compile(r"\d+")
 
 
 def squarefree_decompose(d: int) -> tuple[int, int]:
@@ -65,6 +67,12 @@ def _as_fraction(x: RatLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if len(x) > COEFFICIENT_DIGITS:   # before Fraction() meets int's digit limit
+            digits = max(map(len, _DIGIT_RUN.findall(x)), default=0)
+            if digits > COEFFICIENT_DIGITS:
+                raise InvalidInput(f"rational {x[:20]!r}... has a {digits}-digit integer; "
+                                   f"a coefficient has at most {COEFFICIENT_BITS} bits "
+                                   f"({COEFFICIENT_DIGITS} digits)")
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:

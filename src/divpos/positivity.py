@@ -833,24 +833,26 @@ def big_growth_check(S: SurfaceModel, D: DivisorOrEvaluation,
 def definitive_negative(S: SurfaceModel, D: DivisorOrEvaluation, kind: str) -> bool:
     """Closed-form proof that the predicate fails at [mD] for every m >= 1.
 
-    A form w >= c of the kind's region piece the onset bounds read can
-    never hold when the slope w.D is non-positive and even the largest
-    fractional correction cannot lift m*(w.D) up to c.  Turns "not found
-    <= m_max" into a definitive negative for the exists-m searches.
+    A form w >= c can never hold when the slope w.D is non-positive and
+    even the largest fractional correction cannot lift m*(w.D) up to c.
+    The region is the union of its pieces, so the proof needs such a form
+    in every piece.  Turns "not found <= m_max" into a definitive
+    negative for the exists-m searches.
     """
     if S.regions is None or kind not in S.regions:
         return False
     ev = _evaluation(S, D, None)
-    for w, c in S.regions[kind][0]:
+
+    def never(w: tuple[int, ...], c: int) -> bool:
         slope = ev.slope(w)
         if slope.sign() > 0:
-            continue
+            return False
         lift = -sum(x for x in w if x < 0)   # -w.{mD} is at most w's negative part
         # w.[mD] <= m*slope + lift <= slope_at_m1 + lift for slope <= 0
         top = slope + lift if slope.sign() < 0 else lift
-        if top < c:
-            return True
-    return False
+        return top < c
+
+    return all(any(never(w, c) for w, c in piece) for piece in S.regions[kind])
 
 
 def ceil_quotient(need: Union[int, Fraction], slope: QuadExt) -> int:

@@ -67,7 +67,7 @@ def test_acceptance_2_equivalence_audit_rational():
     )
     assert [t.coords for t in pos.default_twists(F2)] == [(0, 0), (-1, 0), (0, -1), (-1, -1)]
     with timed(60.0) as t:
-        out = auditor.audit_ampleness(cfg, keep_reports=False)
+        out = auditor.run_audit(cfg, ["ampleness"])[0]
     ok = out.discrepancies == [] and out.checked == 400
     report(2, ok, f"{out.checked} divisors, {len(out.discrepancies)} discrepancies, "
                   f"{len(out.inconclusives)} inconclusive, runtime {t.elapsed:.1f}s")
@@ -82,7 +82,7 @@ def test_acceptance_3_equivalence_audit_quadratic():
         m_max=200,
     )
     with timed(60.0) as t:
-        out = auditor.audit_ampleness(cfg, keep_reports=False)
+        out = auditor.run_audit(cfg, ["ampleness"])[0]
     ok = out.discrepancies == []
     report(3, ok, f"100 sqrt(2)-divisors per surface, "
                   f"{len(out.discrepancies)} discrepancies, runtime {t.elapsed:.1f}s")
@@ -97,7 +97,7 @@ def test_acceptance_4_nef_from_multiples():
         m_max=200,
     )
     with timed(60.0) as t:
-        out = auditor.audit_nef_from_multiples(cfg)
+        out = auditor.run_audit(cfg, ["nef_from_multiples"])[0]
     ok = out.discrepancies == []
     report(4, ok, f"very-ample tails imply nef and (rank-2) ample on the sample; "
                   f"{len(out.discrepancies)} violations, runtime {t.elapsed:.1f}s")
@@ -161,7 +161,7 @@ def test_acceptance_7_bigness_equivalences():
             cfg = auditor.AuditConfig(
                 seed=42, surfaces=("hirzebruch:2", "p2"), n_divisors=100,
                 profile=profile, m_max=200)
-            out = auditor.audit_bigness(cfg)
+            out = auditor.run_audit(cfg, ["bigness"])[0]
             total_disc += len(out.discrepancies)
             spots = out.replications.get("bqr_spot_checks", [])
             kind = list(profile)[0]

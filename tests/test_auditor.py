@@ -107,33 +107,33 @@ def test_quadratic_sampler_splits_the_radicand_once_per_call(d, monkeypatch):
 
 
 def test_ampleness_audit_clean():
-    out = auditor.audit_ampleness(small_rational_config(), keep_reports=False)
+    out = auditor.run_audit(small_rational_config(), ["ampleness"])[0]
     assert out.checked == 80
     assert out.discrepancies == []
 
 
 def test_ampleness_audit_quadratic_clean():
-    out = auditor.audit_ampleness(small_quadratic_config(), keep_reports=False)
+    out = auditor.run_audit(small_quadratic_config(), ["ampleness"])[0]
     assert out.discrepancies == []
 
 
 def test_outcome_determinism_bytes():
     cfg = small_rational_config(n_divisors=15)
-    a = auditor.audit_ampleness(cfg, keep_reports=True).to_json()
-    b = auditor.audit_ampleness(cfg, keep_reports=True).to_json()
+    a = auditor.run_audit(cfg, ["ampleness"], keep_reports=True)[0].to_json()
+    b = auditor.run_audit(cfg, ["ampleness"], keep_reports=True)[0].to_json()
     assert a == b
 
 
 @pytest.mark.parametrize("fault", ["flip_cone", "flip_ratio", "flip_gg"])
 def test_injected_faults_detected(fault):
     cfg = small_rational_config(n_divisors=40, fault=fault, surfaces=("hirzebruch:2",))
-    out = auditor.audit_ampleness(cfg, keep_reports=False)
+    out = auditor.run_audit(cfg, ["ampleness"])[0]
     assert len(out.discrepancies) >= 1, fault
 
 
 def test_inconclusives_only_on_cone_boundary():
     """Catalog-limited vanishing witnesses happen exactly on nef-boundary rays."""
-    out = auditor.audit_ampleness(small_rational_config(n_divisors=200), keep_reports=False)
+    out = auditor.run_audit(small_rational_config(n_divisors=200), ["ampleness"])[0]
     assert out.discrepancies == []
     from divpos.divisor import parse_divisor
     from divpos.surface import hirzebruch
@@ -147,6 +147,63 @@ def test_inconclusives_only_on_cone_boundary():
         nef, _ = pos.is_nef(S, D)
         ample, _ = pos.is_ample_cone(S, D)
         assert nef and not ample, entry
+
+
+# -- the audit loop ---------------------------------------------------------------------
+
+FAULTS = ("flip_cone", "flip_ratio", "flip_gg")
+
+
+def loop_configs() -> dict:
+    """The rational and quadratic configs, and each fault config of the fault tests."""
+    out = {"rational": small_rational_config(), "quadratic": small_quadratic_config()}
+    for fault in FAULTS:
+        out[fault] = small_rational_config(n_divisors=40, fault=fault, surfaces=("hirzebruch:2",))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(loop_configs()))
+def test_suites_run_together_equal_each_suite_run_alone(name):
+    cfg = loop_configs()[name]
+    together = auditor.run_audit(cfg, auditor.SUITES, keep_reports=True)
+    alone = [auditor.run_audit(cfg, [suite], keep_reports=True)[0] for suite in auditor.SUITES]
+    assert [o.to_json() for o in together] == [o.to_json() for o in alone]
+
+
+@pytest.mark.parametrize("suites", [auditor.SUITES, ("bigness",),
+                                    ("nef_from_multiples", "ampleness")])
+@pytest.mark.parametrize("fault", [None, "flip_gg"])
+def test_each_divisor_is_sampled_and_evaluated_once(suites, fault, monkeypatch):
+    """surfaces x n_divisors Evaluations, plus one per divisor for the flip_gg reports."""
+    import sys
+
+    import divpos.positivity as pos
+
+    built, sampled = [], []
+
+    class Counting(pos.Evaluation):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(sys._getframe(1).f_globals["__name__"])
+            super().__init__(*args)
+
+    real_sample = auditor.sample_divisor
+    monkeypatch.setattr(pos, "Evaluation", Counting)
+    monkeypatch.setattr(auditor, "sample_divisor", lambda *a: sampled.append(a[0].name)
+                        or real_sample(*a))
+    cfg = small_rational_config(n_divisors=6, fault=fault)
+    outcomes = auditor.run_audit(cfg, suites)
+    assert [o.suite for o in outcomes] == list(suites)
+    per_divisor = 2 if fault == "flip_gg" and "ampleness" in suites else 1
+    assert built.count("divpos.auditor") == 2 * 6 * per_divisor
+    assert sampled == ["hirzebruch:2"] * 6 + ["p2"] * 6
+
+
+@pytest.mark.parametrize("suites", [["nef"], ["ampleness", "typo"], ["bigness", "bigness"]])
+def test_run_audit_refuses_unknown_or_repeated_suites(suites):
+    with pytest.raises(ConfigError, match="suites"):
+        auditor.run_audit(small_rational_config(n_divisors=1), suites)
 
 
 # -- replication ------------------------------------------------------------------------
@@ -172,12 +229,12 @@ def test_replicate_rejects_small_e():
 
 def test_nef_from_multiples_clean_both_profiles():
     for cfg in (small_rational_config(), small_quadratic_config()):
-        out = auditor.audit_nef_from_multiples(cfg)
+        out = auditor.run_audit(cfg, ["nef_from_multiples"])[0]
         assert out.discrepancies == []
 
 
 def test_weyl_subcheck_runs_on_quadratic_profile():
-    out = auditor.audit_nef_from_multiples(small_quadratic_config(n_divisors=10))
+    out = auditor.run_audit(small_quadratic_config(n_divisors=10), ["nef_from_multiples"])[0]
     checks = out.replications.get("weyl_checks", [])
     assert checks, "no irrational coefficient met a negative component pairing"
     for c in checks:
@@ -190,12 +247,12 @@ def test_weyl_subcheck_runs_on_quadratic_profile():
 def test_bigness_audit_clean():
     for cfg in (small_rational_config(n_divisors=60),
                 small_quadratic_config(n_divisors=40)):
-        out = auditor.audit_bigness(cfg)
+        out = auditor.run_audit(cfg, ["bigness"])[0]
         assert out.discrepancies == []
 
 
 def test_bqr_spot_checks_present_and_positive():
-    out = auditor.audit_bigness(small_rational_config(n_divisors=60))
+    out = auditor.run_audit(small_rational_config(n_divisors=60), ["bigness"])[0]
     spots = out.replications.get("bqr_spot_checks", [])
     assert spots
     svals = {s["s"] for s in spots}
@@ -206,7 +263,7 @@ def test_bqr_spot_checks_present_and_positive():
 def test_bigness_fault_detected():
     cfg = small_rational_config(n_divisors=30, fault="flip_cone",
                                 surfaces=("hirzebruch:2",))
-    out = auditor.audit_bigness(cfg)
+    out = auditor.run_audit(cfg, ["bigness"])[0]
     assert out.discrepancies
 
 
@@ -268,5 +325,5 @@ def test_audits_clean_on_other_hirzebruch_surfaces(e):
     cfg = auditor.AuditConfig(
         seed=11, surfaces=(f"hirzebruch:{e}",), n_divisors=25,
         profile=auditor.rational_profile(20, 8), m_max=120)
-    assert auditor.audit_ampleness(cfg, keep_reports=False).discrepancies == []
-    assert auditor.audit_bigness(cfg).discrepancies == []
+    for out in auditor.run_audit(cfg, ["ampleness", "bigness"]):
+        assert out.discrepancies == [], out.suite

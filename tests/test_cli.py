@@ -125,6 +125,12 @@ def test_radicand_beyond_bound_exits_3(capsys):
     assert "radicand 7777" in err and "5000 digits" in err and str(10**12) in err
 
 
+def test_long_rational_literal_exits_3_naming_the_bound(capsys):
+    code, out, err = run(capsys, "check", "--surface", "p2", "--divisor", "7" * 5000 + "*L")
+    assert code == 3 and out == ""
+    assert len(err) < 200 and "5000-digit" in err and "14000 bits" in err
+
+
 def test_radicand_below_bound_is_decided(capsys):
     code, data, _ = run_json(capsys, "check", "--surface", "hirzebruch:2",
                              "--divisor", "sqrt(999999999989)*C0 + 3*f", "--m-max", "200")
@@ -277,6 +283,17 @@ def test_env_bad_m_max(capsys, monkeypatch):
     assert "DIVPOS_M_MAX" in err
 
 
+def test_env_m_max_is_read_only_where_it_supplies_the_value(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DIVPOS_M_MAX", "3")
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(GOOD_CONFIG))
+    code, data, err = run_json(capsys, "audit", "--suite", "nef", "--config", str(path))
+    assert code == 0, err
+    assert data["outcomes"][0]["config"]["m_max"] == GOOD_CONFIG["m_max"]
+    code, _, err = run(capsys, "audit", "--suite", "nef", "--surface", "p2", "--n-divisors", "1")
+    assert code == 3 and "DIVPOS_M_MAX" in err
+
+
 @pytest.mark.parametrize("command", ["check", "growth", "semigroup"])
 @pytest.mark.parametrize("m_max", ["0", "-1"])
 def test_nonpositive_m_max_names_flag(capsys, command, m_max):
@@ -329,6 +346,32 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert data["ground_truth"] is True
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"terms": 5}, "'terms'"),
+    (7, "divisor spec must be an object"),
+    ({"terms": {"L": "1"}, "expansions": 3}, "'expansions'"),
+    ({"terms": {"L": "1"}, "expansions": {"X": [1.5]}}, "'expansions'"),
+    ({"terms": {"L": "1"}, "expansions": {"X": [True]}}, "'expansions'"),
+    ({"terms": {"L": True}}, "'terms'"),
+    ({"terms": {"L": 0.5}}, "'terms'"),
+])
+def test_malformed_divisor_spec_file_names_the_field(tmp_path, capsys, spec, field):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "check", "--surface", "p2", "--divisor", f"@{path}",
+                         "--m-max", "10")
+    assert code == 3 and out == ""
+    assert field in err
+
+
+def test_audit_config_that_is_not_an_object_exits_3(tmp_path, capsys):
+    path = tmp_path / "audit.json"
+    path.write_text("7")
+    code, out, err = run(capsys, "audit", "--config", str(path))
+    assert code == 3 and out == ""
+    assert "config must be an object" in err
 
 
 def test_divisor_spec_file(tmp_path, capsys):

@@ -286,12 +286,18 @@ PIECES = ["0", "1", "2", "3", "12", "007", "/", "+", "-", "*", "**", "(", ")", "
 @example(f"sqrt({RADICAND_MAX + 1})*C0")
 @example(f"sqrt({'7' * 5000})*C0")
 @example(f"({'9' * 4000}+1/{'3' * 3000})*C0")
+@example(f"{'7' * 5000}*L")
 def test_parsers_round_trip_or_raise_invalid_input(text):
-    """Any text parses to a value its formatter writes back, or raises InvalidInput."""
+    """Any text parses to a value its formatter writes back, or raises InvalidInput.
+
+    A number past the interpreter's digit limit is refused by divpos's own bound,
+    not by the interpreter's advice.
+    """
     for parse, fmt in ((parse_quadext, format_quadext), (parse_divisor, format_divisor)):
         try:
             value = parse(text)
-        except InvalidInput:
+        except InvalidInput as exc:
+            assert "set_int_max_str_digits" not in str(exc)
             continue
         assert parse(fmt(value)) == value
 
@@ -300,6 +306,24 @@ def test_spec_roundtrip_general():
     d = general_example()
     spec = divisor_to_spec(d)
     assert divisor_from_spec(spec) == d
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3, allow_nan=False)
+    | st.sampled_from(["1/2", "sqrt(2)", "x", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["terms", "expansions", "A", "B"]), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON)
+def test_divisor_spec_of_any_json_shape_loads_or_raises_invalid_input(spec):
+    try:
+        D = divisor_from_spec(spec)
+    except InvalidInput:
+        return
+    assert divisor_from_spec(divisor_to_spec(D)) == D
 
 
 def test_zero_coefficients_dropped():

@@ -8,6 +8,7 @@ validating ZDivisor constructor, floors m*D through QuadExt arithmetic
 
 import dataclasses
 import json
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -384,6 +385,27 @@ def test_every_region_is_its_predicate_on_integral_classes():
                      "big": pos._is_big_class(S, V)}
             got = {kind: in_region(region, coords) for kind, region in S.regions.items()}
             assert got == truth, (S.name, coords)
+
+
+def test_definitive_negative_leaves_no_multiple_in_the_region():
+    """Half-integer D on F_0..F_3: each claim holds at every [mD], 1 <= m <= 60.
+
+    On F_0, -3*C0 - f has [1*D] = (-3, -1) in the third vanishing piece, so a
+    failing form of the first piece alone proves nothing.
+    """
+    claims = Counter()
+    for S in SURFACES[:4]:
+        for i in range(-6, 7):
+            for j in range(-12, 13):
+                D = RDivisor({"C0": Fraction(i, 2), "f": Fraction(j, 2)})
+                rows = [(i * m // 2, j * m // 2) for m in range(1, 61)]
+                for kind, region in S.regions.items():
+                    if pos.definitive_negative(S, D, kind):
+                        claims[kind] += 1
+                        assert not any(in_region(region, row) for row in rows), \
+                            (S.name, str(D), kind)
+    assert not pos.definitive_negative(SURFACES[0], "-3*C0 - f", "vanishing")
+    assert set(claims) == set(F2.regions)
 
 
 def test_a_spec_borrowing_a_builtin_oracle_borrows_its_regions():

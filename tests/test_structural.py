@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divpos.auditor as auditor
 import divpos.positivity as pos
 from divpos.divisor import RDivisor, ZDivisor, integral_part, integrality_denominator
 from divpos.errors import InternalError
@@ -263,3 +264,19 @@ def test_build_report_runs_each_per_twist_scan_through_the_one_helper():
     assert sorted(handed) == sorted(scans)
     named = [n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in scans]
     assert sorted(named) == sorted(scans)
+
+
+# -- one audit loop --------------------------------------------------------------------
+
+
+def test_only_run_audit_resolves_samples_and_evaluates():
+    """In auditor, run_audit alone resolves, seeds, samples and evaluates; the suites
+    judge the evaluation handed to them, and audit_ampleness builds only the flip_gg one."""
+    guarded = {"resolve_surface", "SplitMix64", "sample_divisor", "pos.Evaluation"}
+    calls = Counter()
+    for top in ast.parse(Path(auditor.__file__).read_text()).body:
+        where = getattr(top, "name", "<module>")
+        calls.update((where, ast.unparse(node.func)) for node in ast.walk(top)
+                     if isinstance(node, ast.Call) and ast.unparse(node.func) in guarded)
+    assert calls == Counter({("run_audit", name): 1 for name in guarded}
+                            | {("audit_ampleness", "pos.Evaluation"): 1})
