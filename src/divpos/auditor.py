@@ -39,7 +39,7 @@ from divpos.divisor import (
     integrality_denominator,
 )
 from divpos.errors import ConfigError, InvalidInput
-from divpos.exact_numbers import QuadExt, format_quadext, sqrt_of, weyl_find
+from divpos.exact_numbers import QuadExt, _as_fraction, format_quadext, sqrt_of, weyl_find
 from divpos.surface import SurfaceModel, resolve_surface
 
 MASK64 = (1 << 64) - 1
@@ -103,6 +103,8 @@ class AuditConfig:
             _require_int(f"profile.{kind}.{key}", value)
             if value < least:
                 raise ConfigError(f"profile.{kind}.{key} must be >= {least}")
+        if self.delta is not None and self.delta <= 0:
+            raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.fault not in (None, "flip_cone", "flip_ratio", "flip_gg"):
             raise ConfigError(f"unknown fault {self.fault!r}")
 
@@ -172,15 +174,13 @@ def _config_delta(delta) -> Optional[Fraction]:
     """A config's delta: a string or an integer giving an exact rational."""
     if delta is None:
         return None
-    if type(delta) is int:
-        return Fraction(delta)
-    if isinstance(delta, str):
+    if type(delta) is int or isinstance(delta, str):
         try:
-            return Fraction(delta)
-        except (ValueError, ZeroDivisionError):
-            pass
+            return _as_fraction(delta)
+        except InvalidInput as exc:
+            raise ConfigError(f"delta: {exc}") from None
     raise ConfigError(f"delta must be a string or an integer giving an exact rational, "
-                      f"got {delta!r}")
+                      f"got {delta!r:.60}")
 
 
 def rational_profile(max_numerator: int = 30, max_denominator: int = 12) -> dict:
@@ -259,41 +259,6 @@ def safe_delta(S: SurfaceModel, profile: dict) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# per-divisor bounds used by the classification rules
-
-
-def _min_effective_coordinate(S: SurfaceModel, D: RDivisor) -> Optional[QuadExt]:
-    """D's least coordinate on the effective generators; None unless positive."""
-    lam = pos._effective_coordinates(S, D.coefficients(S.basis))
-    if lam is None or min(lam).sign() <= 0:
-        return None
-    return min(lam)
-
-
-def growth_bound(S: SurfaceModel, D: RDivisor) -> Optional[int]:
-    """m_max above which a big divisor must pass the doubling growth test.
-
-    The section count of [mD] is within a bounded offset of the count at
-    the exact multiple, and the doubling ratio reaches 3 once the halfway
-    point sees at least ~8 lattice steps along the shallowest effective
-    direction; 16/lambda_min is a conservative onset.
-    """
-    lam = _min_effective_coordinate(S, D)
-    return None if lam is None else 2 * pos.ceil_quotient(16, lam)
-
-
-def boh_bound(S: SurfaceModel, D: RDivisor) -> Optional[int]:
-    """m from which every [mD] lies in the cone interior, for big D."""
-    lam = _min_effective_coordinate(S, D)
-    return None if lam is None else pos.ceil_quotient(1, lam) + 1
-
-
-def kodaira_bound(S: SurfaceModel, D: RDivisor, F: ZDivisor) -> Optional[int]:
-    lam = _min_effective_coordinate(S, D)
-    return None if lam is None else pos.ceil_quotient(max(F.coords) + 1, lam) + 1
-
-
-# ---------------------------------------------------------------------------
 # outcome
 
 
@@ -351,6 +316,7 @@ class SurfaceAudit:
     """What the suites read of one surface, derived once per surface by run_audit."""
 
     surface: SurfaceModel
+    safe_delta: Fraction           # safe_delta(surface, profile), read by the QX judge
     delta: Fraction                # the ampleness reports' neighborhood radius
     twists: list[ZDivisor]         # the ampleness reports' twist catalog
     catalog: list[ZDivisor]        # the bigness suite's effective catalog
@@ -363,9 +329,9 @@ def run_audit(config: AuditConfig, suites: Sequence[str] = SUITES,
               keep_reports: bool = False) -> list[AuditOutcome]:
     """One outcome per named suite, in the order named, over config's sampled divisors.
 
-    Each surface is resolved once and its delta, twists, effective catalog
-    and sampler are made once; each divisor is sampled once and its one
-    Evaluation is handed to every suite.  After the divisors come the
+    Each surface is resolved once and its safe radius, delta, twists,
+    effective catalog and sampler are made once; each divisor is sampled
+    once and its one Evaluation is handed to every suite.  After the divisors come the
     per-surface checks: nef's Weyl sub-check and bigness's B + sN spot checks.
     """
     if not set(suites) <= set(SUITES) or len(set(suites)) < len(suites):
@@ -374,9 +340,9 @@ def run_audit(config: AuditConfig, suites: Sequence[str] = SUITES,
     outcomes = [AuditOutcome(suite=name, config=config) for name in suites]
     for ident in config.surfaces:
         S = resolve_surface(ident)
+        safe = safe_delta(S, config.profile)
         site = SurfaceAudit(
-            S, config.delta if config.delta is not None
-            else min(Fraction(1, 1000), safe_delta(S, config.profile)),
+            S, safe, config.delta if config.delta is not None else min(Fraction(1, 1000), safe),
             [ZDivisor(t) for t in config.twists] if config.twists else pos.default_twists(S),
             pos.default_effective_catalog(S), keep_reports)
         rng = SplitMix64(config.seed)
@@ -405,17 +371,16 @@ def _fault_surface(S: SurfaceModel, fault: Optional[str]) -> SurfaceModel:
     return dataclasses.replace(S, globally_generated=lambda V: not gg(V))
 
 
-def _classify_ampleness(S: SurfaceModel, ev: pos.Evaluation, report: pos.PositivityReport,
-                        config: AuditConfig, out: AuditOutcome) -> None:
+def _classify_ampleness(site: SurfaceAudit, ev: pos.Evaluation, report: pos.PositivityReport,
+                        out: AuditOutcome) -> None:
     """Classify each verdict of D's report; bounds are read from D's evaluation ev."""
-    D = ev.divisor
+    S, D, config = site.surface, ev.divisor, out.config
     kind = _profile_kind(config.profile)
     ground = report.ground_truth
-    rational = D.is_rational()
-    k = integrality_denominator(D, S.basis) if rational else None
+    k = integrality_denominator(D, S.basis) if D.is_rational() else None
 
     delta_used = report.delta
-    delta_safe = safe_delta(S, config.profile)
+    delta_safe = site.safe_delta
 
     if kind == "rational":
         criteria = ["QI", "QII", "QIII", "QIV", "QV", "QVI", "QVII", "QVIII", "QIX", "QX"]
@@ -542,7 +507,7 @@ def audit_ampleness(site: SurfaceAudit, ev: pos.Evaluation, out: AuditOutcome) -
         report = _flip_ground(report)
     elif fault == "flip_ratio":
         report = _flip_verdict(report, "QVIII")
-    _classify_ampleness(S, ev, report, out.config, out)
+    _classify_ampleness(site, ev, report, out)
     _reverify_report(S, D, report, out)
     if site.keep_reports:
         out.reports.append(report)
@@ -570,7 +535,8 @@ def audit_nef_from_multiples(site: SurfaceAudit, ev: pos.Evaluation, out: AuditO
     S, D = site.surface, ev.divisor
     if len(site.weyl_divisors) < 10:
         site.weyl_divisors.append(D)
-    scan = pos.very_ample_multiples(S, ev)
+    scan = pos.very_ample_multiples(S, ev, onset=ev.tail_start("very_ample"),
+                                    first=ev.first_member("very_ample"))
     window = (integrality_denominator(D, S.basis) if D.is_rational() else 50)
     if scan.all_from is None or out.config.m_max - scan.all_from < window:
         return
@@ -655,27 +621,35 @@ def audit_bigness(site: SurfaceAudit, ev: pos.Evaluation, out: AuditOutcome) -> 
     if out.config.fault == "flip_cone":
         ground = not ground
 
+    # a bound is asked for only when ground says D is big.  For a big D the slopes
+    # on the first pieces of the big and h0_positive regions are D's positive
+    # coordinates, so onset_bound is sound; for one that is not (flip_cone) each
+    # bound is None.  The growth bound is observed, not proved: the tests
+    # brute-force B2 from 32 times the big onset on the built-ins
+    def growth_onset() -> Optional[int]:
+        onset = ev.onset("big")
+        return None if onset is None else 32 * onset
+
     growth = pos.big_growth_check(S, ev)
     detail = f"growth test {growth.passed} vs bigness {ground}"
-    _judge_one_sided(out, S, D, ground, m_max, "lem_b1_growth", growth.passed,
-                     lambda: growth_bound(S, D),
+    _judge_one_sided(out, S, D, ground, m_max, "lem_b1_growth", growth.passed, growth_onset,
                      f"growth onset bound {{}} beyond m_max={m_max}", detail, detail)
 
     m0 = pos.claim_boh_check(S, ev, require_big=False)
     _judge_one_sided(out, S, D, ground, m_max, "claim_boh", m0 is not None,
-                     lambda: boh_bound(S, D), "interior onset bound {} beyond m_max",
+                     lambda: ev.onset("big"), "interior onset bound {} beyond m_max",
                      "big but no tail of big integral parts",
                      f"not big yet [mD] big for all m >= {m0}")
 
-    fb = pos.first_big_multiple(S, ev)
+    fb = pos.first_big_multiple(S, ev, first=ev.first_member("big"))
     _judge_one_sided(out, S, D, ground, m_max, "boh_some_multiple", fb is not None,
-                     lambda: boh_bound(S, D), "onset bound {} beyond m_max",
+                     lambda: ev.onset("big"), "onset bound {} beyond m_max",
                      "big but no big integral multiple", f"[{fb}D] big though D is not")
 
     missing = [F for F in site.catalog
                if pos.kodaira_check(S, ev, F, require_big=False) is None]
     _judge_one_sided(out, S, D, ground, m_max, "kodaira", not missing,
-                     lambda: pos._max_bound(kodaira_bound(S, D, F) for F in missing),
+                     lambda: pos._max_bound(ev.onset("h0_positive", -F) for F in missing),
                      "kodaira onset beyond m_max for some F",
                      "big but twisted-down sections missing",
                      "sections survive every F though D is not big")

@@ -21,7 +21,8 @@ from fractions import Fraction
 from divpos import auditor
 from divpos import positivity as pos
 from divpos.divisor import format_divisor, parse_divisor
-from divpos.errors import DivposError
+from divpos.errors import DivposError, InvalidInput
+from divpos.exact_numbers import _as_fraction
 from divpos.surface import resolve_surface
 
 
@@ -38,11 +39,15 @@ def _default_m_max() -> int:
     return v
 
 
-def _exact_rational(flag: str, text: str) -> Fraction:
+def _delta(text: str) -> Fraction:
+    """--delta as a positive exact rational, its digits bounded as a coefficient's are."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise DivposError(f"{flag}: not an exact rational: {text!r}") from None
+        value = _as_fraction(text)
+    except InvalidInput as exc:
+        raise DivposError(f"--delta: {exc}") from None
+    if value <= 0:
+        raise DivposError(f"--delta: must be positive, got {value}")
+    return value
 
 
 def _profile(text: str) -> dict:
@@ -87,7 +92,7 @@ def cmd_check(args) -> int:
     S = resolve_surface(args.surface)
     D = _load_divisor(args.divisor)
     report = pos.build_report(
-        S, D, m_max=args.m_max, delta=_exact_rational("--delta", args.delta),
+        S, D, m_max=args.m_max, delta=_delta(args.delta),
     )
     payload = report.to_json_dict()
     lines = [
@@ -122,7 +127,7 @@ def _config_from_args(args) -> auditor.AuditConfig:
         n_divisors=args.n_divisors,
         profile=_profile(args.profile),
         m_max=args.m_max,
-        delta=_exact_rational("--delta", args.delta) if args.delta else None,
+        delta=_delta(args.delta) if args.delta else None,
         fault=args.fault,
     )
 

@@ -76,7 +76,7 @@ def _as_fraction(x: RatLike) -> Fraction:
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"bad rational {x!r}: {exc}") from None
+            raise InvalidInput(f"bad rational {x!r:.60}: {exc!s:.60}") from None
     raise InvalidInput(f"not a rational value: {x!r}")
 
 

@@ -169,7 +169,6 @@ M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; a check at the cap take
 class VAMultiples:
     first_m: Optional[int]  # least m >= 1 with very_ample([mD])
     all_from: Optional[int]  # least m0 with very_ample([mD]) for all m in [m0, m_max]
-    m_max: int
 
 
 class Evaluation:
@@ -181,6 +180,7 @@ class Evaluation:
     (ground truth, violator, nefness, the cone half of Nakai), the
     ``slope(w)`` = w.D of each region form w the onset bounds read, the
     ``onset(kind, G)`` bound of each (kind, twist) and the ``h0_counts`` column.
+    ``tail_start`` and ``first_member`` tell a scan where to start.
     ``twisted(G)`` is a read-only view of G + [mD] that builds a row only
     when the row is read.  Re-verification (``auditor._reverify_report``,
     ``verify_big_certificate``) recomputes from the divisor and never
@@ -188,7 +188,7 @@ class Evaluation:
     """
 
     __slots__ = ("surface", "divisor", "m_max", "coefficients", "_multiples",
-                 "_pairings", "slopes", "_bounds", "_h0_counts")
+                 "_pairings", "_nef", "slopes", "_bounds", "_h0_counts")
 
     def __init__(self, S: SurfaceModel, D: DivisorLike, m_max: int):
         if not isinstance(m_max, int) or not 1 <= m_max <= M_MAX_LIMIT:
@@ -199,6 +199,7 @@ class Evaluation:
         self.coefficients = self.divisor.coefficients(S.basis)
         self._multiples: Optional[_Rows] = None
         self._pairings: Optional[list[tuple[CurveClass, QuadExt]]] = None
+        self._nef: Optional[bool] = None
         self.slopes: dict[tuple[int, ...], QuadExt] = {}
         self._bounds: dict[tuple[str, ZDivisor], Optional[int]] = {}
         self._h0_counts: Optional[list[int]] = None
@@ -233,6 +234,32 @@ class Evaluation:
         if key not in self._bounds:
             self._bounds[key] = onset_bound(self.surface, self, kind, G)
         return self._bounds[key]
+
+    def tail_start(self, kind: str, G: Optional[ZDivisor] = None) -> Optional[int]:
+        """Where a tail scan of kind at G + [mD] (G defaults to 0) may start; None: walk it all.
+
+        The onset bound for a nef D (see onset_bound); where that gives none,
+        the exact tail start region_tail for a rational D on a surface with regions.
+        """
+        G = G if G is not None else trusted_zdivisor((0,) * self.surface.rho)
+        if self._nef is None:
+            self._nef = all(v.sign() >= 0 for _, v in self.pairings)
+        bound = self.onset(kind, G) if self._nef else None
+        if bound is None and self._exact:
+            return region_tail(self.surface.regions[kind], self, G)
+        return bound
+
+    def first_member(self, kind: str) -> Optional[int]:
+        """region_first from m = 1 at twist 0 for a rational D on a surface with regions."""
+        if not self._exact:
+            return None
+        return region_first(self.surface.regions[kind], self,
+                            trusted_zdivisor((0,) * self.surface.rho), 1)
+
+    @property
+    def _exact(self) -> bool:
+        """Whether exact regions decide D's scans: D rational on a surface with regions."""
+        return self.surface.regions is not None and all(c.is_rational for c in self.coefficients)
 
     @property
     def h0_counts(self) -> list[int]:
@@ -421,11 +448,11 @@ def region_first(region: Region, ev: "Evaluation", G: ZDivisor, lo: int) -> int:
     return best
 
 
-# The tail scans take a keyword-only onset: an onset bound for their
-# predicate (see _tail_from and onset_bound), or the exact tail start an
-# exact region gives (region_tail).  The default None reads every multiple
-# from m_max down to the first failure.  The bottom-up scans take a
-# keyword-only first, the exact first member (region_first, _first_from).
+# The tail scans take a keyword-only onset, where the tail may start
+# (Evaluation.tail_start, checked by _tail_from); the default None reads
+# every multiple from m_max down to the first failure.  The bottom-up scans
+# take a keyword-only first, the exact first member (Evaluation.first_member,
+# checked by _first_from).
 
 
 def very_ample_multiples(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -442,7 +469,7 @@ def very_ample_multiples(S: SurfaceModel, D: DivisorOrEvaluation,
     mults = ev.multiples
     first = _first_from(va, mults, 1, first)
     all_from = None if first is None else _tail_from(va, mults, first, onset)
-    return VAMultiples(first_m=first, all_from=all_from, m_max=ev.m_max)
+    return VAMultiples(first_m=first, all_from=all_from)
 
 
 def glob_gen_twist_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
@@ -873,8 +900,8 @@ def onset_bound(S: SurfaceModel, D: DivisorOrEvaluation, kind: str,
     is None, as it is for a surface without regions.  The skip is sound for
     slope 0 only: m times a negative slope falls without bound, so for a D
     with a negative slope on some form the returned bound can be wrong
-    (ROADMAP item 1).  build_report therefore hands bounds to its scans
-    only for nef D, whose slopes on those forms are >= 0.
+    (ROADMAP item 1).  Evaluation.tail_start therefore hands bounds to the
+    scans only for nef D, whose slopes on those forms are >= 0.
     ``Evaluation.onset`` memoises the result.
     """
     if S.regions is None or kind not in S.regions:
@@ -1057,26 +1084,9 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
 
     pair_witness = {g.label: format_quadext(v) for g, v in ev.pairings}
 
-    # each onset bound is shared by its verdict and its scan; a scan gets
-    # it only for nef D (see onset_bound).  Where that leaves a scan without
-    # one and D is rational, an exact region decides where its tail starts,
-    # and where the bottom-up scans find their first member
-    nef = all(v.sign() >= 0 for _, v in ev.pairings)
-    regions = S.regions if all(c.is_rational for c in ev.coefficients) else None
-    zero = trusted_zdivisor((0,) * S.rho)
-
-    def scan_onset(kind: str, G: ZDivisor = zero) -> Optional[int]:
-        bound = ev.onset(kind, G) if nef else None
-        if bound is None and regions is not None:
-            return region_tail(regions[kind], ev, G)
-        return bound
-
-    def scan_first(kind: str) -> Optional[int]:
-        return None if regions is None else region_first(regions[kind], ev, zero, 1)
-
     def twist_scan(cid: str, scan: Callable, kind: str, bound: Optional[int]) -> CriterionResult:
         """scan(S, ev, G) once per twist G; the criterion holds from the latest onset on."""
-        per_twist = {S.format_z(G): scan(S, ev, G, onset=scan_onset(kind, G)) for G in twists}
+        per_twist = {S.format_z(G): scan(S, ev, G, onset=ev.tail_start(kind, G)) for G in twists}
         return _scan_result(cid, _max_bound(per_twist.values()), m_max, bound,
                             {"per_twist": per_twist}, proxy=True)
 
@@ -1118,8 +1128,8 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
                                witness, note=note)
 
     if "P1" not in verdicts:
-        va = very_ample_multiples(S, ev, onset=scan_onset("very_ample"),
-                                  first=scan_first("very_ample"))
+        va = very_ample_multiples(S, ev, onset=ev.tail_start("very_ample"),
+                                  first=ev.first_member("very_ample"))
         if va.first_m is None and definitive_negative(S, ev, "very_ample"):
             verdicts["P1"] = CriterionResult(
                 "P1", False, True, {"m_max": m_max},
@@ -1136,7 +1146,7 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
                             "decided by cone positivity; scan attached" if conclusive_tail else "")
     if "QIV" not in verdicts:
         m4 = section_vanishing_scan(S, ev, onset=_max_bound(
-            [scan_onset("very_ample"), scan_onset("h0_positive")]))
+            [ev.tail_start("very_ample"), ev.tail_start("h0_positive")]))
         verdicts["QIV"] = tail("QIV", {**tail_wit, "scan_m4": m4},
                                "curve targets via degrees on rational generators")
     chi_rows, chi_lead = chi_growth(S, ev, list(range(1, min(6, m_max + 1))))
@@ -1161,7 +1171,7 @@ def build_report(S: SurfaceModel, D: DivisorOrEvaluation, m_max: Optional[int] =
              "anchor_m": growth.anchor_m, "anchor_c": str(growth.anchor_c)},
             note="section-growth surrogate for the birational-map criterion")
     if "B3" not in verdicts:
-        verdicts["B3"] = _scan_result("B3", first_big_multiple(S, ev, first=scan_first("big")),
+        verdicts["B3"] = _scan_result("B3", first_big_multiple(S, ev, first=ev.first_member("big")),
                                       m_max, None)
     if "B4" not in verdicts:
         verdicts["B4"] = twist_scan("B4", _h0_tail, "h0_positive", ev.onset("h0_positive"))

@@ -1,12 +1,19 @@
 """Audit suites: determinism, replication, fault sensitivity, witness soundness."""
 
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import divpos.positivity as pos
 from divpos import auditor
 from divpos.divisor import RDivisor
 from divpos.errors import ConfigError, InvalidInput
+from divpos.exact_numbers import QuadExt
+from divpos.surface import resolve_surface
 
 
 def small_rational_config(**kw):
@@ -200,6 +207,41 @@ def test_each_divisor_is_sampled_and_evaluated_once(suites, fault, monkeypatch):
     assert sampled == ["hirzebruch:2"] * 6 + ["p2"] * 6
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["hirzebruch:0", "hirzebruch:1", "hirzebruch:2", "hirzebruch:3", "p2"]),
+       st.sampled_from([auditor.rational_profile(6, 4), auditor.quadratic_profile(2, 4),
+                        auditor.quadratic_profile(3, 3, 2)]),
+       st.integers(0, 2**32), st.integers(10, 60))
+def test_the_suites_handed_off_scans_equal_the_full_walks(surface, profile, seed, m_max):
+    """audit_nef_from_multiples and audit_bigness hand their scans ev.tail_start and
+    ev.first_member; each result equals the walk over every row, for D nef or not,
+    rational or not."""
+    real = {name: getattr(pos, name) for name in ("very_ample_multiples", "first_big_multiple")}
+    calls = []
+
+    def recording(name):
+        def scan(S, ev, **handoff):
+            result = real[name](S, ev, **handoff)
+            assert result == real[name](S, pos.Evaluation(S, ev.divisor, ev.m_max)), ev.divisor
+            calls.append((name, ev.divisor, handoff))
+            return result
+        return scan
+
+    cfg = auditor.AuditConfig(seed=seed, surfaces=(surface,), n_divisors=4, profile=profile,
+                              m_max=m_max)
+    with mock.patch.multiple(pos, **{name: recording(name) for name in real}):
+        auditor.run_audit(cfg, ["nef_from_multiples", "bigness"])
+    assert [name for name, _, _ in calls] == ["very_ample_multiples", "first_big_multiple"] * 4
+    S = resolve_surface(surface)
+    for name, D, handoff in calls:
+        ev = pos.Evaluation(S, D, m_max)
+        if name == "very_ample_multiples":
+            assert handoff == {"onset": ev.tail_start("very_ample"),
+                               "first": ev.first_member("very_ample")}
+        else:
+            assert handoff == {"first": ev.first_member("big")}
+
+
 @pytest.mark.parametrize("suites", [["nef"], ["ampleness", "typo"], ["bigness", "bigness"]])
 def test_run_audit_refuses_unknown_or_repeated_suites(suites):
     with pytest.raises(ConfigError, match="suites"):
@@ -308,16 +350,47 @@ def test_safe_delta_scales_with_profile():
     assert quad > 0
 
 
-def test_growth_and_boh_bounds():
-    from divpos.surface import hirzebruch
+_SQRT2 = QuadExt(0, 1, 2)
+# coefficients down to 17 - 12*sqrt(2) ~ 0.029 and 1/40, whose big onsets are 35 and 40
+_BIG_COEFFICIENTS = [QuadExt(Fraction(n, d)) for n, d in [
+    (-1, 2), (0, 1), (1, 3), (1, 1), (5, 2), (7, 3), (1, 12), (1, 40)]] + [
+    QuadExt(a) + _SQRT2 * b for a, b in [
+        (-1, 1), (2, -1), (3, -2), (Fraction(-1, 2), Fraction(1, 2)), (-7, 5), (17, -12)]]
 
-    S = hirzebruch(2)
-    D = RDivisor({"C0": Fraction(1, 12), "f": Fraction(1, 12)})
-    gb = auditor.growth_bound(S, D)
-    bb = auditor.boh_bound(S, D)
-    assert gb == 2 * 192
-    assert bb == 13
-    assert auditor.growth_bound(S, RDivisor({"f": 1})) is None  # not interior
+
+def test_big_and_h0_positive_onsets_bound_the_bigness_judges():
+    """The bounds audit_bigness reads, by brute force over D on F_0..F_3 and P^2.
+
+    For big D: the claim_boh tail and the first big multiple start by the big
+    onset, each kodaira tail by the h0_positive onset at -F, and the growth
+    test passes at m_max sampled from max(10, 32 * big onset) up to 3000.  For
+    D not big every bound is None, so a miss is never called a discrepancy.
+    """
+    from divpos.surface import hirzebruch, projective_plane
+
+    n = 0
+    for S in [hirzebruch(e) for e in range(4)] + [projective_plane()]:
+        catalog = pos.default_effective_catalog(S)
+        for coeffs in product(_BIG_COEFFICIENTS, repeat=S.rho):
+            D = RDivisor(dict(zip(S.basis, coeffs)))
+            if D.is_zero():
+                continue
+            probe = pos.Evaluation(S, D, 10)
+            onset = probe.onset("big")
+            kodaira = [probe.onset("h0_positive", -F) for F in catalog]
+            if not pos.is_big(S, D).big:
+                assert onset is None and kodaira == [None] * len(catalog), (S.name, D)
+                continue
+            n += 1
+            ev = pos.Evaluation(S, D, max(onset, *kodaira) + 10)
+            assert pos.claim_boh_check(S, ev) <= onset, (S.name, D)
+            assert pos.first_big_multiple(S, ev) <= onset, (S.name, D)
+            for F, bound in zip(catalog, kodaira):
+                assert pos.kodaira_check(S, ev, F) <= bound, (S.name, D, F)
+            lo = max(10, 32 * onset)
+            for m_max in (lo, lo + 1 + (n * 7919) % (3000 - lo)):   # each builds a column
+                assert pos.big_growth_check(S, D, m_max).passed, (S.name, D, m_max)
+    assert n == 588
 
 
 @pytest.mark.parametrize("e", [0, 1, 3])

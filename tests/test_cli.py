@@ -251,6 +251,26 @@ def test_malformed_flag_value_names_the_flag(capsys, argv, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("command", [["check", "--surface", "p2", "--divisor", "L"],
+                                     ["audit", "--suite", "bigness", "--n-divisors", "1"]])
+@pytest.mark.parametrize("delta", ["0", "0/7", pytest.param("7" * 5000, id="5000-sevens"),
+                                   pytest.param("a" * 5000, id="5000-letters")])
+def test_delta_flag_must_be_a_short_positive_rational(capsys, command, delta):
+    """Refused before any suite runs (the bigness suite reads no delta), naming --delta."""
+    code, out, err = run(capsys, *command, "--delta", delta)
+    assert code == 3 and out == ""
+    assert err.startswith("error: --delta: ") and len(err) < 200
+
+
+@pytest.mark.parametrize("delta", ["0", 0, "-1/3", pytest.param("7" * 5000, id="5000-sevens")])
+def test_audit_config_delta_must_be_a_short_positive_rational(tmp_path, capsys, delta):
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({**GOOD_CONFIG, "delta": delta}))
+    code, out, err = run(capsys, "audit", "--suite", "bigness", "--config", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: delta") and len(err) < 200
+
+
 def test_audit_config_with_twists_and_delta_runs(tmp_path, capsys):
     path = tmp_path / "audit.json"
     path.write_text(json.dumps({**GOOD_CONFIG, "twists": [[0], [-1]], "delta": "1/1000"}))

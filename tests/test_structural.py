@@ -280,3 +280,36 @@ def test_only_run_audit_resolves_samples_and_evaluates():
                      if isinstance(node, ast.Call) and ast.unparse(node.func) in guarded)
     assert calls == Counter({("run_audit", name): 1 for name in guarded}
                             | {("audit_ampleness", "pos.Evaluation"): 1})
+
+
+# -- one scan hand-off -----------------------------------------------------------------
+
+
+def _called(node: ast.AST) -> set[str]:
+    """The names of the functions and methods called anywhere under node."""
+    return {getattr(n.func, "attr", None) or getattr(n.func, "id", None)
+            for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
+def test_the_evaluation_alone_decides_where_a_scan_starts():
+    """Only Evaluation calls region_tail or region_first, and every onset= or first=
+    handed to a scan is ev.tail_start or ev.first_member (or the largest of them), so
+    build_report has no scan-start closure of its own.  auditor derives no bound: it
+    calls neither ceil_quotient nor _effective_coordinates."""
+    region_callers, handoffs = set(), []
+    for path in sorted(Path(pos.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if _called(top) & {"region_tail", "region_first"}:
+                region_callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+        handoffs += [kw for n in ast.walk(tree) if isinstance(n, ast.Call)
+                     for kw in n.keywords if kw.arg in ("onset", "first")]
+    assert region_callers == {"positivity.Evaluation"}
+    assert len(handoffs) == 8   # five in build_report, three in the nef and bigness suites
+    for kw in handoffs:
+        called = _called(kw.value)
+        assert called <= {"tail_start", "first_member", "_max_bound"} \
+            and called & {"tail_start", "first_member"}, ast.unparse(kw)
+    tree = ast.parse(Path(auditor.__file__).read_text())
+    names = {getattr(n, "attr", None) or getattr(n, "id", None) for n in ast.walk(tree)}
+    assert not names & {"ceil_quotient", "_effective_coordinates"}

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divpos.auditor import SplitMix64
 from divpos.cli import main
@@ -466,3 +468,40 @@ def test_euler_identity_other_invariants(e):
             h0, h1, h2 = cohomology(S, V)
             assert h0 - h1 + h2 == chi_rr(S, V)
             assert h1 >= 0
+
+
+# -- spec fuzzing -----------------------------------------------------------------------
+
+SPEC_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3, allow_nan=False)
+    | st.sampled_from(["p2", "hirzebruch:2", "hirzebruch:-1", "0", "1,0", "x", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(
+        ["label", "coords", "multiplicity", "h0_table", "very_ample_table",
+         "globally_generated_table", "0", "1", "-3", "1,0"]), inner, max_size=3),
+    max_leaves=8)
+VALID_SPECS = [surface_to_spec(F2), surface_to_spec(P2),
+               {**TOY, "oracle": {"h0_table": {"0": 1, "1": 3, "-3": 0}}}]
+
+
+@st.composite
+def spec_shapes(draw):
+    """Any JSON value, or a valid spec with some fields dropped or replaced by any JSON."""
+    if draw(st.booleans()):
+        return draw(SPEC_JSON)
+    spec = dict(draw(st.sampled_from(VALID_SPECS)))
+    for key in draw(st.lists(st.sampled_from(sorted(spec) + ["ample"]), max_size=3)):
+        if draw(st.booleans()):
+            spec.pop(key, None)
+        else:
+            spec[key] = draw(SPEC_JSON)
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_shapes())
+def test_surface_spec_of_any_json_shape_loads_or_raises_invalid_input(spec):
+    try:
+        S = surface_from_spec(spec)
+    except InvalidInput:
+        return
+    assert surface_from_spec(surface_to_spec(S)).basis == S.basis
