@@ -1,5 +1,6 @@
 """Audit suites: determinism, replication, fault sensitivity, witness soundness."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import divpos.positivity as pos
 from divpos import auditor
-from divpos.divisor import RDivisor
+from divpos.divisor import RDivisor, parse_divisor
 from divpos.errors import ConfigError, InvalidInput
 from divpos.exact_numbers import QuadExt
 from divpos.surface import resolve_surface
@@ -154,6 +155,127 @@ def test_inconclusives_only_on_cone_boundary():
         nef, _ = pos.is_nef(S, D)
         ample, _ = pos.is_ample_cone(S, D)
         assert nef and not ample, entry
+
+
+# -- the ampleness judge, branch by branch ------------------------------------------------
+
+# an ample divisor on F_2 per profile: k = 2 for the rational one, and each report
+# has QIII all_from 2, QIV scan_m4 2, proxy onset bounds 2 and tail bounds 2 at m_max 60
+JUDGED = {"rational": (auditor.rational_profile(30, 12), "1/2*C0 + 3/2*f"),
+          "quadratic": (auditor.quadratic_profile(2, 10), "1/2*C0 + (3/2+sqrt(2))*f")}
+EXACT = {"rational": ("QVI", "QVII", "QVIII", "QIX", "QX"),
+         "quadratic": ("Rii", "Riii", "Riv", "Rv", "Rvi")}
+FALSE = {"holds": False}
+
+
+def _judged(kind, ground=True, delta=None, **changes):
+    """_classify_ampleness's (criterion, detail) discrepancies and inconclusives for the
+    real report of JUDGED[kind], with its ground truth and delta set and, per criterion,
+    the fields in changes replaced."""
+    profile, text = JUDGED[kind]
+    S = resolve_surface("hirzebruch:2")
+    config = auditor.AuditConfig(seed=1, surfaces=(S.name,), n_divisors=1, profile=profile,
+                                 m_max=60)
+    safe = auditor.safe_delta(S, profile)
+    site = auditor.SurfaceAudit(S, safe, min(Fraction(1, 1000), safe), pos.default_twists(S),
+                                [], False)
+    ev = pos.Evaluation(S, parse_divisor(text), config.m_max)
+    report = pos.build_report(S, ev, delta=site.delta, twists=site.twists)
+    assert report.ground_truth
+    verdicts = {cid: dataclasses.replace(report.verdicts[cid], **fields)
+                for cid, fields in changes.items()}
+    report = dataclasses.replace(report, ground_truth=ground,
+                                 delta=report.delta if delta is None else delta,
+                                 verdicts={**report.verdicts, **verdicts})
+    out = auditor.AuditOutcome(suite="ampleness", config=config)
+    auditor._classify_ampleness(site, ev, report, out)
+    return ([(e["criterion"], e["detail"]) for e in out.discrepancies],
+            [(e["criterion"], e["detail"]) for e in out.inconclusives])
+
+
+def _missed(cids, holds, ground):
+    return [(cid, f"exact criterion returned {holds}, cone oracle says {ground}") for cid in cids]
+
+
+def _tails_from(m, **fields):
+    return {"QIII": {**fields, "witness": {"first_m": m, "all_from": m}},
+            "QIV": {**fields, "witness": {"first_m": m, "all_from": m, "scan_m4": m}}}
+
+
+def _not_ample(kind, **changes):
+    """Changes that make every verdict of JUDGED[kind] agree with "not ample", then changes."""
+    agree = {cid: FALSE for cid in EXACT[kind]}
+    if kind == "rational":
+        agree.update(QI=FALSE, QII=FALSE, QV=FALSE, **_tails_from(None, holds=False))
+    else:
+        agree.update(Ri=FALSE)
+    return {**agree, **changes}
+
+
+WITNESS_FOUND = "witness found; twist catalog cannot refute non-ampleness"
+NO_BOUND = "no witness up to m_max=60; no effective bound"
+TAILS_MISSING = {**_tails_from(None), "QV": FALSE}
+TAILS_MISSED = [("QIII", "very-ample tail missing though onset bound 2 applies"),
+                ("QIV", "section-vanishing tail missing though bound 2 applies"),
+                ("QV", "tail decision False contradicts cone oracle True")]
+TAILS_CONTRADICTED = [(cid, "tail decision True contradicts cone oracle False")
+                      for cid in ("QIII", "QIV", "QV")]
+
+
+@pytest.mark.parametrize("kind, ground, delta, changes, discrepancies, inconclusives", [
+    pytest.param(kind, True, None, {}, [], [], id=f"{kind}-ample-agrees")
+    for kind in JUDGED] + [
+    pytest.param(kind, False, None, _not_ample(kind), [], [], id=f"{kind}-not-ample-agrees")
+    for kind in JUDGED] + [
+    # exact: a disagreement is a discrepancy, except QX/Rvi above the safe radius
+    pytest.param(kind, True, Fraction(1, 10), {cid: FALSE for cid in EXACT[kind]},
+                 _missed(EXACT[kind][:4], False, True),
+                 [(EXACT[kind][4], f"delta 1/10 above safe radius {safe}")],
+                 id=f"{kind}-exact-above-safe-radius")
+    for kind, safe in (("rational", "1/792"), ("quadratic", "1/155520"))] + [
+    pytest.param(kind, True, None, {cid: FALSE for cid in EXACT[kind]},
+                 _missed(EXACT[kind], False, True), [], id=f"{kind}-exact-missed")
+    for kind in JUDGED] + [
+    pytest.param(kind, False, None, {**_not_ample(kind), **{cid: {} for cid in EXACT[kind]}},
+                 _missed(EXACT[kind], True, False), [], id=f"{kind}-exact-spurious")
+    for kind in JUDGED] + [
+    # proxies: a conclusive miss of an ample D, or an inconclusive one
+    pytest.param("rational", True, None, {"QI": FALSE, "QII": {"holds": None}},
+                 [("QI", "no witness though onset bound 2 <= m_max")], [("QII", NO_BOUND)],
+                 id="rational-proxies-missed"),
+    pytest.param("quadratic", True, None, {"Ri": FALSE, "QI": {"holds": None}},
+                 [("Ri", "no witness though onset bound 2 <= m_max")], [("QI", NO_BOUND)],
+                 id="quadratic-proxies-missed"),
+    # a witness for a D that is not ample: inconclusive, except for the one-directional QI
+    pytest.param("rational", False, None, _not_ample("rational", QI={}, QII={}), [],
+                 [("QI", WITNESS_FOUND), ("QII", WITNESS_FOUND)],
+                 id="rational-not-ample-witness-found"),
+    pytest.param("quadratic", False, None, _not_ample("quadratic", QI={}, Ri={}), [],
+                 [("Ri", WITNESS_FOUND)], id="quadratic-not-ample-witness-found"),
+    # tails: missing though the bound applies, or a contradicted decision
+    pytest.param("rational", True, None, TAILS_MISSING, TAILS_MISSED, [],
+                 id="rational-tails-missing"),
+    pytest.param("quadratic", True, None, TAILS_MISSING, TAILS_MISSED, [],
+                 id="quadratic-tails-missing"),
+    pytest.param("rational", False, None,
+                 _not_ample("rational", QIII={}, QIV={}, QV={}), TAILS_CONTRADICTED, [],
+                 id="rational-not-ample-tails-contradicted"),
+    # a tail that covers a full period of a D that is not ample, except one-directional ones
+    pytest.param("rational", False, None, _not_ample("rational", **_tails_from(58, holds=False)),
+                 [("QIII", "very-ample tail from 58 covers a full period k=2 yet the divisor "
+                           "is not ample"),
+                  ("QIV", "section-vanishing tail covers a full period yet not ample")], [],
+                 id="rational-not-ample-full-period"),
+    pytest.param("rational", False, None, _not_ample("rational", **_tails_from(59, holds=False)),
+                 [], [], id="rational-not-ample-short-of-a-period"),
+    pytest.param("quadratic", False, None,
+                 _not_ample("quadratic", QV={}, **_tails_from(58)), [], [],
+                 id="quadratic-not-ample-one-directional-tails"),
+])
+def test_ampleness_judge_branches(kind, ground, delta, changes, discrepancies, inconclusives):
+    """Each branch of _classify_ampleness under both profiles, from a real report changed
+    by dataclasses.replace: the exact entries, in order."""
+    assert _judged(kind, ground, delta, **changes) == (discrepancies, inconclusives)
 
 
 # -- the audit loop ---------------------------------------------------------------------
