@@ -272,10 +272,6 @@ class AuditOutcome:
     reports: list[pos.PositivityReport] = field(default_factory=list)
     checked: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.discrepancies
-
     def to_json_dict(self) -> dict:
         return {
             "schema_version": "v1",
@@ -364,108 +360,72 @@ def run_audit(config: AuditConfig, suites: Sequence[str] = SUITES,
 # ampleness audit
 
 
-def _fault_surface(S: SurfaceModel, fault: Optional[str]) -> SurfaceModel:
-    if fault != "flip_gg":
-        return S
-    gg = S.require_globally_generated()
-    return dataclasses.replace(S, globally_generated=lambda V: not gg(V))
+# The criteria the ampleness audit judges, per profile, in the order of its entries.
+# Each id is judged by its base, pos._ALIASES.get(id, id): QVI..QX are exact, QI and
+# QII proxies, QIII..QV tails.  In the quadratic profile an id that is its own base
+# (QI, QIII, QIV, QV) is one of the one-directional properties (a)-(d).
+_AMPLENESS_CRITERIA = {
+    "rational": ("QI", "QII", "QIII", "QIV", "QV", "QVI", "QVII", "QVIII", "QIX", "QX"),
+    "quadratic": ("Ri", "Rii", "Riii", "Riv", "Rv", "Rvi", "QI", "QIII", "QIV", "QV"),
+}
 
 
 def _classify_ampleness(site: SurfaceAudit, ev: pos.Evaluation, report: pos.PositivityReport,
                         out: AuditOutcome) -> None:
     """Classify each verdict of D's report; bounds are read from D's evaluation ev."""
-    S, D, config = site.surface, ev.divisor, out.config
-    kind = _profile_kind(config.profile)
+    S, D, m_max = site.surface, ev.divisor, out.config.m_max
+    kind = _profile_kind(out.config.profile)
     ground = report.ground_truth
     k = integrality_denominator(D, S.basis) if D.is_rational() else None
 
-    delta_used = report.delta
-    delta_safe = site.safe_delta
+    def flag(entries: list, cid: str, detail: str) -> None:
+        entries.append(_entry(S, D, cid, detail, ground))
 
-    if kind == "rational":
-        criteria = ["QI", "QII", "QIII", "QIV", "QV", "QVI", "QVII", "QVIII", "QIX", "QX"]
-    else:
-        criteria = ["Ri", "Rii", "Riii", "Riv", "Rv", "Rvi", "QI", "QIII", "QIV", "QV"]
-        # QI/QIII/QIV/QV enter as the one-directional properties (a)-(d)
-
-    exact_ids = {"QVI", "QVII", "QVIII", "QIX", "QX", "Rii", "Riii", "Riv", "Rv", "Rvi"}
-    proxy_ids = {"QI", "QII", "Ri"}
-    one_directional = set()
-    if kind == "quadratic":
-        one_directional = {"QI", "QIII", "QIV", "QV"}
-
-    for cid in criteria:
-        v = report.verdicts[cid]
-        if cid in exact_ids:
-            if v.holds == ground:
+    for cid in _AMPLENESS_CRITERIA[kind]:
+        v, base = report.verdicts[cid], pos._ALIASES.get(cid, cid)
+        one_directional = kind == "quadratic" and cid == base  # claimed for ample D only
+        if base in ("QI", "QII"):
+            if v.holds is True and not ground and not one_directional:
+                flag(out.inconclusives, cid,
+                     "witness found; twist catalog cannot refute non-ampleness")
+            elif v.holds is False and ground:  # conclusive absence below a valid onset bound
+                flag(out.discrepancies, cid,
+                     f"no witness though onset bound {v.witness.get('onset_bound')} <= m_max")
+            elif v.holds is None and ground:
+                flag(out.inconclusives, cid,
+                     f"no witness up to m_max={m_max}; no effective bound")
+        elif base in ("QIII", "QIV", "QV"):
+            # the verdict comes from the cone decision; the scans cross-check it
+            if one_directional and not ground:
                 continue
-            if cid in ("QX", "Rvi") and delta_used > delta_safe:
-                out.inconclusives.append(_entry(
-                    S, D, cid, f"delta {delta_used} above safe radius {delta_safe}", ground))
-                continue
-            out.discrepancies.append(_entry(
-                S, D, cid, f"exact criterion returned {v.holds}, cone oracle says {ground}",
-                ground))
-            continue
-
-        if cid in proxy_ids:
-            if v.holds is True:
-                if ground:
-                    continue
-                if cid in one_directional:
-                    continue  # property only claimed for ample divisors
-                out.inconclusives.append(_entry(
-                    S, D, cid, "witness found; twist catalog cannot refute non-ampleness",
-                    ground))
-                continue
-            if v.holds is False:  # conclusive absence below a valid onset bound
-                if ground:
-                    out.discrepancies.append(_entry(
-                        S, D, cid,
-                        f"no witness though onset bound {v.witness.get('onset_bound')} <= m_max",
-                        ground))
-                continue
-            # inconclusive scan
-            if ground:
-                out.inconclusives.append(_entry(
-                    S, D, cid, f"no witness up to m_max={config.m_max}; no effective bound",
-                    ground))
-            continue
-
-        # tail criteria QIII / QIV / QV: verdict comes from the cone decision;
-        # the scans cross-check it
-        if cid in one_directional and not ground:
-            continue
-        if v.conclusive and v.holds != ground:
-            out.discrepancies.append(_entry(
-                S, D, cid, f"tail decision {v.holds} contradicts cone oracle {ground}", ground))
-            continue
-        wit = v.witness
-        if cid == "QIII":
-            all_from = wit.get("all_from")
-            bound = ev.onset("very_ample")
-            if ground and all_from is None and bound is not None and bound <= config.m_max:
-                out.discrepancies.append(_entry(
-                    S, D, cid, f"very-ample tail missing though onset bound {bound} applies",
-                    ground))
-            if (not ground) and all_from is not None and k is not None \
-                    and config.m_max - all_from >= k:
-                out.discrepancies.append(_entry(
-                    S, D, cid,
-                    f"very-ample tail from {all_from} covers a full period k={k} "
-                    "yet the divisor is not ample", ground))
-        elif cid == "QIV":
-            m4 = wit.get("scan_m4")
-            bound = pos._max_bound([ev.onset("very_ample"), ev.onset("h0_positive")])
-            if ground and m4 is None and bound is not None and bound <= config.m_max:
-                out.discrepancies.append(_entry(
-                    S, D, cid, f"section-vanishing tail missing though bound {bound} applies",
-                    ground))
-            if (not ground) and m4 is not None and k is not None \
-                    and config.m_max - m4 >= k:
-                out.discrepancies.append(_entry(
-                    S, D, cid, "section-vanishing tail covers a full period yet not ample",
-                    ground))
+            if v.conclusive and v.holds != ground:
+                flag(out.discrepancies, cid,
+                     f"tail decision {v.holds} contradicts cone oracle {ground}")
+            elif base == "QIII":
+                all_from, bound = v.witness.get("all_from"), ev.onset("very_ample")
+                if ground and all_from is None and bound is not None and bound <= m_max:
+                    flag(out.discrepancies, cid,
+                         f"very-ample tail missing though onset bound {bound} applies")
+                if not ground and all_from is not None and k is not None \
+                        and m_max - all_from >= k:
+                    flag(out.discrepancies, cid, f"very-ample tail from {all_from} covers "
+                         f"a full period k={k} yet the divisor is not ample")
+            elif base == "QIV":
+                m4 = v.witness.get("scan_m4")
+                bound = pos._max_bound([ev.onset("very_ample"), ev.onset("h0_positive")])
+                if ground and m4 is None and bound is not None and bound <= m_max:
+                    flag(out.discrepancies, cid,
+                         f"section-vanishing tail missing though bound {bound} applies")
+                if not ground and m4 is not None and k is not None and m_max - m4 >= k:
+                    flag(out.discrepancies, cid,
+                         "section-vanishing tail covers a full period yet not ample")
+        elif v.holds != ground:  # exact
+            if base == "QX" and report.delta > site.safe_delta:
+                flag(out.inconclusives, cid,
+                     f"delta {report.delta} above safe radius {site.safe_delta}")
+            else:
+                flag(out.discrepancies, cid,
+                     f"exact criterion returned {v.holds}, cone oracle says {ground}")
 
 
 def _reverify_report(S: SurfaceModel, D: RDivisor, report: pos.PositivityReport,
@@ -501,29 +461,20 @@ def audit_ampleness(site: SurfaceAudit, ev: pos.Evaluation, out: AuditOutcome) -
     """Judge one divisor's report against the cone oracle and re-verify its witnesses."""
     S, D, fault = site.surface, ev.divisor, out.config.fault
     if fault == "flip_gg":   # the report is built on the changed surface
-        ev = pos.Evaluation(_fault_surface(S, fault), D, ev.m_max)
+        gg = S.require_globally_generated()
+        ev = pos.Evaluation(dataclasses.replace(S, globally_generated=lambda V: not gg(V)),
+                            D, ev.m_max)
     report = pos.build_report(ev.surface, ev, delta=site.delta, twists=site.twists)
     if fault == "flip_cone":
-        report = _flip_ground(report)
+        report = dataclasses.replace(report, ground_truth=not report.ground_truth)
     elif fault == "flip_ratio":
-        report = _flip_verdict(report, "QVIII")
+        v = report.verdicts["QVIII"]
+        report = dataclasses.replace(report, verdicts={
+            **report.verdicts, "QVIII": dataclasses.replace(v, holds=not v.holds)})
     _classify_ampleness(site, ev, report, out)
     _reverify_report(S, D, report, out)
     if site.keep_reports:
         out.reports.append(report)
-
-
-def _flip_ground(report: pos.PositivityReport) -> pos.PositivityReport:
-    return dataclasses.replace(report, ground_truth=not report.ground_truth)
-
-
-def _flip_verdict(report: pos.PositivityReport, cid: str) -> pos.PositivityReport:
-    v = report.verdicts[cid]
-    flipped = pos.CriterionResult(v.criterion, not v.holds, v.conclusive, v.witness,
-                                  v.note, v.same_as)
-    verdicts = dict(report.verdicts)
-    verdicts[cid] = flipped
-    return dataclasses.replace(report, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
