@@ -82,7 +82,7 @@ class AuditConfig:
             _require_int(name, getattr(self, name))
         if not isinstance(self.surfaces, (list, tuple)) or \
                 not all(isinstance(s, str) for s in self.surfaces):
-            raise ConfigError(f"surfaces must be a list of strings, got {self.surfaces!r}")
+            raise ConfigError(f"surfaces must be a list of strings, got {self.surfaces!r:.60}")
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
         if self.n_divisors < 1:
             raise ConfigError("n_divisors must be >= 1")
@@ -91,11 +91,11 @@ class AuditConfig:
         if not self.surfaces:
             raise ConfigError("surfaces must name at least one surface")
         if not isinstance(self.profile, dict):
-            raise ConfigError(f"profile must be an object, got {self.profile!r}")
+            raise ConfigError(f"profile must be an object, got {self.profile!r:.60}")
         kind = _profile_kind(self.profile)
         body = self.profile[kind]
         if not isinstance(body, dict):
-            raise ConfigError(f"profile.{kind} must be an object, got {body!r}")
+            raise ConfigError(f"profile.{kind} must be an object, got {body!r:.60}")
         for key, least, required in PROFILE_FIELDS[kind]:
             if key not in body and not required:
                 continue
@@ -106,7 +106,7 @@ class AuditConfig:
         if self.delta is not None and self.delta <= 0:
             raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.fault not in (None, "flip_cone", "flip_ratio", "flip_gg"):
-            raise ConfigError(f"unknown fault {self.fault!r}")
+            raise ConfigError(f"unknown fault {self.fault!r:.60}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,7 +124,7 @@ class AuditConfig:
 def _require_int(name: str, value) -> None:
     """Refuse anything but an integer (a JSON number with a fraction, a string or a bool)."""
     if type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r:.60}")
 
 
 # per profile kind: each integer field, its least value and whether it is
@@ -166,7 +166,7 @@ def _config_twists(twists) -> Optional[tuple[tuple[int, ...], ...]]:
         return None
     if not isinstance(twists, list) or not all(
             isinstance(t, list) and all(type(x) is int for x in t) for t in twists):
-        raise ConfigError(f"twists must be a list of lists of integers, got {twists!r}")
+        raise ConfigError(f"twists must be a list of lists of integers, got {twists!r:.60}")
     return tuple(map(tuple, twists)) or None
 
 
@@ -332,7 +332,7 @@ def run_audit(config: AuditConfig, suites: Sequence[str] = SUITES,
     """
     if not set(suites) <= set(SUITES) or len(set(suites)) < len(suites):
         raise ConfigError(f"suites must be distinct names from {list(SUITES)}, "
-                          f"got {list(suites)!r}")
+                          f"got {list(suites)!r:.60}")
     outcomes = [AuditOutcome(suite=name, config=config) for name in suites]
     for ident in config.surfaces:
         S = resolve_surface(ident)
@@ -649,7 +649,7 @@ def replicate_example_es_nna(e_list: Sequence[int]) -> dict:
     all_ok = True
     for e in e_list:
         if e < 2:
-            raise InvalidInput(f"the counterexample needs e >= 2, got {e}")
+            raise InvalidInput(f"the counterexample needs e >= 2, got {e!s:.60}")
         S = hirzebruch(e)
         D = RDivisor({"C0": Fraction(3, 2), "f": e + 1})
         intD = integral_part(D, S.basis)

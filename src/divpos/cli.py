@@ -33,7 +33,7 @@ def _default_m_max() -> int:
     try:
         v = int(raw)
     except ValueError:
-        raise DivposError(f"DIVPOS_M_MAX: not an integer: {raw!r}") from None
+        raise DivposError(f"DIVPOS_M_MAX: not an integer: {raw!r:.60}") from None
     if not 10 <= v <= pos.M_MAX_LIMIT:
         raise DivposError(f"DIVPOS_M_MAX: must be in [10, {pos.M_MAX_LIMIT}], got {v}")
     return v
@@ -64,7 +64,7 @@ def _profile(text: str) -> dict:
     except ValueError:
         pass
     raise DivposError(
-        f"--profile: expected rational:<num>/<den> or quadratic:<d>[:<height>], got {text!r}")
+        f"--profile: expected rational:<num>/<den> or quadratic:<d>[:<height>], got {text!r:.60}")
 
 
 def _load_divisor(arg: str):
@@ -161,7 +161,7 @@ def cmd_counterexample(args) -> int:
         e_list = [int(x) for x in args.e_list.split(",")]
     except ValueError:
         raise DivposError(
-            f"--e-list: expected comma-separated integers, got {args.e_list!r}") from None
+            f"--e-list: expected comma-separated integers, got {args.e_list!r:.60}") from None
     result = auditor.replicate_example_es_nna(e_list)
     lines = [f"ruled-surface counterexample, e in {e_list}"]
     for row in result["cases"]:

@@ -45,7 +45,7 @@ class ZDivisor:
         for c in self.coords:
             ic = int(c)
             if ic != c:
-                raise InvalidInput(f"ZDivisor coordinate {c!r} is not an integer")
+                raise InvalidInput(f"ZDivisor coordinate {c!r:.60} is not an integer")
             clean.append(ic)
         object.__setattr__(self, "coords", tuple(clean))
 
@@ -155,7 +155,7 @@ class RDivisor:
             exp = dict(self.expansions)
             for k, v in (other.expansions or {}).items():
                 if k in exp and exp[k] != v:
-                    raise InvalidInput(f"conflicting expansions for component {k!r}")
+                    raise InvalidInput(f"conflicting expansions for component {k!r:.60}")
                 exp[k] = v
         return RDivisor(merged, exp)
 
@@ -175,7 +175,8 @@ class RDivisor:
             )
         unknown = [k for k in self.terms if k not in basis]
         if unknown:
-            raise InvalidInput(f"labels {unknown} not in the surface basis {list(basis)}")
+            raise InvalidInput(f"labels {unknown!s:.60} not in the surface basis "
+                               f"{list(basis)!s:.60}")
         return tuple(self.coefficient(lbl) for lbl in basis)
 
     def expand_coefficients(self, basis: Sequence[str]) -> tuple[QuadExt, ...]:
@@ -188,7 +189,7 @@ class RDivisor:
             vec = self.expansions[label]
             if len(vec) != rho:
                 raise InvalidInput(
-                    f"expansion of {label!r} has length {len(vec)}, expected {rho}"
+                    f"expansion of {label!r:.60} has length {len(vec)}, expected {rho}"
                 )
             for j, e in enumerate(vec):
                 if e:
@@ -256,7 +257,7 @@ def _expansions(D: RDivisor, basis: Sequence[str]) -> Mapping[str, Sequence[int]
         return D.expansions
     unknown = [lbl for lbl in D.terms if lbl not in basis]
     if unknown:
-        raise InvalidInput(f"label {unknown[0]!r} not in the surface basis")
+        raise InvalidInput(f"label {unknown[0]!r:.60} not in the surface basis")
     return {lbl: tuple(int(b == lbl) for b in basis) for lbl in D.terms}
 
 
@@ -404,7 +405,7 @@ def parse_divisor(text: str) -> RDivisor:
     while pos < len(s):
         m = _TERM.match(s, pos)
         if not m or (not first and m.group("sign") is None):
-            raise InvalidInput(f"cannot parse divisor {text!r} near {s[pos:]!r}")
+            raise InvalidInput(f"cannot parse divisor {text!r:.60} near {s[pos:]!r:.60}")
         pos = m.end()
         sgn = -1 if m.group("sign") == "-" else 1
         if m.group("paren") is not None:

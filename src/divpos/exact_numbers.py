@@ -77,7 +77,7 @@ def _as_fraction(x: RatLike) -> Fraction:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"bad rational {x!r:.60}: {exc!s:.60}") from None
-    raise InvalidInput(f"not a rational value: {x!r}")
+    raise InvalidInput(f"not a rational value: {x!r:.60}")
 
 
 class QuadExt:
@@ -341,7 +341,7 @@ def quadext(value: Union[QuadExt, int, Fraction, str]) -> QuadExt:
         return parse_quadext(value)
     x = QuadExt._coerce(value)
     if x is NotImplemented:
-        raise InvalidInput(f"cannot interpret {value!r} as an exact coefficient")
+        raise InvalidInput(f"cannot interpret {value!r:.60} as an exact coefficient")
     return x
 
 
@@ -415,7 +415,7 @@ def parse_quadext(text: str) -> QuadExt:
     while pos < len(s):
         m = _TOKEN.match(s, pos)
         if not m:
-            raise InvalidInput(f"cannot parse coefficient {text!r} at {s[pos:]!r}")
+            raise InvalidInput(f"cannot parse coefficient {text!r:.60} at {s[pos:]!r:.60}")
         pos = m.end()
         if m.group("sign"):
             if expecting_term:
@@ -425,7 +425,8 @@ def parse_quadext(text: str) -> QuadExt:
                 expecting_term = True
             continue
         if not expecting_term:
-            raise InvalidInput(f"missing operator in coefficient {text!r} before {s[pos - len(m.group(0)):]!r}")
+            raise InvalidInput(f"missing operator in coefficient {text!r:.60} "
+                               f"before {s[pos - len(m.group(0)):]!r:.60}")
         if m.group("rad"):
             coef = _as_fraction(m.group("coef")) if m.group("coef") else Fraction(1)
             digits = m.group("d").lstrip("0")
@@ -438,12 +439,12 @@ def parse_quadext(text: str) -> QuadExt:
         try:
             total = total + term
         except MixedFieldError:
-            raise InvalidInput(f"coefficient {text!r} mixes two square roots") from None
+            raise InvalidInput(f"coefficient {text!r:.60} mixes two square roots") from None
         sign_pending = 1
         expecting_term = False
         saw_term = True
     if expecting_term or not saw_term:
-        raise InvalidInput(f"dangling sign in coefficient {text!r}")
+        raise InvalidInput(f"dangling sign in coefficient {text!r:.60}")
     return check_size(total, text)
 
 

@@ -192,7 +192,7 @@ class Evaluation:
 
     def __init__(self, S: SurfaceModel, D: DivisorLike, m_max: int):
         if not isinstance(m_max, int) or not 1 <= m_max <= M_MAX_LIMIT:
-            raise InvalidInput(f"m_max must be an integer in [1, {M_MAX_LIMIT}], got {m_max!r}")
+            raise InvalidInput(f"m_max must be an integer in [1, {M_MAX_LIMIT}], got {m_max!r:.60}")
         self.surface = S
         self.divisor = rdivisor_on(S, D)
         self.m_max = m_max
@@ -315,9 +315,9 @@ def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,
     if not isinstance(D, Evaluation):
         return Evaluation(S, D, 200 if m_max is None else m_max)
     if D.surface is not S:
-        raise InvalidInput(f"the evaluation was built on {D.surface.name}, not on this surface")
+        raise InvalidInput(f"the evaluation was built on {D.surface.name:.60}, not on this surface")
     if m_max is not None and m_max != D.m_max:
-        raise InvalidInput(f"m_max={m_max!r} differs from the evaluation's m_max={D.m_max}")
+        raise InvalidInput(f"m_max={m_max!r:.60} differs from the evaluation's m_max={D.m_max}")
     return D
 
 
@@ -608,10 +608,10 @@ def _ample_reference(S: SurfaceModel) -> ZDivisor:
                 break
             if S.ample_reference is not None:
                 raise InvalidInput(f"surface spec field 'ample': {list(H.coords)} is not "
-                                   f"ample on {S.name!r} (fails on {bad})")
+                                   f"ample on {S.name!r:.60} (fails on {bad})")
         else:
             raise InvalidInput(
-                f"no ample class found for surface {S.name!r}; set 'ample' in its spec")
+                f"no ample class found for surface {S.name!r:.60}; set 'ample' in its spec")
         object.__setattr__(S, "_proved_ample", proved)
     return proved[0]
 
@@ -759,13 +759,13 @@ def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:
     lam = [parse_quadext(x) for x in cert["lambda"]]
     ref = cert["ample_ref"]
     if len(ref) != S.rho or any(type(x) is not int for x in ref):
-        raise InternalError(f"big certificate ample_ref {ref!r} is not {S.rho} integers")
+        raise InternalError(f"big certificate ample_ref {ref!r:.60} is not {S.rho} integers")
     if len(lam) != len(S.effective_generators):
         raise InternalError(f"big certificate has {len(lam)} lambda entries for "
                             f"{len(S.effective_generators)} effective generators")
     H = ZDivisor(tuple(ref))
     if H != _ample_reference(S) and not is_ample_cone(S, H)[0]:
-        raise InternalError(f"big certificate ample_ref {ref!r} is not ample")
+        raise InternalError(f"big certificate ample_ref {ref!r:.60} is not ample")
     if eps <= 0 or any(x.sign() < 0 for x in lam):
         raise InternalError("big certificate has non-positive parts")
     coeffs = D.coefficients(S.basis)
@@ -993,7 +993,7 @@ class PositivityReport:
 
 def report_from_json_dict(data: dict) -> PositivityReport:
     if data.get("schema_version") != "v1":
-        raise InvalidInput(f"unsupported schema_version {data.get('schema_version')!r}")
+        raise InvalidInput(f"unsupported schema_version {data.get('schema_version')!r:.60}")
     verdicts = {}
     for cid, v in data["verdicts"].items():
         verdicts[cid] = CriterionResult(

@@ -36,9 +36,9 @@ class CurveClass:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
         if all(c == 0 for c in self.coords):
-            raise InvalidInput(f"curve class {self.label!r} must be nonzero")
+            raise InvalidInput(f"curve class {self.label!r:.60} must be nonzero")
         if self.multiplicity < 1:
-            raise InvalidInput(f"multiplicity of {self.label!r} must be >= 1")
+            raise InvalidInput(f"multiplicity of {self.label!r:.60} must be >= 1")
 
     def as_zdivisor(self) -> ZDivisor:
         return ZDivisor(self.coords)
@@ -83,7 +83,7 @@ class SurfaceModel:
             raise InvalidInput("effective_generators must be non-empty")
         for g in self.mori_generators:
             if len(g.coords) != rho:
-                raise InvalidInput(f"mori generator {g.label!r} has wrong rank")
+                raise InvalidInput(f"mori generator {g.label!r:.60} has wrong rank")
         for v in self.effective_generators:
             if len(v.coords) != rho:
                 raise InvalidInput("effective generator has wrong rank")
@@ -148,17 +148,17 @@ class SurfaceModel:
 
     def require_h0(self) -> Callable[[ZDivisor], int]:
         if self.h0 is None:
-            raise OracleUnavailable(f"surface {self.name!r} has no h0 oracle")
+            raise OracleUnavailable(f"surface {self.name!r:.60} has no h0 oracle")
         return self.h0
 
     def require_very_ample(self) -> Callable[[ZDivisor], bool]:
         if self.very_ample is None:
-            raise OracleUnavailable(f"surface {self.name!r} has no very_ample oracle")
+            raise OracleUnavailable(f"surface {self.name!r:.60} has no very_ample oracle")
         return self.very_ample
 
     def require_globally_generated(self) -> Callable[[ZDivisor], bool]:
         if self.globally_generated is None:
-            raise OracleUnavailable(f"surface {self.name!r} has no globally_generated oracle")
+            raise OracleUnavailable(f"surface {self.name!r:.60} has no globally_generated oracle")
         return self.globally_generated
 
 
@@ -218,7 +218,7 @@ def hirzebruch(e: int) -> SurfaceModel:
     the last piece is {b = -1, a <= -2}.
     """
     if e < 0:
-        raise InvalidInput(f"hirzebruch needs e >= 0, got {e}")
+        raise InvalidInput(f"hirzebruch needs e >= 0, got {e!s:.60}")
 
     def va(V: ZDivisor) -> bool:
         a, b = V.coords
@@ -309,7 +309,8 @@ def _builtin_surface(ident: str) -> Optional[SurfaceModel]:
         try:
             e = int(ident.split(":", 1)[1])
         except ValueError:
-            raise InvalidInput(f"bad hirzebruch id {ident!r}; expected hirzebruch:<e>") from None
+            raise InvalidInput(f"bad hirzebruch id {ident!r:.60}; "
+                               "expected hirzebruch:<e>") from None
         return hirzebruch(e)
     return None
 
@@ -323,9 +324,9 @@ def resolve_surface(ident: str) -> SurfaceModel:
         with open(ident, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
     except OSError as exc:
-        raise InvalidInput(f"surface: cannot read {ident!r} ({exc})") from None
+        raise InvalidInput(f"surface: cannot read {ident!r:.60} ({exc!s:.60})") from None
     except json.JSONDecodeError as exc:
-        raise InvalidInput(f"surface: {ident!r} is not valid JSON ({exc})") from None
+        raise InvalidInput(f"surface: {ident!r:.60} is not valid JSON ({exc!s:.60})") from None
     return surface_from_spec(spec)
 
 
@@ -352,14 +353,14 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
     Each mori_generators entry is a class or an object with "label" and "coords".
     """
     if not isinstance(spec, Mapping):
-        raise InvalidInput(f"surface spec is {spec!r}, expected an object")
+        raise InvalidInput(f"surface spec is {spec!r:.60}, expected an object")
     for fieldname in ("name", "basis", "matrix", "mori_generators",
                       "effective_generators", "canonical", "chi", "oracle"):
         if fieldname not in spec:
             raise InvalidInput(f"surface spec lacks field {fieldname!r}")
     basis = tuple(_spec_shape("basis", spec["basis"], list))
     if not all(isinstance(b, str) for b in basis):
-        raise InvalidInput(f"surface spec field 'basis' is {spec['basis']!r}, expected labels")
+        raise InvalidInput(f"surface spec field 'basis' is {spec['basis']!r:.60}, expected labels")
     rho = len(basis)
     matrix = _spec_ints("'matrix'", spec["matrix"], rho, rho)
     gens = []
@@ -387,13 +388,13 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
         except InvalidInput as exc:
             raise InvalidInput(f"surface spec field 'oracle': {exc}") from None
         if ref is None:
-            raise InvalidInput(f"surface spec field 'oracle': {oracle!r} is not a builtin id; "
+            raise InvalidInput(f"surface spec field 'oracle': {oracle!r:.60} is not a builtin id; "
                                "expected 'p2' or 'hirzebruch:E'")
         va, gg, h0 = ref.very_ample, ref.globally_generated, ref.h0
         regions = ref.regions
     elif isinstance(oracle, Mapping):
         if "h0_table" in oracle:
-            table = {_table_key("h0_table", key): _spec_ints(f"'h0_table': entry {key!r}", v)
+            table = {_table_key("h0_table", key): _spec_ints(f"'h0_table': entry {key!r:.60}", v)
                      for key, v in _spec_shape("h0_table", oracle["h0_table"], Mapping).items()}
 
             def h0(V: ZDivisor, _table=table) -> int:
@@ -434,8 +435,8 @@ def surface_from_spec(spec: Mapping) -> SurfaceModel:
         theirs = _lattice_fields(ref)
         for name, value in _lattice_fields(S).items():
             if value != theirs[name]:
-                raise InvalidInput(f"surface spec field 'oracle': {oracle!r} has a different "
-                                   f"{name!r} ({theirs[name]}, the spec has {value})")
+                raise InvalidInput(f"surface spec field 'oracle': {oracle!r:.60} has a different "
+                                   f"{name!r} ({theirs[name]}, the spec has {value!s:.60})")
     if table is not None:
         _check_h0_table(S, table)
     return S
@@ -448,11 +449,11 @@ def _spec_ints(where: str, value, *shape: Optional[int]):
     """
     if not shape:
         if type(value) is not int:
-            raise InvalidInput(f"surface spec field {where} is {value!r}, expected an integer")
+            raise InvalidInput(f"surface spec field {where} is {value!r:.60}, expected an integer")
         return value
     n = shape[0]
     if not isinstance(value, (list, tuple)) or n not in (None, len(value)):
-        raise InvalidInput(f"surface spec field {where} is {value!r}, expected a list"
+        raise InvalidInput(f"surface spec field {where} is {value!r:.60}, expected a list"
                            + ("" if n is None else f" of {n} entries"))
     return tuple(_spec_ints(f"{where} entry {i}", x, *shape[1:]) for i, x in enumerate(value))
 
@@ -462,14 +463,14 @@ def _table_key(fieldname: str, key: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in key.split(","))
     except (AttributeError, ValueError):
-        raise InvalidInput(f"surface spec field {fieldname!r}: key {key!r} is not "
+        raise InvalidInput(f"surface spec field {fieldname!r}: key {key!r:.60} is not "
                            "a comma-separated list of integers") from None
 
 
 def _spec_shape(fieldname: str, value, kind: type):
     """value if it is a list (kind list) or an object (kind Mapping); else InvalidInput."""
     if not isinstance(value, (list, tuple) if kind is list else kind):
-        raise InvalidInput(f"surface spec field {fieldname!r} is {value!r}, expected "
+        raise InvalidInput(f"surface spec field {fieldname!r} is {value!r:.60}, expected "
                            + ("a list" if kind is list else "an object"))
     return value
 
@@ -491,15 +492,15 @@ def _check_h0_table(S: SurfaceModel, table: Mapping[tuple[int, ...], int]) -> No
     for key, n in table.items():
         name = ",".join(map(str, key))
         if len(key) != S.rho:
-            raise InvalidInput(f"surface spec field 'h0_table': key {name!r} has "
+            raise InvalidInput(f"surface spec field 'h0_table': key {name!r:.60} has "
                                f"{len(key)} coordinates, the basis has {S.rho}")
         if n < 0:
-            raise InvalidInput(f"surface spec field 'h0_table': entry {name!r} is negative")
+            raise InvalidInput(f"surface spec field 'h0_table': entry {name!r:.60} is negative")
         dual = tuple(map(sub, k, key))
         if dual in table:
             h1 = n + table[dual] - chi_rr(S, trusted_zdivisor(key))
             if h1 < 0:
-                raise InvalidInput(f"surface spec field 'h0_table': entry {name!r} gives "
+                raise InvalidInput(f"surface spec field 'h0_table': entry {name!r:.60} gives "
                                    f"h1 = {h1} < 0 with h0(K - V) = {table[dual]}")
 
 
@@ -532,4 +533,4 @@ def rdivisor_on(S: SurfaceModel, D) -> RDivisor:
         D = parse_divisor(D)
     if isinstance(D, RDivisor):
         return D.to_prime(S.basis)
-    raise InvalidInput(f"cannot interpret {D!r} as a divisor on {S.name}")
+    raise InvalidInput(f"cannot interpret {D!r:.60} as a divisor on {S.name:.60}")

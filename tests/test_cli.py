@@ -9,7 +9,7 @@ import pytest
 import divpos.positivity as pos
 from divpos.cli import build_parser, main
 from divpos.errors import InvalidInput
-from divpos.surface import projective_plane
+from divpos.surface import hirzebruch, projective_plane, surface_to_spec
 
 
 def run(capsys, *argv):
@@ -392,6 +392,44 @@ def test_audit_config_that_is_not_an_object_exits_3(tmp_path, capsys):
     code, out, err = run(capsys, "audit", "--config", str(path))
     assert code == 3 and out == ""
     assert "config must be an object" in err
+
+
+HUGE = list(range(3000))
+
+
+@pytest.mark.parametrize("where, value, field", [
+    pytest.param("divisor", "x" * 5000 + "*L", "coefficient", id="divisor-coefficient"),
+    pytest.param("divisor", "1/2*L " + "+" * 3000, "divisor", id="divisor-signs"),
+    pytest.param("divisor", "L" * 5000, "labels", id="divisor-label"),
+    pytest.param("spec", {"chi": HUGE}, "'chi'", id="spec-chi"),
+    pytest.param("spec", {"matrix": HUGE}, "'matrix'", id="spec-matrix"),
+    pytest.param("spec", {"basis": HUGE}, "'basis'", id="spec-basis"),
+    pytest.param("spec", {"oracle": {"h0_table": HUGE}}, "'h0_table'", id="spec-h0_table"),
+    pytest.param("spec", HUGE, "surface spec", id="spec-list"),
+    pytest.param("config", {"twists": ["a"] * 3000}, "twists", id="config-twists"),
+    pytest.param("config", {"surfaces": [1] * 3000}, "surfaces", id="config-surfaces"),
+    pytest.param("config", {"seed": "9" * 5000}, "seed", id="config-seed"),
+    pytest.param("config", {"profile": {"rational": HUGE}}, "profile.rational",
+                 id="config-profile"),
+    pytest.param("config", {"fault": "f" * 10000}, "fault", id="config-fault"),
+])
+def test_oversized_input_is_refused_with_a_short_message_naming_the_field(
+        tmp_path, capsys, where, value, field):
+    """An inline divisor, a surface spec field or an audit config field far too long to
+    echo is refused with exit 3 and a message of under 300 bytes that names the field."""
+    path = tmp_path / "input.json"
+    if where == "divisor":
+        argv = ["check", "--surface", "p2", "--divisor", value]
+    elif where == "spec":
+        spec = {**surface_to_spec(hirzebruch(2)), "name": "f2-spec"}
+        path.write_text(json.dumps({**spec, **value} if isinstance(value, dict) else value))
+        argv = ["check", "--surface", str(path), "--divisor", "C0"]
+    else:
+        path.write_text(json.dumps({**GOOD_CONFIG, **value}))
+        argv = ["audit", "--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert len(err.encode()) < 300 and field in err, err[:300]
 
 
 def test_divisor_spec_file(tmp_path, capsys):
