@@ -313,3 +313,23 @@ def test_the_evaluation_alone_decides_where_a_scan_starts():
     tree = ast.parse(Path(auditor.__file__).read_text())
     names = {getattr(n, "attr", None) or getattr(n, "id", None) for n in ast.walk(tree)}
     assert not names & {"ceil_quotient", "_effective_coordinates"}
+
+
+# -- one ampleness criterion table -----------------------------------------------------
+
+
+def test_the_ampleness_judge_reads_one_criterion_table():
+    """auditor names an R-series id only inside _AMPLENESS_CRITERIA (the judge reads
+    every other id as its base through pos._ALIASES), and every id of that table is a
+    verdict of a report."""
+    r_ids = {cid for cid in pos._ALIASES if cid.startswith("R")}
+    tree = ast.parse(Path(auditor.__file__).read_text())
+    inside = {id(n) for top in tree.body if isinstance(top, ast.Assign)
+              and [ast.unparse(t) for t in top.targets] == ["_AMPLENESS_CRITERIA"]
+              for n in ast.walk(top)}
+    outside = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+               and n.value in r_ids and id(n) not in inside]
+    assert outside == []
+    report = pos.build_report(F2, "1/2*C0 + 3/2*f", 20)
+    for ids in auditor._AMPLENESS_CRITERIA.values():
+        assert set(ids) <= set(report.verdicts), set(ids) - set(report.verdicts)

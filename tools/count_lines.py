@@ -1,7 +1,8 @@
 """Count the lines of the divpos package: all lines, and lines of code.
 
 A line of code holds at least one token that is not a comment, a docstring
-or layout.  Every .py file under the package is counted.
+or layout.  Every .py file under the package is counted; one line per file
+comes first, then the package total.
 
 Usage: python3 tools/count_lines.py [PACKAGE_DIR]   (default: src/divpos)
 """
@@ -44,6 +45,7 @@ def main(argv: list[str]) -> int:
     total = code = 0
     for path in sorted(root.rglob("*.py")):
         t, c = count(path.read_text(encoding="utf-8"))
+        print(f"{path}: {t:,} lines, {c:,} of code")
         total += t
         code += c
     print(f"{root}: {total:,} lines, {code:,} of code")
