@@ -250,7 +250,7 @@ TAILS_CONTRADICTED = [(cid, "tail decision True contradicts cone oracle False")
     pytest.param("rational", False, None, _not_ample("rational", QI={}, QII={}), [],
                  [("QI", WITNESS_FOUND), ("QII", WITNESS_FOUND)],
                  id="rational-not-ample-witness-found"),
-    pytest.param("quadratic", False, None, _not_ample("quadratic", QI={}, Ri={}), [],
+    pytest.param("quadratic", False, None, _not_ample("quadratic", Ri={}), [],
                  [("Ri", WITNESS_FOUND)], id="quadratic-not-ample-witness-found"),
     # tails: missing though the bound applies, or a contradicted decision
     pytest.param("rational", True, None, TAILS_MISSING, TAILS_MISSED, [],
@@ -269,7 +269,7 @@ TAILS_CONTRADICTED = [(cid, "tail decision True contradicts cone oracle False")
     pytest.param("rational", False, None, _not_ample("rational", **_tails_from(59, holds=False)),
                  [], [], id="rational-not-ample-short-of-a-period"),
     pytest.param("quadratic", False, None,
-                 _not_ample("quadratic", QV={}, **_tails_from(58)), [], [],
+                 _not_ample("quadratic", **_tails_from(58)), [], [],
                  id="quadratic-not-ample-one-directional-tails"),
 ])
 def test_ampleness_judge_branches(kind, ground, delta, changes, discrepancies, inconclusives):
