@@ -56,31 +56,30 @@ def floor_quad(N: int, M: int, d: int, Q: int) -> int:
     return k
 
 
-def floor_multiples_rat(p: int, q: int, m_max: int) -> list:
-    """[floor(m*p/q) for m in 0..m_max], q > 0."""
-    return [(m * p) // q for m in range(m_max + 1)]
+def floor_multiples_rat(p: int, q: int, n: int, *, start: int = 0) -> list:
+    """[floor(m*p/q) for m in start..start+n], q > 0."""
+    return [(m * p) // q for m in range(start, start + n + 1)]
 
 
-def floor_multiples_quad(N: int, M: int, d: int, Q: int, m_max: int) -> list:
-    """[floor(m*(N + M*sqrt(d))/Q) for m in 0..m_max].
+def floor_multiples_quad(N: int, M: int, d: int, Q: int, n: int, *, start: int = 0) -> list:
+    """[floor(m*(N + M*sqrt(d))/Q) for m in start..start+n].
 
-    Incremental: floor(m*x) is floor((m-1)*x) + floor(x) + carry with
-    carry in {0, 1}, decided by one exact sign test per step.  Avoids an
-    integer square root per multiple.
+    Incremental: the first row is one floor_quad, and floor(m*x) is
+    floor((m-1)*x) + floor(x) + carry with carry in {0, 1}, decided by one
+    exact sign test per later row.  Avoids an integer square root per
+    multiple.
     """
     if M == 0:
-        return floor_multiples_rat(N, Q, m_max)
-    out = [0] * (m_max + 1)
-    if m_max == 0:
-        return out
+        return floor_multiples_rat(N, Q, n, start=start)
     f1 = floor_quad(N, M, d, Q)
-    prev = 0
-    for m in range(1, m_max + 1):
+    prev = floor_quad(start * N, start * M, d, Q)
+    out = [prev]
+    for m in range(start + 1, start + n + 1):
         cand = prev + f1
         # m*x >= cand+1 ?
         if sign_quad(m * N - (cand + 1) * Q, m * M, d) >= 0:
             cand += 1
-        out[m] = cand
+        out.append(cand)
         prev = cand
     return out
 

@@ -237,15 +237,26 @@ def fractional_part(D: RDivisor, basis: Sequence[str]) -> RDivisor:
     return RDivisor({lbl: c - c.floor() for lbl, c in zip(basis, coeffs)})
 
 
-def integral_part_multiples(D: RDivisor, basis: Sequence[str], m_max: int) -> list[tuple[int, ...]]:
-    """[[mD] for m in 0..m_max] as coordinate tuples, via the floor-scan kernel.
+def integral_part_multiples(D: RDivisor, basis: Sequence[str], m_max: int) -> "MultiplesColumn":
+    """[[mD] for m in 0..m_max], unbuilt: MultiplesColumn.rows builds the rows asked for."""
+    return MultiplesColumn(tuple(D.expand_coefficients(basis)), m_max)
 
-    floor_multiples_quad hands a rational coefficient (M == 0) to the
-    rational scan itself.
-    """
-    cols = [_kernels.floor_multiples_quad(c.N, c.M, c.d, c.Q, m_max)
-            for c in D.expand_coefficients(basis)]
-    return list(zip(*cols))
+
+@dataclass(frozen=True)
+class MultiplesColumn:
+    """The column [mD], m in 0..m_max, of a divisor D with prime ``coefficients``."""
+
+    coefficients: tuple[QuadExt, ...]
+    m_max: int
+
+    def rows(self, start: int, n: int) -> list[tuple[int, ...]]:
+        """[mD] for m in start..start+n as coordinate tuples, via the floor-scan kernel.
+
+        floor_multiples_quad hands a rational coefficient (M == 0) to the
+        rational scan itself.
+        """
+        return list(zip(*[_kernels.floor_multiples_quad(c.N, c.M, c.d, c.Q, n, start=start)
+                          for c in self.coefficients]))
 
 
 # -- rounding decomposition (general representations) --------------------------

@@ -29,12 +29,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import lcm
 from operator import add, mul
 from typing import Callable, Iterable, Optional, Union
 
 from divpos.divisor import (
+    MultiplesColumn,
     RDivisor,
     ZDivisor,
     divisor_to_spec,
@@ -162,7 +163,7 @@ def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) 
 # ---------------------------------------------------------------------------
 # bounded m-scans
 
-M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; a check at the cap takes ~2 s, 200 MB
+M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; a scan that walks takes ~7 s, 210 MB there
 
 
 @dataclass(frozen=True)
@@ -175,16 +176,17 @@ class Evaluation:
     """What does not change for one divisor D on one surface S, computed once.
 
     Every criterion reads D through its Evaluation (see _evaluation).  It
-    holds D's prime ``coefficients``; on first read it builds
-    ``multiples[m]`` = [mD] for m = 0..m_max (see _Rows), the generator ``pairings``
-    (ground truth, violator, nefness, the cone half of Nakai), the
+    holds D's prime ``coefficients``; on first read it builds the generator
+    ``pairings`` (ground truth, violator, nefness, the cone half of Nakai), the
     ``slope(w)`` = w.D of each region form w the onset bounds read, the
     ``onset(kind, G)`` bound of each (kind, twist) and the ``h0_counts`` column.
-    ``tail_start`` and ``first_member`` tell a scan where to start.
-    ``twisted(G)`` is a read-only view of G + [mD] that builds a row only
-    when the row is read.  Re-verification (``auditor._reverify_report``,
-    ``verify_big_certificate``) recomputes from the divisor and never
-    reads these values.
+    ``multiples[m]`` = [mD] for m = 0..m_max and ``twisted(G)``, a read-only
+    view of G + [mD], build only the blocks of rows that a scan reads (see
+    _Rows).  ``tail_start`` and ``first_member`` tell a scan where to start,
+    and ``first_member`` answers a search that definitive_negative proves
+    empty, so the scan reads one row.  Re-verification
+    (``auditor._reverify_report``, ``verify_big_certificate``) recomputes
+    from the divisor and never reads these values.
     """
 
     __slots__ = ("surface", "divisor", "m_max", "coefficients", "_multiples",
@@ -250,11 +252,16 @@ class Evaluation:
         return bound
 
     def first_member(self, kind: str) -> Optional[int]:
-        """region_first from m = 1 at twist 0 for a rational D on a surface with regions."""
-        if not self._exact:
-            return None
-        return region_first(self.surface.regions[kind], self,
-                            trusted_zdivisor((0,) * self.surface.rho), 1)
+        """The least m >= 1 with [mD] of kind, m_max + 1 for none; None: walk up to it.
+
+        region_first from m = 1 at twist 0 for a rational D on a surface with
+        regions; for any other D, m_max + 1 where definitive_negative proves
+        that no [mD] is of the kind (the scan then still reads row m_max).
+        """
+        if self._exact:
+            return region_first(self.surface.regions[kind], self,
+                                trusted_zdivisor((0,) * self.surface.rho), 1)
+        return self.m_max + 1 if definitive_negative(self.surface, self, kind) else None
 
     @property
     def _exact(self) -> bool:
@@ -276,33 +283,81 @@ class Evaluation:
                                f"the surface has rank {self.surface.rho}")
         if G.is_zero():
             return self.multiples
-        return _Rows(self.multiples.coords, G.coords)
+        return self.multiples.twist(G.coords)
+
+
+ROW_BLOCK = 64  # rows of [mD] that the first read of one of them builds together
 
 
 class _Rows(Sequence):
-    """The rows g + [mD] of a twist g (None: [mD]), each made a ZDivisor when first read.
+    """The rows g + [mD] of a twist g (None: [mD]), m in 0..m_max, built when read.
 
-    Only the coordinate tuples of [mD] are built up front: the garbage collector stops
-    tracking tuples of ints, and at m_max 2000 a column of ZDivisors made its full
-    collections about four times as frequent (check-deep, 3,000 ops).
+    Rows are built a block of ROW_BLOCK rows at a time, on the first read
+    of a row in the block: the coordinate tuples of [mD] from D's column,
+    shared by every view of the column, and for the view of [mD] itself
+    (``ev.multiples``, shared by the scans) their ZDivisors.  A twisted view
+    is read by one scan and keeps none of its rows.  Memory grows with the
+    rows read, not with m_max.
     """
 
-    __slots__ = ("coords", "_g", "_built")
+    __slots__ = ("column", "_n", "_blocks", "_g", "_built")
 
-    def __init__(self, coords: list[tuple[int, ...]], g: Optional[tuple[int, ...]] = None):
-        self.coords = coords
+    def __init__(self, column: MultiplesColumn, g: Optional[tuple[int, ...]] = None,
+                 blocks: Optional[dict[int, list[tuple[int, ...]]]] = None):
+        self.column = column
+        self._n = column.m_max + 1
+        self._blocks = {} if blocks is None else blocks
         self._g = g
-        self._built: list[Optional[ZDivisor]] = [None] * len(coords)
+        self._built: dict[int, list[ZDivisor]] = {}
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return self._n
+
+    def _block(self, b: int) -> list[tuple[int, ...]]:
+        """The coordinate tuples of the rows [mD] of block b, built on the first call."""
+        block = self._blocks.get(b)
+        if block is None:
+            start = b * ROW_BLOCK
+            block = self._blocks[b] = self.column.rows(start, min(ROW_BLOCK, self._n - start) - 1)
+        return block
+
+    def _built_block(self, b: int) -> list[ZDivisor]:
+        """The ZDivisors [mD] of block b, kept on the first call."""
+        block = self._built.get(b)
+        if block is None:
+            block = self._built[b] = list(map(trusted_zdivisor, self._block(b)))
+        return block
+
+    def coords(self, m: int) -> tuple[int, ...]:
+        """The coordinates of [mD], 0 <= m <= m_max (no twist)."""
+        return self._block(m // ROW_BLOCK)[m % ROW_BLOCK]
+
+    def twist(self, g: tuple[int, ...]) -> "_Rows":
+        """The view g + [mD], sharing the built coordinates."""
+        return _Rows(self.column, g, self._blocks)
 
     def __getitem__(self, m: int) -> ZDivisor:
-        V = self._built[m]
-        if V is None:
-            row = self.coords[m] if self._g is None else tuple(map(add, self._g, self.coords[m]))
-            V = self._built[m] = trusted_zdivisor(row)
-        return V
+        # a row of a built block is read without a bounds check: a row past m_max
+        # in the last block raises IndexError there, and any other row KeyError
+        try:
+            if self._g is None:
+                return self._built[m // ROW_BLOCK][m % ROW_BLOCK]
+            row = self._blocks[m // ROW_BLOCK][m % ROW_BLOCK]
+        except KeyError:
+            if m < 0:
+                m += self._n
+            if not 0 <= m < self._n:
+                raise IndexError(f"row {m} is outside 0..{self._n - 1}") from None
+            if self._g is None:
+                return self._built_block(m // ROW_BLOCK)[m % ROW_BLOCK]
+            row = self.coords(m)
+        return trusted_zdivisor(tuple(map(add, self._g, row)))
+
+    def __iter__(self):
+        """Every row in order (h0_counts reads the whole column)."""
+        if self._g is not None:
+            return map(self.__getitem__, range(self._n))
+        return chain.from_iterable(map(self._built_block, range(-(-self._n // ROW_BLOCK))))
 
 
 def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -350,8 +405,8 @@ def _first_from(ok: Callable[[object], bool], items: Sequence, lo: int,
                 first: Optional[int] = None) -> Optional[int]:
     """Least i >= lo with ok(items[i]); None if there is none.
 
-    first, when given, is that index as an exact region decides it, and
-    len(items) when the region has no member.  Then only items[first] and
+    first, when given, is that index as Evaluation.first_member decides it,
+    and len(items) when there is no member.  Then only items[first] and
     items[first - 1] (when first > lo) are read: the first must pass and
     the second fail, else InternalError.
     """
@@ -409,7 +464,7 @@ def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
     failure above the highest one found: the cost is O(min(q, m_max - m0 + 1)).
     """
     rows = ev.multiples.coords
-    top = tuple(map(add, G.coords, rows[ev.m_max]))
+    top = tuple(map(add, G.coords, rows(ev.m_max)))
     if not any(all(sum(map(mul, w, top)) >= c for w, c in piece) for piece in region):
         return None   # the common case of a scan that fails at once, without the set-up
     q, pieces = _period_forms(region, ev, G)
@@ -417,7 +472,7 @@ def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
     m = ev.m_max
     while m > worst and m > ev.m_max - q:
         k = 0   # the least k with row m - k*q outside the region
-        for first, last in sorted(_region_runs(pieces, rows[m], -1, m // q)):
+        for first, last in sorted(_region_runs(pieces, rows(m), -1, m // q)):
             if first <= k:
                 k = max(k, last + 1)
         if k <= m // q:
@@ -441,7 +496,7 @@ def region_first(region: Region, ev: "Evaluation", G: ZDivisor, lo: int) -> int:
     best = ev.m_max + 1
     m = lo
     while pieces and m < best and m < lo + q:
-        runs = _region_runs(pieces, rows[m], 1, (ev.m_max - m) // q)
+        runs = _region_runs(pieces, rows(m), 1, (ev.m_max - m) // q)
         if runs:
             best = min(best, m + q * min(first for first, _ in runs))
         m += 1

@@ -67,7 +67,8 @@ def test_integral_part_requires_prime_representation():
 
 def test_multiples_scan_matches_single_floors():
     d = RDivisor({"C0": QuadExt(Fraction(1, 3), Fraction(2, 7), 2), "f": Fraction(-5, 4)})
-    scan = integral_part_multiples(d, BASIS, 40)
+    scan = integral_part_multiples(d, BASIS, 40).rows(0, 40)
+    assert len(scan) == 41
     for m in range(41):
         assert ZDivisor(scan[m]) == integral_part(d.scaled(m), BASIS)
 

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divpos.positivity as pos
-from divpos.divisor import RDivisor, ZDivisor, parse_divisor
+from divpos import _kernels
+from divpos.divisor import RDivisor, ZDivisor, integral_part_multiples, parse_divisor
 from divpos.errors import InternalError, InvalidInput
 from divpos.exact_numbers import QuadExt
 from divpos.surface import (cohomology, hirzebruch, projective_plane, surface_from_spec,
@@ -136,6 +137,32 @@ def test_twisted_rows_are_a_lazy_view_of_the_twisted_multiples():
         assert list(rows) == [G + V for V in ev.multiples]
     with pytest.raises(InvalidInput, match="rank"):
         ev.twisted(ZDivisor((1, 0, 0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(surface_divisors(), st.data())
+def test_rows_built_when_read_equal_the_eager_floors(sd, data):
+    """Rows read in any order, negative indices included, equal [mD] floored through
+    QuadExt, plain and twisted, at m_max around one block and at 2000; the row
+    after each end raises IndexError."""
+    S, D = sd
+    G = ZDivisor(tuple(data.draw(st.integers(-3, 3)) for _ in S.basis))
+    for m_max in (0, 1, 63, 64, 65, 2000):
+        want = brute_multiples(S, D, m_max)
+        rows = pos._Rows(integral_part_multiples(D, S.basis, m_max))
+        twisted = rows.twist(G.coords)
+        for m in data.draw(st.lists(st.integers(-m_max - 1, m_max), max_size=30)):
+            row = want[m]
+            assert rows[m].coords == row and rows.coords(m % (m_max + 1)) == row
+            assert twisted[m] == brute_twisted(G, [row])[0]
+            assert rows[m] is rows[m]
+        for view in (rows, twisted):
+            assert len(view) == m_max + 1
+            for m in (m_max + 1, -m_max - 2):
+                with pytest.raises(IndexError):
+                    view[m]
+        assert [V.coords for V in rows] == want
+        assert list(twisted) == brute_twisted(G, want)
 
 
 def test_h0_column_is_computed_once_per_evaluation():
@@ -378,17 +405,31 @@ def test_every_region_is_its_predicate_on_integral_classes():
         assert sorted(S.regions) == ["big", "globally_generated", "h0_positive", "vanishing",
                                      "very_ample"]
         for coords in (zip(box) if S.rho == 1 else ((a, b) for a in box for b in box)):
-            V = ZDivisor(coords)
-            h0, h1, h2 = cohomology(S, V)
-            truth = {"very_ample": S.very_ample(V), "globally_generated": S.globally_generated(V),
-                     "h0_positive": h0 > 0, "vanishing": h1 == h2 == 0,
-                     "big": pos._is_big_class(S, V)}
             got = {kind: in_region(region, coords) for kind, region in S.regions.items()}
-            assert got == truth, (S.name, coords)
+            assert got == oracle_kinds(S, ZDivisor(coords)), (S.name, coords)
+
+
+def oracle_kinds(S, V):
+    """Each region kind's predicate at V, from cohomology and the oracles."""
+    h0, h1, h2 = cohomology(S, V)
+    return {"very_ample": S.very_ample(V), "globally_generated": S.globally_generated(V),
+            "h0_positive": h0 > 0, "vanishing": h1 == h2 == 0, "big": pos._is_big_class(S, V)}
+
+
+def assert_definitive_negative_claims_hold(S, D, claims):
+    """Each kind definitive_negative claims for D fails at every [mD], 1 <= m <= 60,
+    in the region and by the oracles."""
+    kinds = [kind for kind in S.regions if pos.definitive_negative(S, D, kind)]
+    claims.update((kind, str(D.coefficients(S.basis)[0].d)) for kind in kinds)
+    for row in (brute_multiples(S, D, 60)[1:] if kinds else ()):
+        truth = oracle_kinds(S, ZDivisor(row))
+        for kind in kinds:
+            assert not in_region(S.regions[kind], row) and not truth[kind], (S.name, str(D), kind)
 
 
 def test_definitive_negative_leaves_no_multiple_in_the_region():
-    """Half-integer D on F_0..F_3: each claim holds at every [mD], 1 <= m <= 60.
+    """Half-integer D on F_0..F_3, and D in Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5) on
+    F_0..F_3 and P^2: each claim holds at every [mD], 1 <= m <= 60.
 
     On F_0, -3*C0 - f has [1*D] = (-3, -1) in the third vanishing piece, so a
     failing form of the first piece alone proves nothing.
@@ -398,14 +439,18 @@ def test_definitive_negative_leaves_no_multiple_in_the_region():
         for i in range(-6, 7):
             for j in range(-12, 13):
                 D = RDivisor({"C0": Fraction(i, 2), "f": Fraction(j, 2)})
-                rows = [(i * m // 2, j * m // 2) for m in range(1, 61)]
-                for kind, region in S.regions.items():
-                    if pos.definitive_negative(S, D, kind):
-                        claims[kind] += 1
-                        assert not any(in_region(region, row) for row in rows), \
-                            (S.name, str(D), kind)
+                assert_definitive_negative_claims_hold(S, D, claims)
+    parts = [(x, y) for x in (-2, Fraction(-1, 2), 1) for y in (-1, Fraction(1, 3))]
+    for d in (2, 3, 5):
+        values = [QuadExt(x, y, d) for x, y in parts]
+        for S in SURFACES:
+            for coeffs in (zip(values) if S.rho == 1 else
+                           ((a, b) for a in values for b in values)):
+                assert_definitive_negative_claims_hold(S, RDivisor(dict(zip(S.basis, coeffs))),
+                                                       claims)
     assert not pos.definitive_negative(SURFACES[0], "-3*C0 - f", "vanishing")
-    assert set(claims) == set(F2.regions)
+    assert {kind for kind, _ in claims} == set(F2.regions)
+    assert {d for _, d in claims} == {"0", "2", "3", "5"}
 
 
 def test_a_spec_borrowing_a_builtin_oracle_borrows_its_regions():
@@ -516,6 +561,44 @@ def test_report_cost_of_a_rational_boundary_divisor_does_not_grow_with_m_max(e, 
             pos.build_report(S, D, m_max)
         counts.append((len(calls), len(oracle_calls)))
     assert counts[0] == counts[1] and counts[0][1] <= 50, counts
+
+
+def test_report_builds_the_same_rows_at_m_max_2000_and_a_million(monkeypatch):
+    """The floor-scan cells of a report of 9/2*C0 on F_0 differ by at most one block
+    of rows between m_max 2000 and 1,000,000: the rows read, not m_max, set them."""
+    cells = []
+    real = _kernels.floor_multiples_quad
+
+    def counting(*args, **kwargs):
+        cells.append(args[-1] + 1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "floor_multiples_quad", counting)
+    built = []
+    for m_max in (2000, 10**6):
+        del cells[:]
+        pos.build_report(hirzebruch(0), "9/2*C0", m_max)
+        built.append(sum(cells))
+    assert abs(built[0] - built[1]) <= 2 * pos.ROW_BLOCK and max(built) <= 8 * pos.ROW_BLOCK, built
+
+
+@pytest.mark.parametrize("S, D", [(hirzebruch(1), "-sqrt(2)*C0 + 3*f"),
+                                  (F2, "(1 - sqrt(3))*C0 + (2 + sqrt(3))*f"),
+                                  (projective_plane(), "(2 - sqrt(5))*L")])
+def test_a_provably_empty_irrational_search_reads_one_row(S, D, monkeypatch):
+    """P1's first very-ample and B3's first big multiple of an irrational D that
+    definitive_negative rules out: each predicate reads only row m_max."""
+    va_reads, big_reads = [], []
+    counted = dataclasses.replace(S, very_ample=lambda V: va_reads.append(V) or S.very_ample(V))
+    real_big = pos._is_big_class
+    monkeypatch.setattr(pos, "_is_big_class",
+                        lambda S, V: big_reads.append(V) or real_big(S, V))
+    ev = pos.Evaluation(counted, D, 2000)
+    assert ev.first_member("very_ample") == ev.first_member("big") == 2001
+    report = pos.build_report(counted, ev)
+    assert va_reads == big_reads == [ev.multiples[2000]]
+    assert (report.verdicts["P1"].holds, report.verdicts["P1"].conclusive) == (False, True)
+    assert (report.verdicts["B3"].holds, report.verdicts["B3"].conclusive) == (None, False)
 
 
 # -- m_max at the library boundary ---------------------------------------------------

@@ -106,6 +106,16 @@ def test_floor_quad_pell_boundaries():
         assert kernels.floor_quad(-want - 1, q, 2, 1) == -1
 
 
+@given(st.integers(-50, 50), st.integers(-50, 50), st.sampled_from(SQUAREFREE),
+       st.integers(1, 30), st.integers(0, 300), st.integers(0, 130))
+def test_floor_multiples_from_a_start_equal_the_tail_of_the_full_scan(N, M, d, Q, s, n):
+    """Rows s..s+n equal rows s.. of the scan from 0; M = 0 takes the rational scan."""
+    assert kernels.floor_multiples_quad(N, M, d, Q, n, start=s) == \
+        kernels.floor_multiples_quad(N, M, d, Q, s + n)[s:]
+    assert kernels.floor_multiples_rat(N, Q, n, start=s) == \
+        kernels.floor_multiples_rat(N, Q, s + n)[s:]
+
+
 def test_floor_multiples_negative_slope():
     out = kernels.floor_multiples_quad(1, -3, 5, 4, 50)
     for m in range(51):
