@@ -334,6 +334,7 @@ def run_audit(config: AuditConfig, suites: Sequence[str] = SUITES,
         raise ConfigError(f"suites must be distinct names from {list(SUITES)}, "
                           f"got {list(suites)!r:.60}")
     outcomes = [AuditOutcome(suite=name, config=config) for name in suites]
+    profile = f"profile.{_profile_kind(config.profile)}"
     for ident in config.surfaces:
         S = resolve_surface(ident)
         safe = safe_delta(S, config.profile)
@@ -343,7 +344,8 @@ def run_audit(config: AuditConfig, suites: Sequence[str] = SUITES,
             pos.default_effective_catalog(S), keep_reports)
         rng = SplitMix64(config.seed)
         for _ in range(config.n_divisors):
-            ev = pos.Evaluation(S, sample_divisor(S, config.profile, rng), config.m_max)
+            ev = pos.check_digits(pos.Evaluation(S, sample_divisor(S, config.profile, rng),
+                                                 config.m_max), profile)
             for name, out in zip(suites, outcomes):
                 # looked up per call, so a suite is found under whatever binds its name now
                 globals()["audit_" + name](site, ev, out)
@@ -586,7 +588,7 @@ def audit_bigness(site: SurfaceAudit, ev: pos.Evaluation, out: AuditOutcome) -> 
     _judge_one_sided(out, S, D, ground, m_max, "lem_b1_growth", growth.passed, growth_onset,
                      f"growth onset bound {{}} beyond m_max={m_max}", detail, detail)
 
-    m0 = pos.claim_boh_check(S, ev, require_big=False)
+    m0 = pos.claim_boh_check(S, ev)
     _judge_one_sided(out, S, D, ground, m_max, "claim_boh", m0 is not None,
                      lambda: ev.onset("big"), "interior onset bound {} beyond m_max",
                      "big but no tail of big integral parts",
@@ -598,7 +600,7 @@ def audit_bigness(site: SurfaceAudit, ev: pos.Evaluation, out: AuditOutcome) -> 
                      "big but no big integral multiple", f"[{fb}D] big though D is not")
 
     missing = [F for F in site.catalog
-               if pos.kodaira_check(S, ev, F, require_big=False) is None]
+               if pos.kodaira_check(S, ev, F) is None]
     _judge_one_sided(out, S, D, ground, m_max, "kodaira", not missing,
                      lambda: pos._max_bound(ev.onset("h0_positive", -F) for F in missing),
                      "kodaira onset beyond m_max for some F",

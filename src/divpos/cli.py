@@ -76,6 +76,12 @@ def _load_divisor(arg: str):
     return parse_divisor(arg)
 
 
+def _evaluation(args, S) -> pos.Evaluation:
+    """--divisor on S up to --m-max, refused past the digit bound of an input divisor."""
+    return pos.check_digits(pos.Evaluation(S, _load_divisor(args.divisor), args.m_max),
+                            "--divisor")
+
+
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
@@ -90,10 +96,7 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 def cmd_check(args) -> int:
     S = resolve_surface(args.surface)
-    D = _load_divisor(args.divisor)
-    report = pos.build_report(
-        S, D, m_max=args.m_max, delta=_delta(args.delta),
-    )
+    report = pos.build_report(S, _evaluation(args, S), delta=_delta(args.delta))
     payload = report.to_json_dict()
     lines = [
         f"surface: {S.name}",
@@ -177,7 +180,7 @@ def cmd_counterexample(args) -> int:
 
 def cmd_semigroup(args) -> int:
     S = resolve_surface(args.surface)
-    ev = pos.Evaluation(S, _load_divisor(args.divisor), args.m_max)
+    ev = _evaluation(args, S)
     members = pos.semigroup(S, ev)
     payload = {
         "schema_version": "v1",
@@ -196,7 +199,7 @@ def cmd_semigroup(args) -> int:
 
 def cmd_growth(args) -> int:
     S = resolve_surface(args.surface)
-    ev = pos.Evaluation(S, _load_divisor(args.divisor), args.m_max)
+    ev = _evaluation(args, S)
     rows, estimate = pos.chi_growth(S, ev, range(1, args.m_max + 1))
     table = [{"m": m, "chi": chi, "h0": ev.h0_counts[m]} for m, chi in rows]
     growth = pos.big_growth_check(S, ev) if args.m_max >= pos.GROWTH_MIN_M_MAX else None

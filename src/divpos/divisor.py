@@ -18,6 +18,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import add, neg, sub
 from typing import Union
@@ -238,16 +239,27 @@ def fractional_part(D: RDivisor, basis: Sequence[str]) -> RDivisor:
 
 
 def integral_part_multiples(D: RDivisor, basis: Sequence[str], m_max: int) -> "MultiplesColumn":
-    """[[mD] for m in 0..m_max], unbuilt: MultiplesColumn.rows builds the rows asked for."""
+    """[[mD] for m in 0..m_max], unbuilt: a row is built when it is first read."""
     return MultiplesColumn(tuple(D.expand_coefficients(basis)), m_max)
 
 
-@dataclass(frozen=True)
-class MultiplesColumn:
-    """The column [mD], m in 0..m_max, of a divisor D with prime ``coefficients``."""
+ROW_BLOCK = 64  # rows of [mD] that the first read of one of them builds together
 
-    coefficients: tuple[QuadExt, ...]
-    m_max: int
+
+class MultiplesColumn(Sequence):
+    """The rows [mD], m in 0..m_max, of a divisor D with prime ``coefficients``.
+
+    The first read of a row builds its block of ROW_BLOCK rows through the
+    floor-scan kernel and keeps their ZDivisors, so a row read twice is
+    the same object and memory grows with the rows read, not with m_max.
+    """
+
+    __slots__ = ("coefficients", "m_max", "_blocks")
+
+    def __init__(self, coefficients: tuple[QuadExt, ...], m_max: int):
+        self.coefficients = coefficients
+        self.m_max = m_max
+        self._blocks: dict[int, list[ZDivisor]] = {}
 
     def rows(self, start: int, n: int) -> list[tuple[int, ...]]:
         """[mD] for m in start..start+n as coordinate tuples, via the floor-scan kernel.
@@ -257,6 +269,34 @@ class MultiplesColumn:
         """
         return list(zip(*[_kernels.floor_multiples_quad(c.N, c.M, c.d, c.Q, n, start=start)
                           for c in self.coefficients]))
+
+    def _block(self, b: int) -> list[ZDivisor]:
+        """The rows of block b, built on the first call."""
+        block = self._blocks.get(b)
+        if block is None:
+            start = b * ROW_BLOCK
+            n = min(ROW_BLOCK, self.m_max + 1 - start)
+            block = self._blocks[b] = list(map(trusted_zdivisor, self.rows(start, n - 1)))
+        return block
+
+    def __len__(self) -> int:
+        return self.m_max + 1
+
+    def __getitem__(self, m: int) -> ZDivisor:
+        # a row of a built block is read without a bounds check: a row past m_max
+        # in the last block raises IndexError there, and any other row KeyError
+        try:
+            return self._blocks[m // ROW_BLOCK][m % ROW_BLOCK]
+        except KeyError:
+            if m < 0:
+                m += self.m_max + 1
+            if not 0 <= m <= self.m_max:
+                raise IndexError(f"row {m} is outside 0..{self.m_max}") from None
+            return self._block(m // ROW_BLOCK)[m % ROW_BLOCK]
+
+    def __iter__(self):
+        """Every row in order (h0_counts reads the whole column)."""
+        return chain.from_iterable(map(self._block, range(self.m_max // ROW_BLOCK + 1)))
 
 
 # -- rounding decomposition (general representations) --------------------------

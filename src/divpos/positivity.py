@@ -28,8 +28,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import chain, combinations, product
+from functools import cached_property, partial
+from itertools import combinations, product
 from math import lcm
 from operator import add, mul
 from typing import Callable, Iterable, Optional, Union
@@ -125,21 +125,14 @@ def ratio_bound(S: SurfaceModel, D: DivisorOrEvaluation, H: DivisorLike) -> Quad
     return min(dv / hv for (_, dv), (_, hv) in zip(_evaluation(S, D, None).pairings, hp))
 
 
-def seshadri_bound(S: SurfaceModel, D: DivisorOrEvaluation,
-                   catalog: Optional[Sequence[CurveClass]] = None) -> QuadExt:
-    """min over a declared curve catalog of (D.C)/mult_x(C).
+def seshadri_bound(S: SurfaceModel, D: DivisorOrEvaluation) -> QuadExt:
+    """min over the cone generators C of (D.C)/mult_x(C), at their declared multiplicities.
 
-    A catalog-restricted surrogate of the Seshadri criterion; exact on
-    the built-ins, where the generators are smooth curves sweeping the
-    surface.  Default catalog: the cone generators with multiplicity 1.
+    A surrogate of the Seshadri criterion restricted to the generators;
+    exact on the built-ins, where the generators are smooth curves
+    (multiplicity 1) sweeping the surface.
     """
-    ev = _evaluation(S, D, None)
-    if catalog is None:
-        return min(v / g.multiplicity for g, v in ev.pairings)
-    curves = tuple(catalog)
-    if not curves:
-        raise InvalidInput("empty curve catalog")
-    return min(_pair_class(S, ev.coefficients, c.coords) / c.multiplicity for c in curves)
+    return min(v / g.multiplicity for g, v in _evaluation(S, D, None).pairings)
 
 
 def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) -> bool:
@@ -165,6 +158,12 @@ def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) 
 
 M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; a scan that walks takes ~7 s, 210 MB there
 
+# The most digits of the integers of an input divisor's prime coefficients over their
+# common denominator.  What check, audit, growth and semigroup print is at most quadratic
+# in them (D.D; chi and h0 at M_MAX_LIMIT add 12 digits), so it stays within the 4,300
+# digits that str() writes of an int.
+DIVISOR_DIGITS = 2_000
+
 
 @dataclass(frozen=True)
 class VAMultiples:
@@ -176,21 +175,19 @@ class Evaluation:
     """What does not change for one divisor D on one surface S, computed once.
 
     Every criterion reads D through its Evaluation (see _evaluation).  It
-    holds D's prime ``coefficients``; on first read it builds the generator
-    ``pairings`` (ground truth, violator, nefness, the cone half of Nakai), the
-    ``slope(w)`` = w.D of each region form w the onset bounds read, the
-    ``onset(kind, G)`` bound of each (kind, twist) and the ``h0_counts`` column.
-    ``multiples[m]`` = [mD] for m = 0..m_max and ``twisted(G)``, a read-only
-    view of G + [mD], build only the blocks of rows that a scan reads (see
-    _Rows).  ``tail_start`` and ``first_member`` tell a scan where to start,
+    holds D's prime ``coefficients``; its cached properties are built on
+    first read: the generator ``pairings`` (ground truth, violator, nefness,
+    the cone half of Nakai), ``multiples`` and the ``h0_counts`` column.
+    ``slope(w)`` = w.D of a region form w and ``onset(kind, G)`` are memoised
+    per key.  ``multiples`` is the one store of the rows [mD], m = 0..m_max
+    (a MultiplesColumn builds the blocks of rows a scan reads), and
+    ``twisted(G)`` is a view of G + [mD] over it that keeps nothing.
+    ``tail_start`` and ``first_member`` tell a scan where to start,
     and ``first_member`` answers a search that definitive_negative proves
     empty, so the scan reads one row.  Re-verification
     (``auditor._reverify_report``, ``verify_big_certificate``) recomputes
     from the divisor and never reads these values.
     """
-
-    __slots__ = ("surface", "divisor", "m_max", "coefficients", "_multiples",
-                 "_pairings", "_nef", "slopes", "_bounds", "_h0_counts")
 
     def __init__(self, S: SurfaceModel, D: DivisorLike, m_max: int):
         if not isinstance(m_max, int) or not 1 <= m_max <= M_MAX_LIMIT:
@@ -199,27 +196,22 @@ class Evaluation:
         self.divisor = rdivisor_on(S, D)
         self.m_max = m_max
         self.coefficients = self.divisor.coefficients(S.basis)
-        self._multiples: Optional[_Rows] = None
-        self._pairings: Optional[list[tuple[CurveClass, QuadExt]]] = None
-        self._nef: Optional[bool] = None
         self.slopes: dict[tuple[int, ...], QuadExt] = {}
         self._bounds: dict[tuple[str, ZDivisor], Optional[int]] = {}
-        self._h0_counts: Optional[list[int]] = None
 
-    @property
-    def multiples(self) -> "_Rows":
+    @cached_property
+    def multiples(self) -> MultiplesColumn:
         """[mD] for m in 0..m_max."""
-        if self._multiples is None:
-            self._multiples = _Rows(integral_part_multiples(
-                self.divisor, self.surface.basis, self.m_max))
-        return self._multiples
+        return integral_part_multiples(self.divisor, self.surface.basis, self.m_max)
 
-    @property
+    @cached_property
     def pairings(self) -> list[tuple[CurveClass, QuadExt]]:
         """generator_pairings(S, D)."""
-        if self._pairings is None:
-            self._pairings = generator_pairings(self.surface, self)
-        return self._pairings
+        return generator_pairings(self.surface, self)
+
+    @cached_property
+    def _nef(self) -> bool:
+        return all(v.sign() >= 0 for _, v in self.pairings)
 
     def slope(self, w: tuple[int, ...]) -> QuadExt:
         """w.D for an integer form w on the coordinates, memoised in ``slopes``."""
@@ -244,8 +236,6 @@ class Evaluation:
         the exact tail start region_tail for a rational D on a surface with regions.
         """
         G = G if G is not None else trusted_zdivisor((0,) * self.surface.rho)
-        if self._nef is None:
-            self._nef = all(v.sign() >= 0 for _, v in self.pairings)
         bound = self.onset(kind, G) if self._nef else None
         if bound is None and self._exact:
             return region_tail(self.surface.regions[kind], self, G)
@@ -268,96 +258,46 @@ class Evaluation:
         """Whether exact regions decide D's scans: D rational on a surface with regions."""
         return self.surface.regions is not None and all(c.is_rational for c in self.coefficients)
 
-    @property
+    @cached_property
     def h0_counts(self) -> list[int]:
         """[h0([mD]) for m in 0..m_max]."""
-        if self._h0_counts is None:
-            h0 = self.surface.require_h0()
-            self._h0_counts = [h0(V) for V in self.multiples]
-        return self._h0_counts
+        h0 = self.surface.require_h0()
+        return [h0(V) for V in self.multiples]
 
     def twisted(self, G: ZDivisor) -> Sequence[ZDivisor]:
-        """G + [mD] for m in 0..m_max: ``multiples`` itself for G = 0, else a lazy view."""
+        """G + [mD] for m in 0..m_max: ``multiples`` itself for G = 0, else a view of it."""
         if len(G.coords) != self.surface.rho:
             raise InvalidInput(f"twist {G} has {len(G.coords)} coordinates, "
                                f"the surface has rank {self.surface.rho}")
         if G.is_zero():
             return self.multiples
-        return self.multiples.twist(G.coords)
+        return _Twisted(self.multiples, G.coords)
 
 
-ROW_BLOCK = 64  # rows of [mD] that the first read of one of them builds together
+class _Twisted(Sequence):
+    """The rows g + [mD] of a column [mD], added on each read and not kept."""
 
+    __slots__ = ("rows", "g")
 
-class _Rows(Sequence):
-    """The rows g + [mD] of a twist g (None: [mD]), m in 0..m_max, built when read.
-
-    Rows are built a block of ROW_BLOCK rows at a time, on the first read
-    of a row in the block: the coordinate tuples of [mD] from D's column,
-    shared by every view of the column, and for the view of [mD] itself
-    (``ev.multiples``, shared by the scans) their ZDivisors.  A twisted view
-    is read by one scan and keeps none of its rows.  Memory grows with the
-    rows read, not with m_max.
-    """
-
-    __slots__ = ("column", "_n", "_blocks", "_g", "_built")
-
-    def __init__(self, column: MultiplesColumn, g: Optional[tuple[int, ...]] = None,
-                 blocks: Optional[dict[int, list[tuple[int, ...]]]] = None):
-        self.column = column
-        self._n = column.m_max + 1
-        self._blocks = {} if blocks is None else blocks
-        self._g = g
-        self._built: dict[int, list[ZDivisor]] = {}
+    def __init__(self, rows: MultiplesColumn, g: tuple[int, ...]):
+        self.rows, self.g = rows, g
 
     def __len__(self) -> int:
-        return self._n
-
-    def _block(self, b: int) -> list[tuple[int, ...]]:
-        """The coordinate tuples of the rows [mD] of block b, built on the first call."""
-        block = self._blocks.get(b)
-        if block is None:
-            start = b * ROW_BLOCK
-            block = self._blocks[b] = self.column.rows(start, min(ROW_BLOCK, self._n - start) - 1)
-        return block
-
-    def _built_block(self, b: int) -> list[ZDivisor]:
-        """The ZDivisors [mD] of block b, kept on the first call."""
-        block = self._built.get(b)
-        if block is None:
-            block = self._built[b] = list(map(trusted_zdivisor, self._block(b)))
-        return block
-
-    def coords(self, m: int) -> tuple[int, ...]:
-        """The coordinates of [mD], 0 <= m <= m_max (no twist)."""
-        return self._block(m // ROW_BLOCK)[m % ROW_BLOCK]
-
-    def twist(self, g: tuple[int, ...]) -> "_Rows":
-        """The view g + [mD], sharing the built coordinates."""
-        return _Rows(self.column, g, self._blocks)
+        return len(self.rows)
 
     def __getitem__(self, m: int) -> ZDivisor:
-        # a row of a built block is read without a bounds check: a row past m_max
-        # in the last block raises IndexError there, and any other row KeyError
-        try:
-            if self._g is None:
-                return self._built[m // ROW_BLOCK][m % ROW_BLOCK]
-            row = self._blocks[m // ROW_BLOCK][m % ROW_BLOCK]
-        except KeyError:
-            if m < 0:
-                m += self._n
-            if not 0 <= m < self._n:
-                raise IndexError(f"row {m} is outside 0..{self._n - 1}") from None
-            if self._g is None:
-                return self._built_block(m // ROW_BLOCK)[m % ROW_BLOCK]
-            row = self.coords(m)
-        return trusted_zdivisor(tuple(map(add, self._g, row)))
+        return trusted_zdivisor(tuple(map(add, self.g, self.rows[m].coords)))
 
-    def __iter__(self):
-        """Every row in order (h0_counts reads the whole column)."""
-        if self._g is not None:
-            return map(self.__getitem__, range(self._n))
-        return chain.from_iterable(map(self._built_block, range(-(-self._n // ROW_BLOCK))))
+
+def check_digits(ev: Evaluation, field: str) -> Evaluation:
+    """ev, unless its divisor passes DIVISOR_DIGITS; then InvalidInput naming field and bound."""
+    q = lcm(*(c.Q for c in ev.coefficients))
+    top = max(q, *(max(abs(c.N), abs(c.M)) * (q // c.Q) for c in ev.coefficients))
+    # 2**3.321 < 10, so only a top of more bits than that is compared with the power of ten
+    if top.bit_length() > DIVISOR_DIGITS * 3321 // 1000 and top >= 10**DIVISOR_DIGITS:
+        raise InvalidInput(f"{field}: the prime coefficients over their common denominator "
+                           f"have an integer of more than {DIVISOR_DIGITS} digits")
+    return ev
 
 
 def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -463,8 +403,8 @@ def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
     the top row down, and the visit stops once no class left can hold a
     failure above the highest one found: the cost is O(min(q, m_max - m0 + 1)).
     """
-    rows = ev.multiples.coords
-    top = tuple(map(add, G.coords, rows(ev.m_max)))
+    rows = ev.multiples
+    top = tuple(map(add, G.coords, rows[ev.m_max].coords))
     if not any(all(sum(map(mul, w, top)) >= c for w, c in piece) for piece in region):
         return None   # the common case of a scan that fails at once, without the set-up
     q, pieces = _period_forms(region, ev, G)
@@ -472,7 +412,7 @@ def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
     m = ev.m_max
     while m > worst and m > ev.m_max - q:
         k = 0   # the least k with row m - k*q outside the region
-        for first, last in sorted(_region_runs(pieces, rows(m), -1, m // q)):
+        for first, last in sorted(_region_runs(pieces, rows[m].coords, -1, m // q)):
             if first <= k:
                 k = max(k, last + 1)
         if k <= m // q:
@@ -492,11 +432,11 @@ def region_first(region: Region, ev: "Evaluation", G: ZDivisor, lo: int) -> int:
     q, pieces = _period_forms(region, ev, G)
     pieces = [piece for piece in pieces if all(
         s > 0 or lo * s + q * (-sum(x for x in w if x < 0) - c) >= 0 for w, c, s in piece)]
-    rows = ev.multiples.coords
+    rows = ev.multiples
     best = ev.m_max + 1
     m = lo
     while pieces and m < best and m < lo + q:
-        runs = _region_runs(pieces, rows(m), 1, (ev.m_max - m) // q)
+        runs = _region_runs(pieces, rows[m].coords, 1, (ev.m_max - m) // q)
         if runs:
             best = min(best, m + q * min(first for first, _ in runs))
         m += 1
@@ -833,12 +773,9 @@ def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:
 
 
 def claim_boh_check(S: SurfaceModel, D: DivisorOrEvaluation,
-                    m_max: Optional[int] = None, require_big: bool = True) -> Optional[int]:
+                    m_max: Optional[int] = None) -> Optional[int]:
     """Least m0 <= m_max with [mD] big for all m in [m0, m_max]."""
-    ev = _evaluation(S, D, m_max)
-    if require_big and not is_big(S, ev).big:
-        raise InvalidInput("divisor is not big")
-    return _tail_from(partial(_is_big_class, S), ev.multiples, 1)
+    return _tail_from(partial(_is_big_class, S), _evaluation(S, D, m_max).multiples, 1)
 
 
 def first_big_multiple(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -849,12 +786,10 @@ def first_big_multiple(S: SurfaceModel, D: DivisorOrEvaluation,
 
 
 def kodaira_check(S: SurfaceModel, D: DivisorOrEvaluation, F: ZDivisor,
-                  m_max: Optional[int] = None, require_big: bool = True) -> Optional[int]:
+                  m_max: Optional[int] = None) -> Optional[int]:
     """Least m in N(X, D) from which h0([mD] - F) > 0 persists to m_max."""
     h0 = S.require_h0()
     ev = _evaluation(S, D, m_max)
-    if require_big and not is_big(S, ev).big:
-        raise InvalidInput("divisor is not big")
     if h0(F) <= 0:
         raise InvalidInput(f"F = {S.format_z(F)} is not effective")
     mults = ev.multiples

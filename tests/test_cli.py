@@ -432,6 +432,61 @@ def test_oversized_input_is_refused_with_a_short_message_naming_the_field(
     assert len(err.encode()) < 300 and field in err, err[:300]
 
 
+NINES = "9" * pos.DIVISOR_DIGITS   # the largest integer within the digit bound of an input divisor
+
+
+@pytest.mark.parametrize("m_max", ["10", str(pos.M_MAX_LIMIT)])
+@pytest.mark.parametrize("argv", [
+    ("check", "--surface", "p2", "--divisor", "{n}*L"),
+    ("check", "--surface", "hirzebruch:2", "--divisor", "{n}*C0 + {n}*f"),
+    ("check", "--surface", "hirzebruch:2", "--divisor", "@{spec}"),
+    ("audit", "--profile", "rational:{n}/1", "--n-divisors", "2", "--suite", "ampleness"),
+])
+def test_input_divisors_print_at_the_digit_bound_and_exit_3_one_digit_past(
+        tmp_path, capsys, argv, m_max):
+    """Every value of a report prints at the bound, at m_max 10 and at the cap; a digit
+    more is refused naming the field and the bound, not by the interpreter's digit limit."""
+    spec = tmp_path / "d.json"
+    for n, code in ((NINES, 0), (NINES + "9", 3)):
+        # 1/3 of the general component A = n*C0 + 3*f is (n/3)*C0 + f, n/3 an integer
+        spec.write_text(json.dumps({"terms": {"A": "1/3"}, "expansions": {"A": [int(n), 3]}}))
+        got, out, err = run(capsys, *(a.format(n=n, spec=spec) for a in argv),
+                            "--m-max", m_max, "--format", "json")
+        assert got == code and "set_int_max_str_digits" not in err, err[:300]
+        if code:
+            field = "profile.rational" if argv[0] == "audit" else "--divisor"
+            assert out == "" and field in err and str(pos.DIVISOR_DIGITS) in err, err[:300]
+        else:
+            json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--surface", "p2", "--divisor", "@{spec}"),
+    ("growth", "--surface", "hirzebruch:2", "--divisor", "{n}*C0 + {n}*f"),
+    ("semigroup", "--surface", "hirzebruch:2", "--divisor", "-{n}*C0 + {n}*f"),
+    ("audit", "--profile", "rational:{n}/1", "--n-divisors", "2"),
+    ("audit", "--profile", "quadratic:2:{n}", "--n-divisors", "2", "--full-reports"),
+])
+def test_every_command_prints_an_input_divisor_at_the_digit_bound(tmp_path, capsys, argv):
+    """At m_max 10, growth, semigroup and every audit suite print divisors at the bound;
+    a spec expanding to 4,200 digits and a quadratic profile past it exit 3 naming the field."""
+    spec = tmp_path / "d.json"
+    spec.write_text(json.dumps({"terms": {"A": "1/3"}, "expansions": {"A": [int("7" * 4200)]}}))
+    # a quadratic profile's coefficient (a + b*sqrt(2)) over q1*q2 has the height times q1*q2
+    n = NINES[:-2] if "quadratic:2:{n}" in argv else NINES
+    got, out, err = run(capsys, *(a.format(n=n, spec=spec) for a in argv),
+                        "--m-max", "10", "--format", "json")
+    assert "set_int_max_str_digits" not in err
+    if "@{spec}" in argv:
+        assert got == 3 and "--divisor" in err and str(pos.DIVISOR_DIGITS) in err, err[:300]
+    else:
+        assert got in (0, 2) and json.loads(out), err[:300]
+    if "quadratic:2:{n}" in argv:
+        got, out, err = run(capsys, "audit", "--profile", "quadratic:2:" + NINES + "9",
+                            "--n-divisors", "2", "--m-max", "10")
+        assert got == 3 and "profile.quadratic" in err and str(pos.DIVISOR_DIGITS) in err
+
+
 def test_divisor_spec_file(tmp_path, capsys):
     spec = {"terms": {"C0": "3/2", "f": "3"}}
     path = tmp_path / "d.json"

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import divpos.positivity as pos
 from divpos import _kernels
-from divpos.divisor import RDivisor, ZDivisor, integral_part_multiples, parse_divisor
+from divpos.divisor import (ROW_BLOCK, RDivisor, ZDivisor, integral_part_multiples,
+                            parse_divisor)
 from divpos.errors import InternalError, InvalidInput
 from divpos.exact_numbers import QuadExt
 from divpos.surface import (cohomology, hirzebruch, projective_plane, surface_from_spec,
@@ -103,14 +104,14 @@ def test_scans_through_evaluation_match_brute_force(sd, m_max):
 
     big = [False] + [pos.is_big(S, x).big for x in plain[1:]]
     assert pos.first_big_multiple(S, ev) == next((m for m, ok in enumerate(big) if ok), None)
-    assert pos.claim_boh_check(S, ev, require_big=False) == brute_tail(big, 1)
+    assert pos.claim_boh_check(S, ev) == brute_tail(big, 1)
 
     members = [m for m, n in enumerate(counts) if n > 0]
     for F in pos.default_effective_catalog(S):
         down = brute_twisted(-F, rows)
         want = next((m for m in members
                      if all(S.h0(down[k]) > 0 for k in members if k >= m)), None)
-        assert pos.kodaira_check(S, ev, F, require_big=False) == want
+        assert pos.kodaira_check(S, ev, F) == want
 
 
 def test_public_call_forms_match_the_evaluation():
@@ -149,11 +150,11 @@ def test_rows_built_when_read_equal_the_eager_floors(sd, data):
     G = ZDivisor(tuple(data.draw(st.integers(-3, 3)) for _ in S.basis))
     for m_max in (0, 1, 63, 64, 65, 2000):
         want = brute_multiples(S, D, m_max)
-        rows = pos._Rows(integral_part_multiples(D, S.basis, m_max))
-        twisted = rows.twist(G.coords)
+        rows = integral_part_multiples(D, S.basis, m_max)
+        twisted = pos._Twisted(rows, G.coords)
         for m in data.draw(st.lists(st.integers(-m_max - 1, m_max), max_size=30)):
             row = want[m]
-            assert rows[m].coords == row and rows.coords(m % (m_max + 1)) == row
+            assert rows[m].coords == row and rows[m % (m_max + 1)].coords == row
             assert twisted[m] == brute_twisted(G, [row])[0]
             assert rows[m] is rows[m]
         for view in (rows, twisted):
@@ -579,7 +580,7 @@ def test_report_builds_the_same_rows_at_m_max_2000_and_a_million(monkeypatch):
         del cells[:]
         pos.build_report(hirzebruch(0), "9/2*C0", m_max)
         built.append(sum(cells))
-    assert abs(built[0] - built[1]) <= 2 * pos.ROW_BLOCK and max(built) <= 8 * pos.ROW_BLOCK, built
+    assert abs(built[0] - built[1]) <= 2 * ROW_BLOCK and max(built) <= 8 * ROW_BLOCK, built
 
 
 @pytest.mark.parametrize("S, D", [(hirzebruch(1), "-sqrt(2)*C0 + 3*f"),

@@ -13,8 +13,7 @@ import divpos.positivity as pos
 from divpos.divisor import RDivisor, ZDivisor, parse_divisor
 from divpos.errors import InternalError, InvalidInput
 from divpos.exact_numbers import QuadExt, parse_quadext
-from divpos.surface import (CurveClass, cohomology, hirzebruch, projective_plane,
-                            surface_from_spec)
+from divpos.surface import cohomology, hirzebruch, projective_plane, surface_from_spec
 
 F2 = hirzebruch(2)
 F3 = hirzebruch(3)
@@ -182,9 +181,15 @@ def test_seshadri_examples():
 
 
 def test_seshadri_multiplicity_halves_ratio():
-    catalog = (CurveClass("C0", (1, 0), 2), CurveClass("f", (0, 1), 1))
+    # F_2's lattice, with its generator C0 declared of multiplicity 2
+    S = surface_from_spec({"name": "F2 double C0", "basis": ["C0", "f"],
+                           "matrix": [[-2, 1], [1, 0]],
+                           "mori_generators": [{"label": "C0", "coords": [1, 0], "multiplicity": 2},
+                                               {"label": "f", "coords": [0, 1]}],
+                           "effective_generators": [[1, 0], [0, 1]], "canonical": [-2, -4],
+                           "chi": 1, "oracle": {"h0_table": {"0,0": 1}}})
     base = pos.seshadri_bound(F2, "4*C0 + 12*f")
-    halved = pos.seshadri_bound(F2, "4*C0 + 12*f", catalog)
+    halved = pos.seshadri_bound(S, "4*C0 + 12*f")
     assert base == QuadExt(4)
     assert halved == QuadExt(2)  # C0 pairing 4 divided by multiplicity 2
 
@@ -376,8 +381,8 @@ def test_kodaira_examples():
 
 
 def test_kodaira_preconditions():
-    with pytest.raises(InvalidInput):
-        pos.kodaira_check(F2, "f", ZDivisor((1, 0)), 50)
+    # a divisor that is not big is scanned, not refused: h0(mf - C0) = 0 for every m
+    assert pos.kodaira_check(F2, "f", ZDivisor((1, 0)), 50) is None
     with pytest.raises(InvalidInput):
         pos.kodaira_check(F2, D_AMPLE, ZDivisor((-1, 0)), 50)
 
@@ -402,8 +407,7 @@ def test_claim_boh_examples():
     assert pos.claim_boh_check(F2, D, 50) == 1
     assert pos.claim_boh_check(F2, parse_divisor("1/2*C0 + 1/2*f"), 50) == 2
     assert pos.claim_boh_check(F2, D_AMPLE, 50) == 1
-    with pytest.raises(InvalidInput):
-        pos.claim_boh_check(F2, "f", 50)
+    assert pos.claim_boh_check(F2, "f", 50) is None   # no [mf] is big
 
 
 def test_first_big_multiple():

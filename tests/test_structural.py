@@ -333,3 +333,23 @@ def test_the_ampleness_judge_reads_one_criterion_table():
     report = pos.build_report(F2, "1/2*C0 + 3/2*f", 20)
     for ids in auditor._AMPLENESS_CRITERIA.values():
         assert set(ids) <= set(report.verdicts), set(ids) - set(report.verdicts)
+
+
+# -- one store for the rows of [mD] ----------------------------------------------------
+
+
+def test_the_rows_of_md_have_one_store():
+    """ROW_BLOCK is defined in divisor.py alone, positivity names no second row store or
+    cache, Evaluation keeps its values without __slots__, and a row read twice is the
+    one object the column keeps."""
+    package = Path(pos.__file__).parent
+    defined = [path.name for path in sorted(package.rglob("*.py"))
+               for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, ast.Assign) and "ROW_BLOCK" in map(ast.unparse, n.targets)]
+    assert defined == ["divisor.py"]
+    text = (package / "positivity.py").read_text()
+    assert [name for name in ("_Rows", "_blocks", "_built", ".coords(") if name in text] == []
+    assert "__slots__" not in vars(pos.Evaluation)
+    ev = pos.Evaluation(F2, "3/2*C0 + 3*f", 200)
+    for m in (0, 63, 64, 200, -1):
+        assert ev.multiples[m] is ev.multiples[m]
