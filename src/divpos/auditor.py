@@ -27,7 +27,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Callable, Optional, Sequence
 
 import divpos.positivity as pos
@@ -103,6 +103,18 @@ class AuditConfig:
             _require_int(f"profile.{kind}.{key}", value)
             if value < least:
                 raise ConfigError(f"profile.{kind}.{key} must be >= {least}")
+        # check_digits' worst case on a sampled divisor, whatever the rank: the numerator
+        # (or height times sqrt(d)) times the lcm of every allowed denominator
+        q, w = 1, body.get("max_denominator", 4)
+        while w and not pos.too_long(q):
+            q, w = lcm(q, w), w - 1
+        num = "max_numerator" if kind == "rational" else "height"
+        top = body[num] * (isqrt(body["d"]) if kind == "quadratic" else 1) * q
+        for key, n in (("max_denominator", q), (num, top)):
+            if pos.too_long(n):
+                raise ConfigError(f"profile.{kind}.{key}: a sampled divisor's prime coefficients "
+                                  f"over their common denominator could have more than "
+                                  f"{pos.DIVISOR_DIGITS} digits")
         if self.delta is not None and self.delta <= 0:
             raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.fault not in (None, "flip_cone", "flip_ratio", "flip_gg"):
@@ -242,8 +254,6 @@ def safe_delta(S: SurfaceModel, profile: dict) -> Fraction:
             Q = lcm(Q, w)
         floor_pairing = Fraction(1, Q)
     else:
-        from math import isqrt
-
         d = body["d"]
         h = body["height"]
         qmax = body.get("max_denominator", 4)
@@ -334,7 +344,6 @@ def run_audit(config: AuditConfig, suites: Sequence[str] = SUITES,
         raise ConfigError(f"suites must be distinct names from {list(SUITES)}, "
                           f"got {list(suites)!r:.60}")
     outcomes = [AuditOutcome(suite=name, config=config) for name in suites]
-    profile = f"profile.{_profile_kind(config.profile)}"
     for ident in config.surfaces:
         S = resolve_surface(ident)
         safe = safe_delta(S, config.profile)
@@ -344,8 +353,7 @@ def run_audit(config: AuditConfig, suites: Sequence[str] = SUITES,
             pos.default_effective_catalog(S), keep_reports)
         rng = SplitMix64(config.seed)
         for _ in range(config.n_divisors):
-            ev = pos.check_digits(pos.Evaluation(S, sample_divisor(S, config.profile, rng),
-                                                 config.m_max), profile)
+            ev = pos.Evaluation(S, sample_divisor(S, config.profile, rng), config.m_max)
             for name, out in zip(suites, outcomes):
                 # looked up per call, so a suite is found under whatever binds its name now
                 globals()["audit_" + name](site, ev, out)

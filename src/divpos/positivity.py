@@ -159,9 +159,9 @@ def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) 
 M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; a scan that walks takes ~7 s, 210 MB there
 
 # The most digits of the integers of an input divisor's prime coefficients over their
-# common denominator.  What check, audit, growth and semigroup print is at most quadratic
-# in them (D.D; chi and h0 at M_MAX_LIMIT add 12 digits), so it stays within the 4,300
-# digits that str() writes of an int.
+# common denominator.  What check, audit, growth and semigroup print has at most twice
+# as many, plus 12 for m_max, 12 for a radicand and SURFACE_DIGITS (D.D, chi and h0 at
+# M_MAX_LIMIT), so it stays within the 4,300 digits that str() writes of an int.
 DIVISOR_DIGITS = 2_000
 
 
@@ -292,12 +292,16 @@ class _Twisted(Sequence):
 def check_digits(ev: Evaluation, field: str) -> Evaluation:
     """ev, unless its divisor passes DIVISOR_DIGITS; then InvalidInput naming field and bound."""
     q = lcm(*(c.Q for c in ev.coefficients))
-    top = max(q, *(max(abs(c.N), abs(c.M)) * (q // c.Q) for c in ev.coefficients))
-    # 2**3.321 < 10, so only a top of more bits than that is compared with the power of ten
-    if top.bit_length() > DIVISOR_DIGITS * 3321 // 1000 and top >= 10**DIVISOR_DIGITS:
+    if too_long(max(q, *(max(abs(c.N), abs(c.M)) * (q // c.Q) for c in ev.coefficients))):
         raise InvalidInput(f"{field}: the prime coefficients over their common denominator "
                            f"have an integer of more than {DIVISOR_DIGITS} digits")
     return ev
+
+
+def too_long(n: int) -> bool:
+    """Whether the integer n >= 0 has more than DIVISOR_DIGITS digits."""
+    # 2**3.321 < 10, so only an n of more bits than that is compared with the power of ten
+    return n.bit_length() > DIVISOR_DIGITS * 3321 // 1000 and n >= 10**DIVISOR_DIGITS
 
 
 def _evaluation(S: SurfaceModel, D: DivisorOrEvaluation,

@@ -20,6 +20,10 @@ from divpos import _kernels
 from divpos.divisor import RDivisor, ZDivisor, trusted_zdivisor, zdivisor_to_r
 from divpos.errors import InternalError, InvalidInput, OracleUnavailable
 
+# The most digits of hirzebruch's e and of every integer of a spec.  A report is linear
+# in them, so it still prints at an input divisor's DIVISOR_DIGITS (positivity).
+SURFACE_DIGITS = 100
+
 
 @dataclass(frozen=True)
 class CurveClass:
@@ -217,8 +221,8 @@ def hirzebruch(e: int) -> SurfaceModel:
     {a >= 0, b - e*a >= -1}, {a = -1} and {a = -2, b = -e - 1}; for e = 0
     the last piece is {b = -1, a <= -2}.
     """
-    if e < 0:
-        raise InvalidInput(f"hirzebruch needs e >= 0, got {e!s:.60}")
+    if not 0 <= e < 10**SURFACE_DIGITS:
+        raise InvalidInput(f"hirzebruch needs 0 <= e < 10**{SURFACE_DIGITS}, got {e!s:.60}")
 
     def va(V: ZDivisor) -> bool:
         a, b = V.coords
@@ -450,6 +454,8 @@ def _spec_ints(where: str, value, *shape: Optional[int]):
     if not shape:
         if type(value) is not int:
             raise InvalidInput(f"surface spec field {where} is {value!r:.60}, expected an integer")
+        if abs(value) >= 10**SURFACE_DIGITS:
+            raise InvalidInput(f"surface spec field {where} has more than {SURFACE_DIGITS} digits")
         return value
     n = shape[0]
     if not isinstance(value, (list, tuple)) or n not in (None, len(value)):

@@ -9,7 +9,7 @@ import pytest
 import divpos.positivity as pos
 from divpos.cli import build_parser, main
 from divpos.errors import InvalidInput
-from divpos.surface import hirzebruch, projective_plane, surface_to_spec
+from divpos.surface import SURFACE_DIGITS, hirzebruch, projective_plane, surface_to_spec
 
 
 def run(capsys, *argv):
@@ -441,6 +441,11 @@ NINES = "9" * pos.DIVISOR_DIGITS   # the largest integer within the digit bound 
     ("check", "--surface", "hirzebruch:2", "--divisor", "{n}*C0 + {n}*f"),
     ("check", "--surface", "hirzebruch:2", "--divisor", "@{spec}"),
     ("audit", "--profile", "rational:{n}/1", "--n-divisors", "2", "--suite", "ampleness"),
+    pytest.param(("audit", "--surface", "hirzebruch:" + "9" * SURFACE_DIGITS, "--profile",
+                  "rational:{n}/1", "--n-divisors", "2", "--suite", "ampleness"),
+                 id="audit-widest-hirzebruch"),
+    pytest.param(("check", "--surface", "hirzebruch:" + "9" * SURFACE_DIGITS, "--divisor",
+                  "{n}*C0 + {n}*f"), id="check-widest-hirzebruch"),
 ])
 def test_input_divisors_print_at_the_digit_bound_and_exit_3_one_digit_past(
         tmp_path, capsys, argv, m_max):
@@ -485,6 +490,47 @@ def test_every_command_prints_an_input_divisor_at_the_digit_bound(tmp_path, caps
         got, out, err = run(capsys, "audit", "--profile", "quadratic:2:" + NINES + "9",
                             "--n-divisors", "2", "--m-max", "10")
         assert got == 3 and "profile.quadratic" in err and str(pos.DIVISOR_DIGITS) in err
+
+
+@pytest.mark.parametrize("surface, field", [
+    pytest.param("hirzebruch:1" + "0" * SURFACE_DIGITS, "hirzebruch", id="e-one-digit-past"),
+    pytest.param("hirzebruch:" + "9" * 400, "hirzebruch", id="e-400-digits"),
+    pytest.param({"matrix": [[-2, 1], [1, 10**SURFACE_DIGITS]]}, "'matrix' entry 1 entry 1",
+                 id="spec-matrix"),
+    pytest.param({"chi": -10**SURFACE_DIGITS}, "'chi'", id="spec-chi"),
+    pytest.param({"mori_generators": [{"label": "C0", "coords": [1, 0],
+                                       "multiplicity": 10**SURFACE_DIGITS}, [0, 1]]},
+                 "'multiplicity'", id="spec-multiplicity"),
+])
+def test_a_surface_integer_past_its_digit_bound_exits_3_naming_the_field(
+        tmp_path, capsys, surface, field):
+    """A surface's integers are bounded too, so a divisor at its own bound still prints."""
+    if isinstance(surface, dict):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**surface_to_spec(hirzebruch(2)), **surface}))
+        surface = str(path)
+    got, out, err = run(capsys, "check", "--surface", surface, "--divisor",
+                        f"{NINES}*C0 + {NINES}*f", "--m-max", "10")
+    assert got == 3 and out == "" and field in err and str(SURFACE_DIGITS) in err, err[:300]
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("profile, field", [
+    pytest.param("rational:" + NINES[:-4] + "/12", "profile.rational.max_numerator",
+                 id="numerator-lcm-12"),
+    pytest.param("rational:1/1000000000", "profile.rational.max_denominator", id="denominator"),
+    pytest.param("quadratic:2:" + NINES[:-1], "profile.quadratic.height", id="height-lcm-4"),
+    pytest.param("quadratic:1000003:" + NINES[:-4], "profile.quadratic.height",
+                 id="height-sqrt-d"),
+])
+def test_a_profile_that_could_sample_past_the_digit_bound_is_refused_whatever_the_seed(
+        tmp_path, capsys, profile, field):
+    """The worst case of a profile is refused before any surface is audited, on every seed:
+    its numerator or height (times sqrt(d)) times the lcm of all its denominators."""
+    for seed in ("1", "2", "3"):
+        got, out, err = run(capsys, "audit", "--profile", profile, "--seed", seed,
+                            "--n-divisors", "1", "--m-max", "10")
+        assert got == 3 and out == "" and field in err and str(pos.DIVISOR_DIGITS) in err, err
 
 
 def test_divisor_spec_file(tmp_path, capsys):

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Time two source trees against each other, op by op, on one perfbench workload.
 
-    python3 tools/duel.py PARENT_DIR CHANGE_DIR --workload W --passes N [--seed S]
+    python3 tools/duel.py PARENT_DIR CHANGE_DIR --workload W --passes N
 
 Each tree is a divpos checkout (``src/divpos`` and ``perfbench/``).  The
 duel starts one live worker process per tree.  A worker imports that
 tree's ``src`` and its ``perfbench/workloads.py`` and ``run.py`` as they
-are, runs the ops of the workload's pool (in the order of ``--seed``) one
-at a time when asked, and checks each output against that tree's
+are, runs the ops of the workload's pool (drawn with seed 1) one at a
+time when asked, and checks each output against that tree's
 ``perfbench/golden.json``.  After one warm pass on each side the workers
 alternate op by op, and the side that runs an op first alternates too, so
 both see the same machine.
@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 
-def worker(tree: Path, workload: str, seed: int) -> int:
+def worker(tree: Path, workload: str) -> int:
     """Answer each line "i" on stdin with the seconds, gen-2 count and status of op i."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import run
@@ -38,7 +38,7 @@ def worker(tree: Path, workload: str, seed: int) -> int:
     import divpos.cli as cli
 
     golden = json.loads(run.GOLDEN.read_text())[workload]
-    warm, ops = workloads.stream(workload, seed)
+    warm, ops = workloads.stream(workload, 1)
 
     def failed(op, rc: int, text: str) -> bool:
         try:
@@ -65,10 +65,9 @@ def worker(tree: Path, workload: str, seed: int) -> int:
 class Side:
     """One worker process and what it has measured."""
 
-    def __init__(self, tree: Path, workload: str, seed: int):
+    def __init__(self, tree: Path, workload: str):
         self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--worker", str(tree), "--workload", workload,
-             "--seed", str(seed)],
+            [sys.executable, __file__, "--worker", str(tree), "--workload", workload],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         self.keys = self.ask(None)
         self.seconds: list[float] = []
@@ -101,8 +100,8 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def duel(parent: Path, change: Path, workload: str, passes: int, seed: int) -> dict:
-    sides = [Side(parent, workload, seed), Side(change, workload, seed)]
+def duel(parent: Path, change: Path, workload: str, passes: int) -> dict:
+    sides = [Side(parent, workload), Side(change, workload)]
     try:
         if sides[0].keys != sides[1].keys:
             raise RuntimeError("the two trees have different pools for this workload")
@@ -120,7 +119,7 @@ def duel(parent: Path, change: Path, workload: str, passes: int, seed: int) -> d
             totals = [t + s for t, s in zip(totals, spent)]
         q1, median, q3 = quartiles(ratios)
         return {
-            "workload": workload, "seed": seed, "passes": passes, "ops_per_pass": n,
+            "workload": workload, "passes": passes, "ops_per_pass": n,
             "pass_ratios": [round(r, 4) for r in ratios],
             "median_pass_ratio": round(median, 4),
             "pass_ratio_q1": round(q1, 4), "pass_ratio_q3": round(q3, 4),
@@ -139,14 +138,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("trees", nargs="*", type=Path, help="PARENT_DIR CHANGE_DIR")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--passes", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--worker", type=Path, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
-        return worker(args.worker.resolve(), args.workload, args.seed)
+        return worker(args.worker.resolve(), args.workload)
     if len(args.trees) != 2 or args.passes < 1:
         parser.error("give PARENT_DIR and CHANGE_DIR, and --passes of at least 1")
-    result = duel(*(t.resolve() for t in args.trees), args.workload, args.passes, args.seed)
+    result = duel(*(t.resolve() for t in args.trees), args.workload, args.passes)
     print(json.dumps(result, sort_keys=True))
     return 1 if result["failed_ops_parent"] or result["failed_ops_change"] else 0
 
