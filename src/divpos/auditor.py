@@ -514,11 +514,15 @@ def audit_nef_from_multiples(site: SurfaceAudit, ev: pos.Evaluation, out: AuditO
             None))
 
 
+WEYL_K_MAX = 10**5   # the most k the Weyl sub-check tries per coefficient and pairing
+
+
 def _weyl_checks(S: SurfaceModel, divisors: list[RDivisor], out: AuditOutcome) -> None:
     """Weyl sub-check on a surface's first ten divisors.
 
     Fractional parts of irrational coefficients get arbitrarily small
-    against any negative component pairing.
+    against any negative component pairing.  A pair with no k up to
+    WEYL_K_MAX is logged inconclusive, naming the coefficient and the pairing.
     """
     weyl_checks = []
     for D in divisors:
@@ -535,7 +539,13 @@ def _weyl_checks(S: SurfaceModel, divisors: list[RDivisor], out: AuditOutcome) -
                 if mag < 2:
                     k_found = 1  # frac < 1 always; the inequality is automatic
                 else:
-                    k_found = weyl_find(coef, Fraction(1, mag), 1, k_max=10**5)
+                    try:
+                        k_found = weyl_find(coef, Fraction(1, mag), 1, k_max=WEYL_K_MAX)
+                    except InvalidInput:   # no k within the cap
+                        out.inconclusives.append(_entry(
+                            S, D, "weyl_principle", f"no k <= {WEYL_K_MAX} with frac(k*("
+                            f"{format_quadext(coef)}))*{mag} < 1; pairing {pairing}", None))
+                        continue
                     check = (coef * k_found).frac() * mag
                     if not (check < QuadExt(1)):
                         out.discrepancies.append(_entry(

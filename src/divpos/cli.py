@@ -20,10 +20,10 @@ from fractions import Fraction
 
 from divpos import auditor
 from divpos import positivity as pos
-from divpos.divisor import format_divisor, parse_divisor
+from divpos.divisor import divisor_from_spec, format_divisor, parse_divisor
 from divpos.errors import DivposError, InvalidInput
 from divpos.exact_numbers import _as_fraction
-from divpos.surface import resolve_surface
+from divpos.surface import load_json, resolve_surface
 
 
 def _default_m_max() -> int:
@@ -69,10 +69,7 @@ def _profile(text: str) -> dict:
 
 def _load_divisor(arg: str):
     if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
-            from divpos.divisor import divisor_from_spec
-
-            return divisor_from_spec(json.load(fh))
+        return divisor_from_spec(load_json(arg[1:], "--divisor"))
     return parse_divisor(arg)
 
 
@@ -121,9 +118,7 @@ def cmd_check(args) -> int:
 
 def _config_from_args(args) -> auditor.AuditConfig:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return auditor.config_from_dict(data)
+        return auditor.config_from_dict(load_json(args.config, "--config"))
     return auditor.AuditConfig(
         seed=args.seed,
         surfaces=tuple(args.surface),

@@ -426,6 +426,14 @@ def lemma_dr_decompose(D: RDivisor, m: int, basis: Sequence[str]) -> tuple[int, 
     return k, t, i
 
 
+# The most digits of the integers of an input divisor's prime coefficients over their
+# common denominator, and of an integer literal in a JSON input file.  What check, audit,
+# growth and semigroup print has at most twice as many, plus 12 for m_max, 12 for a
+# radicand and SURFACE_DIGITS (D.D, chi and h0 at M_MAX_LIMIT), so it stays within the
+# 4,300 digits that str() writes of an int.
+DIVISOR_DIGITS = 2_000
+
+
 # -- text syntax ---------------------------------------------------------------
 #
 # Inline divisor grammar: signed terms `coef*label` joined by + and -, with

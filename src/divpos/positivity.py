@@ -35,6 +35,7 @@ from operator import add, mul
 from typing import Callable, Iterable, Optional, Union
 
 from divpos.divisor import (
+    DIVISOR_DIGITS,
     MultiplesColumn,
     RDivisor,
     ZDivisor,
@@ -158,12 +159,6 @@ def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) 
 
 M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; a scan that walks takes ~7 s, 210 MB there
 
-# The most digits of the integers of an input divisor's prime coefficients over their
-# common denominator.  What check, audit, growth and semigroup print has at most twice
-# as many, plus 12 for m_max, 12 for a radicand and SURFACE_DIGITS (D.D, chi and h0 at
-# M_MAX_LIMIT), so it stays within the 4,300 digits that str() writes of an int.
-DIVISOR_DIGITS = 2_000
-
 
 @dataclass(frozen=True)
 class VAMultiples:
@@ -177,9 +172,10 @@ class Evaluation:
     Every criterion reads D through its Evaluation (see _evaluation).  It
     holds D's prime ``coefficients``; its cached properties are built on
     first read: the generator ``pairings`` (ground truth, violator, nefness,
-    the cone half of Nakai), ``multiples`` and the ``h0_counts`` column.
-    ``slope(w)`` = w.D of a region form w and ``onset(kind, G)`` are memoised
-    per key.  ``multiples`` is the one store of the rows [mD], m = 0..m_max
+    the cone half of Nakai), ``multiples``, the ``h0_counts`` column and
+    ``big``, is_big's verified result.  ``slope(w)`` = w.D of a region form w,
+    ``onset(kind, G)`` and ``first_member(kind)`` are memoised per key.
+    ``multiples`` is the one store of the rows [mD], m = 0..m_max
     (a MultiplesColumn builds the blocks of rows a scan reads), and
     ``twisted(G)`` is a view of G + [mD] over it that keeps nothing.
     ``tail_start`` and ``first_member`` tell a scan where to start,
@@ -198,6 +194,7 @@ class Evaluation:
         self.coefficients = self.divisor.coefficients(S.basis)
         self.slopes: dict[tuple[int, ...], QuadExt] = {}
         self._bounds: dict[tuple[str, ZDivisor], Optional[int]] = {}
+        self._firsts: dict[str, Optional[int]] = {}
 
     @cached_property
     def multiples(self) -> MultiplesColumn:
@@ -248,15 +245,23 @@ class Evaluation:
         regions; for any other D, m_max + 1 where definitive_negative proves
         that no [mD] is of the kind (the scan then still reads row m_max).
         """
-        if self._exact:
-            return region_first(self.surface.regions[kind], self,
-                                trusted_zdivisor((0,) * self.surface.rho), 1)
-        return self.m_max + 1 if definitive_negative(self.surface, self, kind) else None
+        if kind not in self._firsts:
+            S = self.surface
+            self._firsts[kind] = (
+                region_first(S.regions[kind], self, trusted_zdivisor((0,) * S.rho), 1)
+                if self._exact else
+                self.m_max + 1 if definitive_negative(S, self, kind) else None)
+        return self._firsts[kind]
 
     @property
     def _exact(self) -> bool:
         """Whether exact regions decide D's scans: D rational on a surface with regions."""
         return self.surface.regions is not None and all(c.is_rational for c in self.coefficients)
+
+    @cached_property
+    def big(self) -> BigResult:
+        """is_big(S, D); a certificate is verified when it is built."""
+        return _big_result(self.surface, self)
 
     @cached_property
     def h0_counts(self) -> list[int]:
@@ -672,8 +677,13 @@ def is_big(S: SurfaceModel, D: DivisorOrEvaluation) -> BigResult:
     with a positive rational epsilon and exact non-negative lambda; it is
     re-verified before being returned, as is the certificate of the
     epsilon-ladder search used when the generators are supernumerary.
+    An Evaluation computes it once, as ``big``.
     """
-    ev = _evaluation(S, D, None)
+    return _evaluation(S, D, None).big
+
+
+def _big_result(S: SurfaceModel, ev: Evaluation) -> BigResult:
+    """is_big for D's evaluation ev."""
     lam = _effective_coordinates(S, ev.coefficients)
     if lam is None:
         res = _is_big_caratheodory(S, ev.coefficients)
@@ -778,8 +788,9 @@ def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:
 
 def claim_boh_check(S: SurfaceModel, D: DivisorOrEvaluation,
                     m_max: Optional[int] = None) -> Optional[int]:
-    """Least m0 <= m_max with [mD] big for all m in [m0, m_max]."""
-    return _tail_from(partial(_is_big_class, S), _evaluation(S, D, m_max).multiples, 1)
+    """Least m0 <= m_max with [mD] big for all m in [m0, m_max]; the walk starts at the big tail."""
+    ev = _evaluation(S, D, m_max)
+    return _tail_from(partial(_is_big_class, S), ev.multiples, 1, onset=ev.tail_start("big"))
 
 
 def first_big_multiple(S: SurfaceModel, D: DivisorOrEvaluation,
@@ -791,12 +802,36 @@ def first_big_multiple(S: SurfaceModel, D: DivisorOrEvaluation,
 
 def kodaira_check(S: SurfaceModel, D: DivisorOrEvaluation, F: ZDivisor,
                   m_max: Optional[int] = None) -> Optional[int]:
-    """Least m in N(X, D) from which h0([mD] - F) > 0 persists to m_max."""
+    """Least m in N(X, D) from which h0([mD] - F) > 0 persists to m_max.
+
+    When Evaluation.first_member proves that no m in [1, m_max] is in N(X, D),
+    rows m_max (re-read, as _first_from does) and 0 decide it.
+    """
     h0 = S.require_h0()
     ev = _evaluation(S, D, m_max)
     if h0(F) <= 0:
         raise InvalidInput(f"F = {S.format_z(F)} is not effective")
+    if ev.first_member("h0_positive") == ev.m_max + 1:
+        mults = ev.multiples
+        _first_from(lambda V: h0(V) > 0, mults, 1, ev.m_max + 1)
+        return 0 if h0(mults[0]) > 0 and h0(mults[0] - F) > 0 else None
+    return _kodaira_tail(h0, ev, F, onset=ev.tail_start("h0_positive", -F))
+
+
+def _kodaira_tail(h0: Callable[[ZDivisor], int], ev: Evaluation, F: ZDivisor, *,
+                  onset: Optional[int] = None) -> Optional[int]:
+    """kodaira_check's walk down N(X, D); onset, where h0([mD] - F) > 0 starts to persist.
+
+    With an onset the rows themselves are walked, a row outside N(X, D)
+    passing (h0([mD] - F) > 0 forces h0([mD]) > 0), and the least member at
+    or above the tail is returned, so no h0 column is built.  Without one
+    the walk goes down the members of the h0_counts column.
+    """
     mults = ev.multiples
+    if onset is not None:
+        i = _tail_from(lambda V: h0(V - F) > 0 or h0(V) == 0, mults, 0, onset)
+        return None if i is None else next(
+            (m for m in range(i, ev.m_max + 1) if h0(mults[m]) > 0), None)
     members = [m for m, n in enumerate(ev.h0_counts) if n > 0]
     if not members:
         return None

@@ -17,11 +17,11 @@ from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
 from divpos import _kernels
-from divpos.divisor import RDivisor, ZDivisor, trusted_zdivisor, zdivisor_to_r
+from divpos.divisor import DIVISOR_DIGITS, RDivisor, ZDivisor, trusted_zdivisor, zdivisor_to_r
 from divpos.errors import InternalError, InvalidInput, OracleUnavailable
 
 # The most digits of hirzebruch's e and of every integer of a spec.  A report is linear
-# in them, so it still prints at an input divisor's DIVISOR_DIGITS (positivity).
+# in them, so it still prints at an input divisor's DIVISOR_DIGITS (divisor).
 SURFACE_DIGITS = 100
 
 
@@ -319,14 +319,31 @@ def _builtin_surface(ident: str) -> Optional[SurfaceModel]:
     return None
 
 
+def load_json(path: str, what: str):
+    """The JSON value in the file at path.
+
+    An integer literal of more than DIVISOR_DIGITS digits, the widest integer
+    of any input, is refused naming what, the file and the bound, before int()
+    meets the interpreter's 4,300-digit limit; a narrower field (a surface
+    spec's, at SURFACE_DIGITS) refuses a shorter one itself, naming the field.
+    """
+    def parse_int(text: str) -> int:
+        if len(text) - text.startswith("-") > DIVISOR_DIGITS:
+            raise InvalidInput(f"{what}: {path!r:.60} holds an integer of more than "
+                               f"{DIVISOR_DIGITS} digits")
+        return int(text)
+
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_int=parse_int)
+
+
 def resolve_surface(ident: str) -> SurfaceModel:
     """Resolve a builtin id ("hirzebruch:E", "p2") or a spec-file path."""
     S = _builtin_surface(ident)
     if S is not None:
         return S
     try:
-        with open(ident, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = load_json(ident, "surface")
     except OSError as exc:
         raise InvalidInput(f"surface: cannot read {ident!r:.60} ({exc!s:.60})") from None
     except json.JSONDecodeError as exc:

@@ -533,6 +533,39 @@ def test_a_profile_that_could_sample_past_the_digit_bound_is_refused_whatever_th
         assert got == 3 and out == "" and field in err and str(pos.DIVISOR_DIGITS) in err, err
 
 
+@pytest.mark.parametrize("what, value", [
+    pytest.param("--divisor", {"terms": {"A": "1/3"}, "expansions": {"A": ["N", 3]}},
+                 id="divisor-spec"),
+    pytest.param("surface", {**surface_to_spec(hirzebruch(2)), "chi": "N"}, id="surface-spec"),
+    pytest.param("--config", {**GOOD_CONFIG, "seed": "N"}, id="config"),
+])
+def test_a_json_integer_past_the_digit_bound_exits_3_naming_the_file(
+        tmp_path, capsys, what, value):
+    """A 5,000-digit integer literal in a divisor spec, a surface spec or an audit config
+    is refused when the file loads, naming the file and the bound."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(value).replace('"N"', "7" * 5000))
+    argv = {"--divisor": ["check", "--surface", "p2", "--divisor", f"@{path}"],
+            "surface": ["check", "--surface", str(path), "--divisor", "C0"],
+            "--config": ["audit", "--config", str(path)]}[what]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith(f"error: {what}: "), err[:300]
+    assert repr(str(path))[:60] in err and str(pos.DIVISOR_DIGITS) in err, err[:300]
+    assert "set_int_max_str_digits" not in err
+
+
+def test_a_weyl_pair_past_the_cap_is_inconclusive_and_the_audit_finishes(capsys):
+    """On F_e with a large e, the nef suite's Weyl sub-check may find no k up to its cap;
+    that pair is logged inconclusive, naming the coefficient and the pairing."""
+    code, data, _ = run_json(capsys, "audit", "--surface", "hirzebruch:100000", "--profile",
+                             "quadratic:2:10", "--n-divisors", "3", "--m-max", "10")
+    assert code == 0
+    nef = next(o for o in data["outcomes"] if o["suite"] == "nef_from_multiples")
+    assert [e["detail"] for e in nef["inconclusives"]] == [
+        "no k <= 100000 with frac(k*(7/2+8*sqrt(2)))*100000 < 1; pairing -100000"]
+    assert len(nef["replications"]["weyl_checks"]) == 2
+
+
 def test_divisor_spec_file(tmp_path, capsys):
     spec = {"terms": {"C0": "3/2", "f": "3"}}
     path = tmp_path / "d.json"

@@ -181,10 +181,28 @@ def test_h0_column_is_computed_once_per_evaluation():
     pos.semigroup(S, ev)
     assert calls == list(ev.multiples) and ev.h0_counts == [F2.h0(V) for V in ev.multiples]
     F = ZDivisor((0, 1))
-    pos.kodaira_check(S, ev, F)
-    # only h0(F) and the h0([mD] - F) of the tail are new
-    assert [V for V in calls[21:] if V != F] == \
-        [ev.multiples[m] - F for m in range(20, 20 - len(calls[22:]), -1)]
+    # a non-big D with no member past row 0 reads h0(F) and rows m_max and 0 only
+    ev = pos.Evaluation(S, "-1/2*C0 + 3*f", 20)
+    del calls[:]
+    assert pos.kodaira_check(S, ev, F) is None
+    assert calls == [F, ev.multiples[20], ev.multiples[0], ev.multiples[0] - F]
+    # a big rational D walks its rows from the onset and builds no h0 column
+    ev = pos.Evaluation(S, "C0 + 3*f", 20)
+    assert ev.tail_start("h0_positive", -F) is not None
+    assert pos.kodaira_check(S, ev, F) == 1 and "h0_counts" not in vars(ev)
+
+
+def test_is_big_is_decided_once_per_evaluation(monkeypatch):
+    """is_big(S, ev), ev.big and build_report's B1 share one result, whose certificate
+    verify_big_certificate accepts."""
+    built, real = [], pos._big_result
+    monkeypatch.setattr(pos, "_big_result", lambda S, ev: built.append(ev) or real(S, ev))
+    ev = pos.Evaluation(F2, "1/2*C0 + 5/3*f", 20)
+    res = pos.is_big(F2, ev)
+    assert pos.is_big(F2, ev) is res is ev.big and built == [ev]
+    assert pos.build_report(F2, ev).verdicts["B1"].witness["certificate"] is res.certificate
+    assert built == [ev] and res.big
+    pos.verify_big_certificate(F2, ev.divisor, res.certificate)
 
 
 @settings(max_examples=60, deadline=None)

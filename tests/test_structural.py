@@ -305,7 +305,9 @@ def test_the_evaluation_alone_decides_where_a_scan_starts():
         handoffs += [kw for n in ast.walk(tree) if isinstance(n, ast.Call)
                      for kw in n.keywords if kw.arg in ("onset", "first")]
     assert region_callers == {"positivity.Evaluation"}
-    assert len(handoffs) == 8   # five in build_report, three in the nef and bigness suites
+    # five in build_report, three in the nef and bigness suites, two in the bigness
+    # suite's kodaira_check and claim_boh_check
+    assert len(handoffs) == 10
     for kw in handoffs:
         called = _called(kw.value)
         assert called <= {"tail_start", "first_member", "_max_bound"} \
