@@ -805,38 +805,23 @@ def kodaira_check(S: SurfaceModel, D: DivisorOrEvaluation, F: ZDivisor,
     """Least m in N(X, D) from which h0([mD] - F) > 0 persists to m_max.
 
     When Evaluation.first_member proves that no m in [1, m_max] is in N(X, D),
-    rows m_max (re-read, as _first_from does) and 0 decide it.
+    rows m_max (re-read, as _first_from does) and 0 decide it.  Otherwise the
+    rows are walked down from m_max, or from the h0_positive tail at -F, with
+    a row outside N(X, D) passing (h0([mD] - F) > 0 forces h0([mD]) > 0), and
+    the least member at or above the tail is returned; no h0 column is built.
     """
     h0 = S.require_h0()
     ev = _evaluation(S, D, m_max)
     if h0(F) <= 0:
         raise InvalidInput(f"F = {S.format_z(F)} is not effective")
+    mults = ev.multiples
     if ev.first_member("h0_positive") == ev.m_max + 1:
-        mults = ev.multiples
         _first_from(lambda V: h0(V) > 0, mults, 1, ev.m_max + 1)
         return 0 if h0(mults[0]) > 0 and h0(mults[0] - F) > 0 else None
-    return _kodaira_tail(h0, ev, F, onset=ev.tail_start("h0_positive", -F))
-
-
-def _kodaira_tail(h0: Callable[[ZDivisor], int], ev: Evaluation, F: ZDivisor, *,
-                  onset: Optional[int] = None) -> Optional[int]:
-    """kodaira_check's walk down N(X, D); onset, where h0([mD] - F) > 0 starts to persist.
-
-    With an onset the rows themselves are walked, a row outside N(X, D)
-    passing (h0([mD] - F) > 0 forces h0([mD]) > 0), and the least member at
-    or above the tail is returned, so no h0 column is built.  Without one
-    the walk goes down the members of the h0_counts column.
-    """
-    mults = ev.multiples
-    if onset is not None:
-        i = _tail_from(lambda V: h0(V - F) > 0 or h0(V) == 0, mults, 0, onset)
-        return None if i is None else next(
-            (m for m in range(i, ev.m_max + 1) if h0(mults[m]) > 0), None)
-    members = [m for m, n in enumerate(ev.h0_counts) if n > 0]
-    if not members:
-        return None
-    i = _tail_from(lambda m: h0(mults[m] - F) > 0, members, 0)
-    return None if i is None else members[i]
+    i = _tail_from(lambda V: h0(V - F) > 0 or h0(V) == 0, mults, 0,
+                   onset=ev.tail_start("h0_positive", -F))
+    return None if i is None else next(
+        (m for m in range(i, ev.m_max + 1) if h0(mults[m]) > 0), None)
 
 
 GROWTH_MIN_M_MAX = 4  # the growth test compares h0 at m_max with h0 at m_max // 2 >= 2
