@@ -157,7 +157,7 @@ def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) 
 # ---------------------------------------------------------------------------
 # bounded m-scans
 
-M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; a scan that walks takes ~7 s, 210 MB there
+M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; reading every row there takes ~6 s, 200 MB
 
 
 @dataclass(frozen=True)
@@ -230,11 +230,11 @@ class Evaluation:
         """Where a tail scan of kind at G + [mD] (G defaults to 0) may start; None: walk it all.
 
         The onset bound for a nef D (see onset_bound); where that gives none,
-        the exact tail start region_tail for a rational D on a surface with regions.
+        the exact tail start region_tail for any D on a surface with regions.
         """
         G = G if G is not None else trusted_zdivisor((0,) * self.surface.rho)
         bound = self.onset(kind, G) if self._nef else None
-        if bound is None and self._exact:
+        if bound is None and self.surface.regions is not None:
             return region_tail(self.surface.regions[kind], self, G)
         return bound
 
@@ -404,18 +404,62 @@ def _region_runs(pieces: list[list], row: Sequence[int], sign: int,
     return runs
 
 
+def _in_region(region: Region, G: ZDivisor, row: ZDivisor) -> bool:
+    """Whether G + row satisfies every form of some piece of the region."""
+    coords = tuple(map(add, G.coords, row.coords))
+    return any(all(sum(map(mul, w, coords)) >= c for w, c in piece) for piece in region)
+
+
+def _sure_runs(region: Region, ev: "Evaluation", G: ZDivisor) -> list[tuple[int, int]]:
+    """One (lo, hi) per piece: G + [mD] is in the piece for every m in [lo, hi], if any.
+
+    A form (w, c) holds wherever m*(w.D) >= need = _form_need(w, c, G).  The
+    exact slope w.D bounds those m from below (slope > 0), from above
+    (slope < 0: m <= need/slope), or admits all of them (slope 0, need <= 0)
+    or none (slope 0, need > 0).
+    """
+    runs = []
+    for piece in region:
+        lo, hi = 0, ev.m_max
+        for w, c in piece:
+            need, slope = _form_need(w, c, G), ev.slope(w)
+            if slope.sign() > 0:
+                lo = max(lo, ceil_quotient(need, slope))
+            elif slope.sign() < 0:
+                hi = min(hi, (quadext(need) / slope).floor())
+            elif need > 0:
+                hi = -1
+        runs.append((lo, hi))
+    return runs
+
+
 def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
     """Least m0 with G + [mD] in the region for every m in [m0, m_max]; None if row m_max is not.
 
-    D must be rational.  The rows m - k*q of one residue class step by -qD,
-    so _region_runs decides each class at once.  Classes are visited from
-    the top row down, and the visit stops once no class left can hold a
-    failure above the highest one found: the cost is O(min(q, m_max - m0 + 1)).
+    For a rational D, the rows m - k*q of one residue class step by -qD, so
+    _region_runs decides each class at once.  Classes are visited from the
+    top row down, and the visit stops once no class left can hold a failure
+    above the highest one found: the cost is O(min(q, m_max - m0 + 1)).
+    For an irrational D, the rows are walked down from m_max: a stretch
+    that one piece's _sure_runs interval covers is skipped, and any other
+    row is checked against the forms, with no oracle call, until the first
+    row outside the region.
     """
     rows = ev.multiples
-    top = tuple(map(add, G.coords, rows[ev.m_max].coords))
-    if not any(all(sum(map(mul, w, top)) >= c for w, c in piece) for piece in region):
+    if not _in_region(region, G, rows[ev.m_max]):
         return None   # the common case of a scan that fails at once, without the set-up
+    if not all(c.is_rational for c in ev.coefficients):
+        runs = _sure_runs(region, ev, G)
+        m = ev.m_max - 1
+        while m >= 0:
+            skip = min((lo for lo, hi in runs if lo <= m <= hi), default=None)
+            if skip is not None:
+                m = skip - 1
+            elif _in_region(region, G, rows[m]):
+                m -= 1
+            else:
+                break
+        return m + 1
     q, pieces = _period_forms(region, ev, G)
     worst = -1   # the highest m whose row is outside the region
     m = ev.m_max
@@ -493,12 +537,12 @@ def vanishing_test(S: SurfaceModel, D: DivisorOrEvaluation, G: ZDivisor,
                    onset: Optional[int] = None) -> Optional[int]:
     """Least m1 <= m_max with h1 = h2 = 0 for G + [mD] on all m in [m1, m_max].
 
-    onset is a vanishing onset bound for G.
+    onset is where the tail at G may start (Evaluation.tail_start).
     cohomology runs on m = m_max, then (given an onset below m_max) on the
-    onset, then down to the first failure, so its h1 >= 0 check sees only
-    those multiples.  That is enough: the built-in h0 oracles are closed
-    form, and a spec's h0 table is checked for h1 >= 0 on every entry when
-    the spec loads.
+    onset, then down to the first failure (three rows, from region_tail's
+    exact start), so its h1 >= 0 check sees only those multiples.  That is
+    enough: the built-in h0 oracles are closed form, and a spec's h0 table
+    is checked for h1 >= 0 on every entry when the spec loads.
     """
     ev = _evaluation(S, D, m_max)
     return _tail_from(lambda V: cohomology(S, V)[1:] == (0, 0), ev.twisted(G), 0, onset)
@@ -903,20 +947,31 @@ def ceil_quotient(need: Union[int, Fraction], slope: QuadExt) -> int:
     return -(quadext(-need) / slope).floor()
 
 
+def _form_need(w: tuple[int, ...], c: int, G: Optional[ZDivisor]) -> int:
+    """An integer need such that m*(w.D) >= need makes w.(G + [mD]) >= c hold, for any D.
+
+    w.[mD] = m*(w.D) - w.{mD}, and w.{mD} is below P, the sum of w's positive
+    entries, when P > 0 (and <= 0 when P = 0).  So the integer w.[mD] exceeds
+    m*(w.D) - P, and need = c - w.G - 1 + P suffices (c - w.G when P = 0).
+    """
+    overshoot = sum(x for x in w if x > 0)
+    g_w = sum(map(mul, G.coords, w)) if G is not None else 0
+    return c - g_w + max(overshoot - 1, 0)
+
+
 def onset_bound(S: SurfaceModel, D: DivisorOrEvaluation, kind: str,
                 twist: Optional[ZDivisor] = None) -> Optional[int]:
     """Effective bound B: the predicate holds at G + [mD] for every m >= B.
 
     Each form (w, c) of the first piece of the kind's region, a sufficient
-    condition, asks for m*(w.D) >= need, where need folds in c, w.G and the
-    largest fractional correction.  A positive slope w.D gives the least
-    such m; a slope <= 0 is skipped when need < 0, and otherwise the result
-    is None, as it is for a surface without regions.  The skip is sound for
-    slope 0 only: m times a negative slope falls without bound, so for a D
-    with a negative slope on some form the returned bound can be wrong
-    (ROADMAP item 1).  Evaluation.tail_start therefore hands bounds to the
-    scans only for nef D, whose slopes on those forms are >= 0.
-    ``Evaluation.onset`` memoises the result.
+    condition, asks for m*(w.D) >= _form_need(w, c, G).  A positive slope w.D
+    gives the least such m; a slope <= 0 is skipped when need < 0, and
+    otherwise the result is None, as it is for a surface without regions.
+    The skip is sound for slope 0 only: m times a negative slope falls
+    without bound, so for a D with a negative slope on some form the
+    returned bound can be wrong (ROADMAP item 1).  Evaluation.tail_start
+    therefore hands bounds to the scans only for nef D, whose slopes on
+    those forms are >= 0.  ``Evaluation.onset`` memoises the result.
     """
     if S.regions is None or kind not in S.regions:
         return None
@@ -924,12 +979,7 @@ def onset_bound(S: SurfaceModel, D: DivisorOrEvaluation, kind: str,
     bound = 1
     for w, c in S.regions[kind][0]:
         slope = ev.slope(w)
-        overshoot = sum(x for x in w if x > 0)   # w.{mD} stays below it
-        g_w = sum(map(mul, twist.coords, w)) if twist is not None else 0
-        # the fractional correction is strictly below the overshoot only
-        # when some coordinate has a positive weight; otherwise keep full slack
-        slack = 1 if overshoot > 0 else 0
-        need = c - slack - g_w + overshoot
+        need = _form_need(w, c, twist)
         if slope.sign() <= 0:
             if need < 0:
                 continue  # condition already slack for every m

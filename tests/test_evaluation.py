@@ -510,6 +510,37 @@ def test_region_tail_steps_past_a_run_nested_in_an_earlier_one():
 
 
 @st.composite
+def irrational_divisors(draw):
+    """F_0..F_4 or P^2 and a divisor with an irrational coefficient in Q(sqrt d), d in
+    {2, 3, 5}; on F_e, half of them lie on the nef boundary b = e*a + k, |k| <= 2."""
+    S = draw(st.sampled_from([hirzebruch(e) for e in range(5)] + [projective_plane()]))
+    d = draw(st.sampled_from([2, 3, 5]))
+    a = QuadExt(draw(coef), draw(coef.filter(bool)), d)
+    if S.rho == 1:
+        return S, RDivisor({"L": a})
+    if draw(st.booleans()):
+        a = -a if a.sign() < 0 else a
+        e = -S.intersection_matrix[0][0]
+        return S, RDivisor({"C0": a, "f": a * e + draw(st.integers(-2, 2))})
+    return S, RDivisor({"C0": a, "f": QuadExt(draw(coef), draw(coef), d)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(irrational_divisors(), st.one_of(st.sampled_from([1, 2, 63, 64, 65]),
+                                        st.integers(1, 400)), st.data())
+def test_region_tail_of_an_irrational_divisor_matches_the_oracle_walk(sd, m_max, data):
+    """For every region kind and a twist G in [-3, 2]^rho, region_tail equals the
+    tail the oracle predicate gives when _tail_from walks G + [mD] with no onset."""
+    S, D = sd
+    ev = pos.Evaluation(S, D, m_max)
+    G = ZDivisor(data.draw(st.tuples(*[st.integers(-3, 2)] * S.rho)))
+    rows = ev.twisted(G)
+    for kind, region in S.regions.items():
+        want = pos._tail_from(lambda V: oracle_kinds(S, V)[kind], rows, 0)
+        assert pos.region_tail(region, ev, G) == want, (S.name, str(D), kind, G, m_max)
+
+
+@st.composite
 def rational_divisors(draw):
     """A built-in surface and a rational divisor off the interior of the nef cone.
 
@@ -599,6 +630,28 @@ def test_report_builds_the_same_rows_at_m_max_2000_and_a_million(monkeypatch):
         pos.build_report(hirzebruch(0), "9/2*C0", m_max)
         built.append(sum(cells))
     assert abs(built[0] - built[1]) <= 2 * ROW_BLOCK and max(built) <= 8 * ROW_BLOCK, built
+
+
+@pytest.mark.parametrize("D", ["sqrt(2)*C0 + f",   # not nef
+                               "(2+sqrt(2))*C0 + (4+2*sqrt(2))*f"])   # on the nef boundary
+def test_an_irrational_report_reads_few_rows_and_equals_the_walked_one(D, monkeypatch):
+    """At M_MAX_LIMIT the report of an irrational D on F_2 builds a few blocks of rows,
+    counted in cells per coordinate, where a walk of its tails builds all 1,000,001
+    rows; at m_max 2000 its JSON equals the report whose scans all walk, tail_start
+    handing them no start."""
+    cells = []
+    real = _kernels.floor_multiples_quad
+
+    def counting(*args, **kwargs):
+        cells.append(args[-1] + 1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "floor_multiples_quad", counting)
+    pos.build_report(F2, D, pos.M_MAX_LIMIT)
+    assert sum(cells) <= 8 * ROW_BLOCK, sum(cells)
+    handed = pos.build_report(F2, D, 2000).to_json_dict()
+    monkeypatch.setattr(pos.Evaluation, "tail_start", lambda self, kind, G=None: None)
+    assert handed == pos.build_report(F2, D, 2000).to_json_dict()
 
 
 @pytest.mark.parametrize("S, D", [(hirzebruch(1), "-sqrt(2)*C0 + 3*f"),

@@ -7,6 +7,8 @@ fallback for supernumerary effective generators.
 """
 
 import ast
+import inspect
+import textwrap
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -295,16 +297,23 @@ def test_the_evaluation_alone_decides_where_a_scan_starts():
     """Only Evaluation calls region_tail or region_first, and every onset= or first=
     handed to a scan is ev.tail_start or ev.first_member (or the largest of them), so
     build_report has no scan-start closure of its own.  auditor derives no bound: it
-    calls neither ceil_quotient nor _effective_coordinates."""
-    region_callers, handoffs = set(), []
+    calls neither ceil_quotient nor _effective_coordinates.  tail_start hands the
+    region to rational and irrational D alike (it reads no _exact), and the irrational
+    case is a part of region_tail: only region_tail calls _sure_runs."""
+    region_callers, sure_callers, handoffs = set(), set(), []
     for path in sorted(Path(pos.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for top in tree.body:
             if _called(top) & {"region_tail", "region_first"}:
                 region_callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+            if "_sure_runs" in _called(top):
+                sure_callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
         handoffs += [kw for n in ast.walk(tree) if isinstance(n, ast.Call)
                      for kw in n.keywords if kw.arg in ("onset", "first")]
     assert region_callers == {"positivity.Evaluation"}
+    assert sure_callers == {"positivity.region_tail"}
+    tail_start = ast.parse(textwrap.dedent(inspect.getsource(pos.Evaluation.tail_start)))
+    assert "_exact" not in {getattr(n, "attr", None) for n in ast.walk(tail_start)}
     # five in build_report, three in the nef and bigness suites, two in the bigness
     # suite's kodaira_check and claim_boh_check
     assert len(handoffs) == 10
