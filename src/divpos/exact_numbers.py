@@ -148,7 +148,8 @@ class QuadExt:
     #
     # Operands are canonical, so every result is (N + M*sqrt(d)) / Q over
     # integers, reduced by one gcd in _triple.  An int operand skips the
-    # coercion; adding or subtracting one keeps the triple in lowest terms.
+    # coercion (as does a positive int divisor); adding or subtracting one
+    # keeps the triple in lowest terms.
 
     def __add__(self, other):
         if type(other) is int:
@@ -206,6 +207,8 @@ class QuadExt:
         return _quotient(ONE, self)
 
     def __truediv__(self, other):
+        if type(other) is int and other > 0:
+            return _triple(self.N, self.M, self.Q * other, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

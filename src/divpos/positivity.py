@@ -45,8 +45,9 @@ from divpos.divisor import (
     trusted_zdivisor,
 )
 from divpos.errors import InternalError, InvalidInput
-from divpos.exact_numbers import QuadExt, format_quadext, parse_quadext, quadext
-from divpos.surface import CurveClass, Region, SurfaceModel, chi_rr, cohomology, rdivisor_on
+from divpos.exact_numbers import ONE, ZERO, QuadExt, format_quadext, parse_quadext, quadext
+from divpos.surface import (CurveClass, Region, SurfaceModel, chi_rr, cohomology,
+                            effective_facets, rdivisor_on)
 
 DivisorLike = Union[RDivisor, ZDivisor, str]
 DivisorOrEvaluation = Union[RDivisor, ZDivisor, str, "Evaluation"]
@@ -214,7 +215,8 @@ class Evaluation:
         """w.D for an integer form w on the coordinates, memoised in ``slopes``."""
         s = self.slopes.get(w)
         if s is None:
-            s = self.slopes[w] = quadext(sum(c * x for x, c in zip(w, self.coefficients) if x))
+            s = self.slopes[w] = quadext(sum(c if x == 1 else c * x
+                                             for x, c in zip(w, self.coefficients) if x))
         return s
 
     def onset(self, kind: str, G: Optional[ZDivisor] = None) -> Optional[int]:
@@ -630,7 +632,7 @@ def semigroup(S: SurfaceModel, D: DivisorOrEvaluation,
 class BigResult:
     big: bool
     certificate: Optional[dict]  # {"epsilon": str, "lambda": [str], "ample_ref": [int]}
-    note: str = ""
+    note: str = ""  # not big: "coordinate j ...", j the index of a failing facet in S._facets
 
 
 def _ample_reference(S: SurfaceModel) -> ZDivisor:
@@ -664,47 +666,6 @@ def _ample_reference(S: SurfaceModel) -> ZDivisor:
     return proved[0]
 
 
-def _solve_square(cols: list[Sequence[QuadExt]], rhs: Sequence[QuadExt]) -> Optional[list[QuadExt]]:
-    """Solve sum_j x_j * cols[j] = rhs exactly; None if singular."""
-    n = len(rhs)
-    k = len(cols)
-    # augmented matrix rows
-    A = [[quadext(cols[j][i]) for j in range(k)] + [quadext(rhs[i])] for i in range(n)]
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, n) if A[r][col].sign() != 0), None)
-        if piv is None:
-            return None
-        A[row], A[piv] = A[piv], A[row]
-        inv = A[row][col].inverse()
-        A[row] = [x * inv for x in A[row]]
-        for r in range(n):
-            if r != row and A[r][col].sign() != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-        row += 1
-        if row == n:
-            break
-    if row < k:
-        return None
-    # consistency of remaining rows
-    for r in range(row, n):
-        if A[r][k].sign() != 0:
-            return None
-    return [A[i][k] for i in range(k)]
-
-
-def _effective_coordinates(S: SurfaceModel, coeffs: Sequence[QuadExt]) -> Optional[list[QuadExt]]:
-    """Coordinates of a class in the effective-generator basis, if square."""
-    gens = S.effective_generators
-    if len(gens) != S.rho:
-        return None
-    if S._unit_effective:
-        return [quadext(c) for c in coeffs]
-    cols = [[quadext(g.coords[i]) for i in range(S.rho)] for g in gens]
-    return _solve_square(cols, [quadext(c) for c in coeffs])
-
-
 def rational_below(x: QuadExt) -> Fraction:
     """A positive rational strictly below a positive exact value."""
     if x.sign() <= 0:
@@ -715,90 +676,61 @@ def rational_below(x: QuadExt) -> Fraction:
 def is_big(S: SurfaceModel, D: DivisorOrEvaluation) -> BigResult:
     """Interior-of-the-effective-cone test with an ample-plus-effective certificate.
 
-    When the effective generators form a basis (all built-ins) the
-    interior test is closed-form: all generator coordinates strictly
-    positive.  The certificate exhibits D - epsilon*H = sum lambda_j E_j
-    with a positive rational epsilon and exact non-negative lambda; it is
-    re-verified before being returned, as is the certificate of the
-    epsilon-ladder search used when the generators are supernumerary.
-    An Evaluation computes it once, as ``big``.
+    D is big iff n.D > 0 for every facet normal n of the effective cone
+    (surface.effective_facets); otherwise the note names the first facet
+    with n.D <= 0.  The certificate exhibits D - epsilon*H = sum lambda_j E_j
+    with a positive rational epsilon and exact non-negative lambda, and is
+    re-verified before being returned.  An Evaluation computes it once, as
+    ``big``.
     """
     return _evaluation(S, D, None).big
 
 
 def _big_result(S: SurfaceModel, ev: Evaluation) -> BigResult:
-    """is_big for D's evaluation ev."""
-    lam = _effective_coordinates(S, ev.coefficients)
-    if lam is None:
-        res = _is_big_caratheodory(S, ev.coefficients)
-        if res.big:
-            verify_big_certificate(S, ev.divisor, res.certificate)
-        return res
-    if any(x.sign() <= 0 for x in lam):
-        j = next(i for i, x in enumerate(lam) if x.sign() <= 0)
-        return BigResult(False, None,
-                         note=f"coordinate {j} on the effective cone is {format_quadext(lam[j])} <= 0")
+    """is_big for D's evaluation ev.
+
+    epsilon = p/q is below n.D / n.H on every facet with n.H > 0, so P = D - epsilon*H
+    is interior.  With rho generators lambda_j = n_j.P / n_j.E_j, n_j the facet that
+    leaves out E_j.  With more, lambda is that of the first rho generators that are
+    independent and whose cone holds P, from that cone's facets (Cramer's rule).
+    """
+    values = [ev.slope(n) for n in S._facets]
+    j = next((j for j, x in enumerate(values) if x.sign() <= 0), None)
+    if j is not None:
+        return BigResult(False, None, note=f"coordinate {j} on the effective cone is "
+                                           f"{format_quadext(values[j])} <= 0")
     H = _ample_reference(S)
-    hcoords = _effective_coordinates(S, [quadext(c) for c in H.coords])
-    assert hcoords is not None
-    ratios = [l / h for l, h in zip(lam, hcoords) if h.sign() > 0]
-    eps = rational_below(min(ratios))
-    resid = [l - h * eps for l, h in zip(lam, hcoords)]
-    if any(r.sign() < 0 for r in resid):
-        raise InternalError("big certificate residual went negative")
-    cert = {
-        "epsilon": str(eps),
-        "lambda": [format_quadext(r) for r in resid],
-        "ample_ref": list(H.coords),
-    }
+    hvalues = [sum(map(mul, n, H.coords)) for n in S._facets]
+    eps = rational_below(min((x / h for x, h in zip(values, hvalues) if h > 0), default=ONE))
+    p, q, gens = eps.numerator, eps.denominator, [E.coords for E in S.effective_generators]
+    if len(gens) == S.rho:
+        lam = [(x * q - h * p) / (q * sum(map(mul, n, E)))
+               for x, h, n, E in zip(values, hvalues, S._facets, gens)]
+    else:
+        lam = [ZERO] * len(gens)
+        for idx, cone in zip(combinations(range(len(gens)), S.rho), combinations(gens, S.rho)):
+            normals = effective_facets(cone, S.rho)
+            sides = [sum(map(mul, n, E)) for n, E in zip(normals, cone)]
+            if len(normals) == S.rho and min(sides) > 0:   # the rho generators are independent
+                part = [(ev.slope(n) * q - sum(map(mul, n, H.coords)) * p) / (q * side)
+                        for n, side in zip(normals, sides)]
+                if all(x.sign() >= 0 for x in part):
+                    for i, x in zip(idx, part):
+                        lam[i] = x
+                    break
+    cert = {"epsilon": str(eps), "lambda": [format_quadext(x) for x in lam],
+            "ample_ref": list(H.coords)}
     verify_big_certificate(S, ev.divisor, cert)
     return BigResult(True, cert)
 
 
 def _is_big_class(S: SurfaceModel, V: ZDivisor) -> bool:
-    """Whether an integral class lies in the interior of the effective cone."""
-    if S._unit_effective:
-        return min(V.coords) > 0
-    return is_big(S, V).big
-
-
-def _is_big_caratheodory(S: SurfaceModel, coeffs: Sequence[QuadExt]) -> BigResult:
-    """Supernumerary generators: epsilon-ladder membership search.
-
-    Exact cone membership at each ladder step via Caratheodory subsets.
-    Sound for "big"; a boundary class deeper than the ladder floor would
-    be reported not-big, noted in the verdict.
-    """
-    H = _ample_reference(S)
-    gens = S.effective_generators
-    rho = S.rho
-
-    def member(vec: list[QuadExt]) -> Optional[list[tuple[int, QuadExt]]]:
-        if all(v.sign() == 0 for v in vec):
-            return []
-        for size in range(1, rho + 1):
-            for idx in combinations(range(len(gens)), size):
-                cols = [[quadext(gens[j].coords[i]) for i in range(rho)] for j in idx]
-                sol = _solve_square(cols, vec)
-                if sol is not None and all(x.sign() >= 0 for x in sol):
-                    return list(zip(idx, sol))
-        return None
-
-    for k in range(1, 41):
-        eps = Fraction(1, 2**k)
-        shifted = [quadext(c) - quadext(h * eps) for c, h in zip(coeffs, H.coords)]
-        combo = member(shifted)
-        if combo is not None:
-            lam = [QuadExt(0)] * len(gens)
-            for j, x in combo:
-                lam[j] = x
-            cert = {
-                "epsilon": str(eps),
-                "lambda": [format_quadext(x) for x in lam],
-                "ample_ref": list(H.coords),
-            }
-            return BigResult(True, cert, note="epsilon-ladder membership")
-    return BigResult(False, None, note="no ladder epsilon >= 2^-40 admits a decomposition")
+    """Whether an integral class lies in the interior of the effective cone: n.V > 0 on every facet."""
+    v = V.coords
+    for n in S._facets:   # a loop, not all(): this runs once per row a big scan reads
+        if sum(map(mul, n, v)) <= 0:
+            return False
+    return True
 
 
 def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:

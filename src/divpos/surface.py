@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
+from math import comb, gcd
 from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
@@ -23,6 +26,11 @@ from divpos.errors import InternalError, InvalidInput, OracleUnavailable
 # The most digits of hirzebruch's e and of every integer of a spec.  A report is linear
 # in them, so it still prints at an input divisor's DIVISOR_DIGITS (divisor).
 SURFACE_DIGITS = 100
+
+# The most (rho - 1)- or rho-subsets of its effective generators a surface may have.  Its
+# facet normals are found once over the former (effective_facets); a big certificate may
+# search the latter for rho independent generators whose cone holds a class.
+MAX_GENERATOR_SUBSETS = 5000
 
 
 @dataclass(frozen=True)
@@ -95,9 +103,13 @@ class SurfaceModel:
             raise InvalidInput("canonical class has wrong rank")
         # (M K)_i = e_i.K, read by every Riemann-Roch evaluation
         object.__setattr__(self, "_mk", self.basis_pairings(self.canonical_class.coords))
-        # whether the effective generators are the basis classes, in order
-        object.__setattr__(self, "_unit_effective", [v.coords for v in self.effective_generators]
-                           == [tuple(int(i == j) for i in range(rho)) for j in range(rho)])
+        n = len(self.effective_generators)
+        if max(comb(n, rho - 1), comb(n, rho)) > MAX_GENERATOR_SUBSETS:
+            raise InvalidInput(f"'effective_generators': {n} generators at rank {rho} have more "
+                               f"than {MAX_GENERATOR_SUBSETS} subsets of {rho - 1} or {rho}")
+        # the facet normals of the effective cone, read by every bigness test
+        object.__setattr__(self, "_facets", effective_facets(
+            tuple(v.coords for v in self.effective_generators), rho))
 
     @property
     def rho(self) -> int:
@@ -164,6 +176,51 @@ class SurfaceModel:
         if self.globally_generated is None:
             raise OracleUnavailable(f"surface {self.name!r:.60} has no globally_generated oracle")
         return self.globally_generated
+
+
+@lru_cache(maxsize=64)   # every hirzebruch(e) has the same generators
+def effective_facets(gens: tuple[tuple[int, ...], ...], rho: int) -> tuple[tuple[int, ...], ...]:
+    """The primitive integer normals n of the facets of the cone the generators span.
+
+    A class is in the open cone iff n > 0 on it for every n.  A facet is spanned by rho - 1
+    independent generators whose normal is >= 0 on every generator.  When every generator
+    lies on that hyperplane both signs are kept, and when no rho - 1 generators are
+    independent the zero form is the one normal: a cone spanning less than the lattice has
+    no interior class.  The subsets run from the last generator down, so with rho
+    independent generators facet j is the one that leaves out generator j.
+    """
+    facets: list[tuple[int, ...]] = []
+    independent = False
+    for subset in combinations(gens[::-1], rho - 1):
+        normal = [(-1) ** i * _det([row[:i] + row[i + 1:] for row in subset]) for i in range(rho)]
+        if not any(normal):
+            continue
+        independent = True
+        g = gcd(*normal)
+        normal = tuple(x // g for x in normal)
+        values = [sum(map(mul, normal, v)) for v in gens]
+        if min(values) < 0 < max(values):
+            continue
+        for sign in (1, -1) if not any(values) else (1,) if min(values) >= 0 else (-1,):
+            n = tuple(sign * x for x in normal)
+            if n not in facets:
+                facets.append(n)
+    return tuple(facets) if independent else ((0,) * rho,)
+
+
+def _det(rows: list[tuple[int, ...]]) -> int:
+    """The determinant of a square integer matrix, by fraction-free (Bareiss) elimination."""
+    a, sign, prev = [list(row) for row in rows], 1, 1
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * prev
 
 
 def cohomology(S: SurfaceModel, D: ZDivisor) -> tuple[int, int, int]:

@@ -405,6 +405,9 @@ HUGE = list(range(3000))
     pytest.param("spec", {"matrix": HUGE}, "'matrix'", id="spec-matrix"),
     pytest.param("spec", {"basis": HUGE}, "'basis'", id="spec-basis"),
     pytest.param("spec", {"oracle": {"h0_table": HUGE}}, "'h0_table'", id="spec-h0_table"),
+    # a table oracle, so that no builtin's generator list is compared first
+    pytest.param("spec", {"effective_generators": [[1, i] for i in HUGE], "oracle": {}},
+                 "'effective_generators'", id="spec-effective_generators"),
     pytest.param("spec", HUGE, "surface spec", id="spec-list"),
     pytest.param("config", {"twists": ["a"] * 3000}, "twists", id="config-twists"),
     pytest.param("config", {"surfaces": [1] * 3000}, "surfaces", id="config-surfaces"),

@@ -2,8 +2,8 @@
 
 These are the load-bearing facts behind the one-sided classification
 rules: periodicity of integral parts of rational divisors, failure
-recurrence of tail predicates on the nef boundary, and the cone-membership
-fallback for supernumerary effective generators.
+recurrence of tail predicates on the nef boundary, and bigness on
+supernumerary effective generators.
 """
 
 import ast
@@ -87,7 +87,7 @@ def test_nakai_cone_agreement_p2():
         assert pos.nakai_test(P2, V)[0] == pos.is_ample_cone(P2, V)[0]
 
 
-# -- supernumerary effective generators (Caratheodory path) ----------------------
+# -- supernumerary effective generators (a certificate from rho of them) ----------
 
 
 def surface_with_redundant_generator() -> SurfaceModel:
@@ -112,7 +112,9 @@ def test_caratheodory_interior_point_is_big():
                                res.certificate)
 
 
-def test_caratheodory_ladder_certificate_is_verified(monkeypatch):
+def test_redundant_generator_certificate_is_verified(monkeypatch):
+    """The certificate of a surface with more generators than its rank is verified once,
+    and its lambda, one per generator, is non-zero on at most rank of them."""
     S = surface_with_redundant_generator()
     verified = []
     real = pos.verify_big_certificate
@@ -123,8 +125,9 @@ def test_caratheodory_ladder_certificate_is_verified(monkeypatch):
 
     monkeypatch.setattr(pos, "verify_big_certificate", recording)
     res = pos.is_big(S, RDivisor({"C0": 2, "f": 3}))
-    assert res.note == "epsilon-ladder membership"
+    assert res.note == ""
     assert verified == [res.certificate] and len(res.certificate["lambda"]) == 3
+    assert sum(x != "0" for x in res.certificate["lambda"]) <= S.rho
 
 
 @pytest.mark.parametrize("D, cert", [
@@ -297,7 +300,7 @@ def test_the_evaluation_alone_decides_where_a_scan_starts():
     """Only Evaluation calls region_tail or region_first, and every onset= or first=
     handed to a scan is ev.tail_start or ev.first_member (or the largest of them), so
     build_report has no scan-start closure of its own.  auditor derives no bound: it
-    calls neither ceil_quotient nor _effective_coordinates.  tail_start hands the
+    calls neither ceil_quotient nor effective_facets.  tail_start hands the
     region to rational and irrational D alike (it reads no _exact), and the irrational
     case is a part of region_tail: only region_tail calls _sure_runs."""
     region_callers, sure_callers, handoffs = set(), set(), []
@@ -323,7 +326,39 @@ def test_the_evaluation_alone_decides_where_a_scan_starts():
             and called & {"tail_start", "first_member"}, ast.unparse(kw)
     tree = ast.parse(Path(auditor.__file__).read_text())
     names = {getattr(n, "attr", None) or getattr(n, "id", None) for n in ast.walk(tree)}
-    assert not names & {"ceil_quotient", "_effective_coordinates"}
+    assert not names & {"ceil_quotient", "effective_facets"}
+
+
+# -- one bigness test ------------------------------------------------------------------
+
+
+def test_bigness_is_decided_by_the_facet_normals_alone():
+    """The epsilon ladder, the square solve of the generator coordinates and the
+    unit-basis shortcut are gone from the package; in positivity only _big_result and
+    _is_big_class read the facet normals S._facets, is_big reads the evaluation's
+    ``big``, which _big_result computes, and only SurfaceModel sets the normals."""
+    package = Path(pos.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text()
+        gone = ("ladder", "_is_big_caratheodory", "_effective_coordinates", "_unit_effective")
+        assert [name for name in gone if name in text] == [], path.name
+    tree = ast.parse(Path(pos.__file__).read_text())
+    readers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+               and "_facets" in {getattr(n, "attr", None) for n in ast.walk(top)}}
+    assert readers == {"_big_result", "_is_big_class"}
+    big_sources = [(top.name, n.name) for top in tree.body if isinstance(top, ast.ClassDef)
+                   for n in top.body if isinstance(n, ast.FunctionDef) and n.name == "big"]
+    assert big_sources == [("Evaluation", "big")]
+    assert "_big_result" in _called(ast.parse(textwrap.dedent(
+        inspect.getsource(pos.Evaluation.big.func))))
+    is_big = ast.parse(textwrap.dedent(inspect.getsource(pos.is_big)))
+    assert _called(is_big) == {"_evaluation"}
+    assert "big" in {getattr(n, "attr", None) for n in ast.walk(is_big)}
+    setters = [ast.unparse(n) for path in sorted(package.rglob("*.py"))
+               for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "__setattr__"
+               and any(isinstance(a, ast.Constant) and a.value == "_facets" for a in n.args)]
+    assert len(setters) == 1 and "effective_facets" in setters[0]
 
 
 # -- one ampleness criterion table -----------------------------------------------------
