@@ -383,6 +383,8 @@ def load_json(path: str, what: str):
     of any input, is refused naming what, the file and the bound, before int()
     meets the interpreter's 4,300-digit limit; a narrower field (a surface
     spec's, at SURFACE_DIGITS) refuses a shorter one itself, naming the field.
+    A file that cannot be read or is not JSON is refused naming what and at
+    most 60 characters of the path.
     """
     def parse_int(text: str) -> int:
         if len(text) - text.startswith("-") > DIVISOR_DIGITS:
@@ -390,8 +392,13 @@ def load_json(path: str, what: str):
                                f"{DIVISOR_DIGITS} digits")
         return int(text)
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=parse_int)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_int=parse_int)
+    except OSError as exc:
+        raise InvalidInput(f"{what}: cannot read {path!r:.60} ({exc.strerror})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise InvalidInput(f"{what}: {path!r:.60} is not valid JSON ({exc!s:.60})") from None
 
 
 def resolve_surface(ident: str) -> SurfaceModel:
@@ -399,13 +406,7 @@ def resolve_surface(ident: str) -> SurfaceModel:
     S = _builtin_surface(ident)
     if S is not None:
         return S
-    try:
-        spec = load_json(ident, "surface")
-    except OSError as exc:
-        raise InvalidInput(f"surface: cannot read {ident!r:.60} ({exc!s:.60})") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"surface: {ident!r:.60} is not valid JSON ({exc!s:.60})") from None
-    return surface_from_spec(spec)
+    return surface_from_spec(load_json(ident, "surface"))
 
 
 def surface_from_spec(spec: Mapping) -> SurfaceModel:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divpos.auditor as auditor
+import divpos.cli as cli
 import divpos.positivity as pos
 from divpos.divisor import RDivisor, ZDivisor, integral_part, integrality_denominator
 from divpos.errors import InternalError
@@ -399,3 +400,19 @@ def test_the_rows_of_md_have_one_store():
     ev = pos.Evaluation(F2, "3/2*C0 + 3*f", 200)
     for m in (0, 63, 64, 200, -1):
         assert ev.multiples[m] is ev.multiples[m]
+
+
+# -- one writer of the v1 JSON ---------------------------------------------------------
+
+
+def test_the_v1_json_has_one_writer():
+    """No json.dumps or json.dump in the package takes an indent: the indented v1 JSON is
+    laid out by cli._dumps alone, and cli._emit reaches json only through it."""
+    package = Path(pos.__file__).parent
+    indented = [f"{path.name}:{n.lineno}" for path in sorted(package.rglob("*.py"))
+                for n in ast.walk(ast.parse(path.read_text()))
+                if isinstance(n, ast.Call) and ast.unparse(n.func) in ("json.dumps", "json.dump")
+                and any(kw.arg == "indent" for kw in n.keywords)]
+    assert indented == []
+    called = _called(ast.parse(textwrap.dedent(inspect.getsource(cli._emit))))
+    assert "_dumps" in called and not called & {"dumps", "dump", "JSONEncoder", "encode"}
