@@ -67,11 +67,11 @@ def floor_multiples_quad(N: int, M: int, d: int, Q: int, n: int, *, start: int =
     Incremental: the first row is one floor_quad, and floor(m*x) is
     floor((m-1)*x) + floor(x) + carry with carry in {0, 1}, decided by one
     exact sign test per later row.  Avoids an integer square root per
-    multiple.
+    multiple; a one-row scan (n == 0) is that first floor_quad alone.
     """
     if M == 0:
         return floor_multiples_rat(N, Q, n, start=start)
-    f1 = floor_quad(N, M, d, Q)
+    f1 = floor_quad(N, M, d, Q) if n else 0
     prev = floor_quad(start * N, start * M, d, Q)
     out = [prev]
     for m in range(start + 1, start + n + 1):

@@ -633,26 +633,28 @@ def audit_bigness(site: SurfaceAudit, ev: pos.Evaluation, out: AuditOutcome) -> 
 def _bqr_spot_checks(S: SurfaceModel, catalog: list[ZDivisor], big_rational: list[RDivisor],
                      out: AuditOutcome) -> None:
     """Big + s * effective stays big, including irrational s, on up to three big rational B."""
-    sqrt_d = 2
-    spot = []
+    spot = out.replications.setdefault("bqr_spot_checks", [])
+    if not big_rational:
+        return
+    scales = [(s, format_quadext(s))
+              for s in (QuadExt(Fraction(1, 3)), QuadExt(0, 1, 2), QuadExt(2))]
+    effective = [(RDivisor(dict(zip(S.basis, F.coords))), S.format_z(F)) for F in catalog]
     for B in big_rational:
-        for F in catalog:
-            N = RDivisor({lbl: c for lbl, c in zip(S.basis, F.coords)})
-            for s in (QuadExt(Fraction(1, 3)), QuadExt(0, 1, sqrt_d), QuadExt(2)):
+        base = format_divisor(B)
+        for N, n_text in effective:
+            for s, s_text in scales:
                 cand = B + N.scaled(s)
                 res = pos.is_big(S, cand)
                 spot.append({
                     "surface": S.name,
-                    "base": format_divisor(B),
-                    "effective": S.format_z(F),
-                    "s": format_quadext(s),
+                    "base": base,
+                    "effective": n_text,
+                    "s": s_text,
                     "big": res.big,
                 })
                 if not res.big:
                     out.discrepancies.append(_entry(
-                        S, cand, "re_bqr",
-                        f"B + sN not big for s={format_quadext(s)}", True))
-    out.replications.setdefault("bqr_spot_checks", []).extend(spot)
+                        S, cand, "re_bqr", f"B + sN not big for s={s_text}", True))
 
 
 # ---------------------------------------------------------------------------

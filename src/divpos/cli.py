@@ -18,6 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from divpos import auditor
 from divpos import positivity as pos
@@ -151,8 +152,9 @@ def _lay_out(o, nl: str, put) -> None:
         put(nl + "]")
 
 
-def _emit(args, payload: dict, human_lines: list[str]) -> None:
-    text = _dumps(payload) if args.format == "json" else "\n".join(human_lines)
+def _emit(args, payload: dict, human: Callable[[], list[str]]) -> None:
+    """Write payload as JSON, or the lines human() makes, called for --format human only."""
+    text = _dumps(payload) if args.format == "json" else "\n".join(human())
     if not args.output:
         print(text)
         return
@@ -166,25 +168,28 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 def cmd_check(args) -> int:
     S = resolve_surface(args.surface)
     report = pos.build_report(S, _evaluation(args, S), delta=_delta(args.delta))
-    payload = report.to_json_dict()
-    lines = [
-        f"surface: {S.name}",
-        f"divisor: {format_divisor(report.divisor)}",
-        f"ground truth (cone criterion): {'ample' if report.ground_truth else 'not ample'}",
-        "",
-        f"{'criterion':<10} {'holds':<13} witness / note",
-    ]
-    for cid, v in sorted(report.verdicts.items()):
-        if v.same_as:
-            continue  # aliases add no information to the table
-        holds = {True: "yes", False: "no", None: "inconclusive"}[v.holds]
-        if not v.conclusive and v.holds is not None:
-            holds += "*"
-        wit = ", ".join(f"{k}={vv}" for k, vv in list(v.witness.items())[:3])
-        lines.append(f"{cid:<10} {holds:<13} {wit}"[:120])
-    lines.append("")
-    lines.append("(*: witness up to m_max only; aliases P2..P11/Ri..Rvi mirror QI..QX)")
-    _emit(args, payload, lines)
+
+    def human() -> list[str]:
+        lines = [
+            f"surface: {S.name}",
+            f"divisor: {format_divisor(report.divisor)}",
+            f"ground truth (cone criterion): {'ample' if report.ground_truth else 'not ample'}",
+            "",
+            f"{'criterion':<10} {'holds':<13} witness / note",
+        ]
+        for cid, v in sorted(report.verdicts.items()):
+            if v.same_as:
+                continue  # aliases add no information to the table
+            holds = {True: "yes", False: "no", None: "inconclusive"}[v.holds]
+            if not v.conclusive and v.holds is not None:
+                holds += "*"
+            wit = ", ".join(f"{k}={vv}" for k, vv in list(v.witness.items())[:3])
+            lines.append(f"{cid:<10} {holds:<13} {wit}"[:120])
+        lines.append("")
+        lines.append("(*: witness up to m_max only; aliases P2..P11/Ri..Rvi mirror QI..QX)")
+        return lines
+
+    _emit(args, report.to_json_dict(), human)
     return 0
 
 
@@ -211,19 +216,21 @@ def cmd_audit(args) -> int:
         "schema_version": "v1",
         "outcomes": [o.to_json_dict() for o in outcomes],
     }
-    lines = []
-    bad = 0
-    for o in outcomes:
-        bad += len(o.discrepancies)
-        lines.append(
-            f"suite {o.suite}: checked {o.checked}, "
-            f"{len(o.discrepancies)} discrepancies, {len(o.inconclusives)} inconclusive"
-        )
-        for dsc in o.discrepancies[:20]:
-            lines.append(f"  ! {dsc['surface']} {dsc['divisor']} "
-                         f"[{dsc['criterion']}] {dsc['detail']}")
-    _emit(args, payload, lines)
-    return 2 if bad else 0
+
+    def human() -> list[str]:
+        lines = []
+        for o in outcomes:
+            lines.append(
+                f"suite {o.suite}: checked {o.checked}, "
+                f"{len(o.discrepancies)} discrepancies, {len(o.inconclusives)} inconclusive"
+            )
+            for dsc in o.discrepancies[:20]:
+                lines.append(f"  ! {dsc['surface']} {dsc['divisor']} "
+                             f"[{dsc['criterion']}] {dsc['detail']}")
+        return lines
+
+    _emit(args, payload, human)
+    return 2 if any(o.discrepancies for o in outcomes) else 0
 
 
 def cmd_counterexample(args) -> int:
@@ -233,15 +240,19 @@ def cmd_counterexample(args) -> int:
         raise DivposError(
             f"--e-list: expected comma-separated integers, got {args.e_list!r:.60}") from None
     result = auditor.replicate_example_es_nna(e_list)
-    lines = [f"ruled-surface counterexample, e in {e_list}"]
-    for row in result["cases"]:
-        lines.append(
-            f"  e={row['e']}: D = {row['divisor']}; [D] very ample: "
-            f"{row['very_ample_integral_part']}; D.C0 = {row['pairing_with_C0']}; "
-            f"ample: {row['ample']}  -> {'ok' if row['ok'] else 'FAILED'}"
-        )
-    lines.append("all cases ok" if result["ok"] else "REPLICATION FAILED")
-    _emit(args, result, lines)
+
+    def human() -> list[str]:
+        lines = [f"ruled-surface counterexample, e in {e_list}"]
+        for row in result["cases"]:
+            lines.append(
+                f"  e={row['e']}: D = {row['divisor']}; [D] very ample: "
+                f"{row['very_ample_integral_part']}; D.C0 = {row['pairing_with_C0']}; "
+                f"ample: {row['ample']}  -> {'ok' if row['ok'] else 'FAILED'}"
+            )
+        lines.append("all cases ok" if result["ok"] else "REPLICATION FAILED")
+        return lines
+
+    _emit(args, result, human)
     return 0 if result["ok"] else 2
 
 
@@ -256,10 +267,9 @@ def cmd_semigroup(args) -> int:
         "m_max": args.m_max,
         "semigroup": members,
     }
-    shown = ", ".join(map(str, members)) if members else "(empty)"
-    _emit(args, payload, [
+    _emit(args, payload, lambda: [
         f"N(X, D) of {payload['divisor']} on {S.name} up to {args.m_max}:",
-        f"  {shown}",
+        f"  {', '.join(map(str, members)) if members else '(empty)'}",
     ])
     return 0
 
@@ -279,15 +289,19 @@ def cmd_growth(args) -> int:
         "h0_leading_estimate": str(growth.leading) if growth else None,
         "growth_pass": growth.passed if growth else None,
     }
-    lines = [f"growth of {payload['divisor']} on {S.name}",
-             f"{'m':>5} {'chi([mD])':>12} {'h0([mD])':>12}"]
-    for row in table:
-        lines.append(f"{row['m']:>5} {row['chi']:>12} {row['h0']:>12}")
-    lines.append(f"chi leading estimate 2*chi/m^2: {payload['chi_leading_estimate']}")
-    if growth:
-        lines.append(f"h0 leading estimate h0/m^2: {growth.leading} "
-                     f"(quadratic growth: {'pass' if growth.passed else 'fail'})")
-    _emit(args, payload, lines)
+
+    def human() -> list[str]:
+        lines = [f"growth of {payload['divisor']} on {S.name}",
+                 f"{'m':>5} {'chi([mD])':>12} {'h0([mD])':>12}"]
+        for row in table:
+            lines.append(f"{row['m']:>5} {row['chi']:>12} {row['h0']:>12}")
+        lines.append(f"chi leading estimate 2*chi/m^2: {payload['chi_leading_estimate']}")
+        if growth:
+            lines.append(f"h0 leading estimate h0/m^2: {growth.leading} "
+                         f"(quadratic growth: {'pass' if growth.passed else 'fail'})")
+        return lines
+
+    _emit(args, payload, human)
     return 0
 
 

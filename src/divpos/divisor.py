@@ -18,7 +18,6 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from operator import add, neg, sub
 from typing import Union
@@ -243,15 +242,20 @@ def integral_part_multiples(D: RDivisor, basis: Sequence[str], m_max: int) -> "M
     return MultiplesColumn(tuple(D.expand_coefficients(basis)), m_max)
 
 
-ROW_BLOCK = 64  # rows of [mD] that the first read of one of them builds together
+ROW_BLOCK = 64  # rows of [mD] that a walk builds together, one kernel scan per coordinate
+WALK = 6  # built rows next to a missing one that make its read part of a walk
 
 
 class MultiplesColumn(Sequence):
     """The rows [mD], m in 0..m_max, of a divisor D with prime ``coefficients``.
 
-    The first read of a row builds its block of ROW_BLOCK rows through the
-    floor-scan kernel and keeps their ZDivisors, so a row read twice is
+    A row is built when it is first read and kept, so a row read twice is
     the same object and memory grows with the rows read, not with m_max.
+    A read on its own builds that row alone, one exact floor per
+    coordinate.  A read next to WALK built rows, the ones just below it or
+    just above, is a walk: it builds the rest of its block of ROW_BLOCK rows
+    in that direction through the floor-scan kernel, so a walk over the
+    column costs one kernel scan per block and coordinate.
     """
 
     __slots__ = ("coefficients", "m_max", "_blocks")
@@ -259,7 +263,7 @@ class MultiplesColumn(Sequence):
     def __init__(self, coefficients: tuple[QuadExt, ...], m_max: int):
         self.coefficients = coefficients
         self.m_max = m_max
-        self._blocks: dict[int, list[ZDivisor]] = {}
+        self._blocks: dict[int, list[ZDivisor | None]] = {}
 
     def rows(self, start: int, n: int) -> list[tuple[int, ...]]:
         """[mD] for m in start..start+n as coordinate tuples, via the floor-scan kernel.
@@ -270,33 +274,72 @@ class MultiplesColumn(Sequence):
         return list(zip(*[_kernels.floor_multiples_quad(c.N, c.M, c.d, c.Q, n, start=start)
                           for c in self.coefficients]))
 
-    def _block(self, b: int) -> list[ZDivisor]:
-        """The rows of block b, built on the first call."""
+    def _block(self, b: int) -> list[ZDivisor | None]:
+        """The rows of block b, None where a row is not built; empty on the first call."""
         block = self._blocks.get(b)
         if block is None:
-            start = b * ROW_BLOCK
-            n = min(ROW_BLOCK, self.m_max + 1 - start)
-            block = self._blocks[b] = list(map(trusted_zdivisor, self.rows(start, n - 1)))
+            block = self._blocks[b] = [None] * min(ROW_BLOCK, self.m_max + 1 - b * ROW_BLOCK)
         return block
+
+    def _build(self, lo: int, hi: int) -> None:
+        """Build the rows lo..hi of one block through the floor-scan kernel; built rows are kept."""
+        block, start = self._block(lo // ROW_BLOCK), lo - lo % ROW_BLOCK
+        rows = map(trusted_zdivisor, self.rows(lo, hi - lo))
+        a, b = lo - start, hi + 1 - start
+        if block[a:b].count(None) == b - a:
+            block[a:b] = rows
+        else:
+            for i, row in zip(range(a, b), rows):
+                if block[i] is None:
+                    block[i] = row
+
+    def _read(self, m: int) -> ZDivisor:
+        """Row m, built on its first read: alone, or the rest of its block on a walk."""
+        if m < 0:
+            m += self.m_max + 1
+        if not 0 <= m <= self.m_max:
+            raise IndexError(f"row {m} is outside 0..{self.m_max}") from None
+        b, i = divmod(m, ROW_BLOCK)
+        block = self._block(b)
+        if block[i] is None:
+            if self._walked(m, -1):
+                self._build(m, b * ROW_BLOCK + len(block) - 1)
+            elif self._walked(m, 1):
+                self._build(b * ROW_BLOCK, m)
+            else:
+                block[i] = trusted_zdivisor(tuple([
+                    _kernels.floor_multiples_quad(c.N, c.M, c.d, c.Q, 0, start=m)[0]
+                    for c in self.coefficients]))
+        return block[i]
+
+    def _walked(self, m: int, step: int) -> bool:
+        """Whether the WALK rows next to row m, below it (step -1) or above it (1), are built."""
+        blocks = self._blocks
+        for k in range(m + step, m + (WALK + 1) * step, step):
+            block = blocks.get(k // ROW_BLOCK) if 0 <= k <= self.m_max else None
+            if block is None or block[k % ROW_BLOCK] is None:
+                return False
+        return True
 
     def __len__(self) -> int:
         return self.m_max + 1
 
     def __getitem__(self, m: int) -> ZDivisor:
-        # a row of a built block is read without a bounds check: a row past m_max
-        # in the last block raises IndexError there, and any other row KeyError
+        # a built row is read without a bounds check: a row past m_max in the last
+        # block raises IndexError there, and any row of a block never read KeyError
         try:
-            return self._blocks[m // ROW_BLOCK][m % ROW_BLOCK]
+            row = self._blocks[m // ROW_BLOCK][m % ROW_BLOCK]
         except KeyError:
-            if m < 0:
-                m += self.m_max + 1
-            if not 0 <= m <= self.m_max:
-                raise IndexError(f"row {m} is outside 0..{self.m_max}") from None
-            return self._block(m // ROW_BLOCK)[m % ROW_BLOCK]
+            return self._read(m)
+        return row if row is not None else self._read(m)
 
     def __iter__(self):
         """Every row in order (h0_counts reads the whole column)."""
-        return chain.from_iterable(map(self._block, range(self.m_max // ROW_BLOCK + 1)))
+        for b in range(self.m_max // ROW_BLOCK + 1):
+            block = self._block(b)
+            if None in block:
+                self._build(b * ROW_BLOCK, b * ROW_BLOCK + len(block) - 1)
+            yield from block
 
 
 # -- rounding decomposition (general representations) --------------------------

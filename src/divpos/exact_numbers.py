@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Union
 
@@ -41,8 +42,13 @@ COEFFICIENT_DIGITS = 4_215   # the most digits of a literal's integer: 10**4215 
 _DIGIT_RUN = re.compile(r"\d+")
 
 
+@lru_cache(maxsize=64)
 def squarefree_decompose(d: int) -> tuple[int, int]:
-    """Write d = s*s*d0 with d0 square-free; returns (d0, s).  0 <= d <= RADICAND_MAX."""
+    """Write d = s*s*d0 with d0 square-free; returns (d0, s).  0 <= d <= RADICAND_MAX.
+
+    Memoised: a computation sees few radicands, and each trial division up
+    to sqrt(d) is then made once.
+    """
     if d < 0:
         raise InvalidInput(f"d must be non-negative (real quadratic field), got {d}")
     if d > RADICAND_MAX:

@@ -177,7 +177,7 @@ class Evaluation:
     ``big``, is_big's verified result.  ``slope(w)`` = w.D of a region form w,
     ``onset(kind, G)`` and ``first_member(kind)`` are memoised per key.
     ``multiples`` is the one store of the rows [mD], m = 0..m_max
-    (a MultiplesColumn builds the blocks of rows a scan reads), and
+    (a MultiplesColumn builds the rows a scan reads), and
     ``twisted(G)`` is a view of G + [mD] over it that keeps nothing.
     ``tail_start`` and ``first_member`` tell a scan where to start,
     and ``first_member`` answers a search that definitive_negative proves
@@ -631,8 +631,21 @@ def semigroup(S: SurfaceModel, D: DivisorOrEvaluation,
 @dataclass(frozen=True)
 class BigResult:
     big: bool
-    certificate: Optional[dict]  # {"epsilon": str, "lambda": [str], "ample_ref": [int]}
+    exact: Optional[dict]  # big: {"epsilon": Fraction, "lambda": [QuadExt], "ample_ref": [int]}
     note: str = ""  # not big: "coordinate j ...", j the index of a failing facet in S._facets
+
+    @cached_property
+    def certificate(self) -> Optional[dict]:
+        """exact with its values written out: {"epsilon": str, "lambda": [str], "ample_ref": [int]}.
+
+        Written on the first read, so a result whose certificate is never
+        emitted formats nothing.
+        """
+        if self.exact is None:
+            return None
+        return {"epsilon": str(self.exact["epsilon"]),
+                "lambda": [format_quadext(x) for x in self.exact["lambda"]],
+                "ample_ref": list(self.exact["ample_ref"])}
 
 
 def _ample_reference(S: SurfaceModel) -> ZDivisor:
@@ -718,8 +731,7 @@ def _big_result(S: SurfaceModel, ev: Evaluation) -> BigResult:
                     for i, x in zip(idx, part):
                         lam[i] = x
                     break
-    cert = {"epsilon": str(eps), "lambda": [format_quadext(x) for x in lam],
-            "ample_ref": list(H.coords)}
+    cert = {"epsilon": eps, "lambda": lam, "ample_ref": list(H.coords)}
     verify_big_certificate(S, ev.divisor, cert)
     return BigResult(True, cert)
 
@@ -736,12 +748,16 @@ def _is_big_class(S: SurfaceModel, V: ZDivisor) -> bool:
 def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:
     """Re-check D = epsilon*H + sum lambda_j E_j exactly; InternalError on failure.
 
-    H must be ample with S.rho integer coordinates, and lambda must give
-    one entry per effective generator.  An H other than S's reference class,
-    which _ample_reference proves once per surface, is proved ample here.
+    epsilon and each lambda entry are exact values (a BigResult's exact,
+    checked as it is built) or the strings of an emitted certificate,
+    which are parsed here.  H must be ample with S.rho integer coordinates,
+    and lambda must give one entry per effective generator.  An H other than
+    S's reference class, which _ample_reference proves once per surface, is
+    proved ample here.
     """
-    eps = Fraction(cert["epsilon"])
-    lam = [parse_quadext(x) for x in cert["lambda"]]
+    eps = cert["epsilon"]
+    eps = Fraction(eps) if isinstance(eps, str) else eps
+    lam = [parse_quadext(x) if isinstance(x, str) else x for x in cert["lambda"]]
     ref = cert["ample_ref"]
     if len(ref) != S.rho or any(type(x) is not int for x in ref):
         raise InternalError(f"big certificate ample_ref {ref!r:.60} is not {S.rho} integers")
@@ -753,12 +769,13 @@ def verify_big_certificate(S: SurfaceModel, D: RDivisor, cert: dict) -> None:
         raise InternalError(f"big certificate ample_ref {ref!r:.60} is not ample")
     if eps <= 0 or any(x.sign() < 0 for x in lam):
         raise InternalError("big certificate has non-positive parts")
-    coeffs = D.coefficients(S.basis)
-    for i in range(S.rho):
-        acc = quadext(Fraction(H.coords[i]) * eps)
+    e = quadext(eps)
+    for i, c in enumerate(D.coefficients(S.basis)):
+        acc = e * H.coords[i]
         for x, g in zip(lam, S.effective_generators):
-            acc = acc + x * g.coords[i]
-        if acc != quadext(coeffs[i]):
+            if g.coords[i]:
+                acc = acc + x * g.coords[i]
+        if acc != c:
             raise InternalError(f"big certificate mismatch in coordinate {i}")
 
 

@@ -425,6 +425,27 @@ def test_bqr_spot_checks_present_and_positive():
     assert all(s["big"] for s in spots)
 
 
+@pytest.mark.parametrize("field, forged", [("epsilon", "1/7"), ("lambda", ["1", "1"])])
+def test_a_tampered_certificate_string_fails_reverification(field, forged):
+    """_reverify_report parses and re-checks the certificate strings a report emits: an
+    untouched report passes, one whose epsilon or lambda string is changed does not."""
+    from divpos.surface import hirzebruch
+
+    S, D = hirzebruch(2), parse_divisor("5/2*C0 + 7*f")
+    report = pos.build_report(S, D, 20)
+    b1 = report.verdicts["B1"]
+    assert b1.holds and b1.witness["certificate"][field] != forged
+    out = auditor.AuditOutcome("ampleness", small_rational_config())
+    auditor._reverify_report(S, D, report, out)
+    assert out.discrepancies == []
+    cert = {**b1.witness["certificate"], field: forged}
+    tampered = dataclasses.replace(report, verdicts={
+        **report.verdicts, "B1": dataclasses.replace(b1, witness={"certificate": cert})})
+    auditor._reverify_report(S, D, tampered, out)
+    assert [(e["criterion"], e["detail"][:19]) for e in out.discrepancies] == \
+        [("B1", "certificate invalid")]
+
+
 def test_bigness_fault_detected():
     cfg = small_rational_config(n_divisors=30, fault="flip_cone",
                                 surfaces=("hirzebruch:2",))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import divpos.positivity as pos
 from divpos import _kernels
-from divpos.divisor import (ROW_BLOCK, RDivisor, ZDivisor, integral_part_multiples,
+from divpos.divisor import (ROW_BLOCK, WALK, RDivisor, ZDivisor, integral_part_multiples,
                             parse_divisor)
 from divpos.errors import InternalError, InvalidInput
 from divpos.exact_numbers import QuadExt
@@ -143,27 +143,61 @@ def test_twisted_rows_are_a_lazy_view_of_the_twisted_multiples():
 @settings(max_examples=30, deadline=None)
 @given(surface_divisors(), st.data())
 def test_rows_built_when_read_equal_the_eager_floors(sd, data):
-    """Rows read in any order, negative indices included, equal [mD] floored through
-    QuadExt, plain and twisted, at m_max around one block and at 2000; the row
-    after each end raises IndexError."""
+    """Rows read in any order, negative indices included, alone, in short runs and in long
+    walks up and down, equal [mD] floored through QuadExt, plain and twisted, at m_max
+    around one walk and one block and at 2000; a row read again, or iterated, is the one
+    object first read, and the row after each end raises IndexError."""
     S, D = sd
     G = ZDivisor(tuple(data.draw(st.integers(-3, 3)) for _ in S.basis))
-    for m_max in (0, 1, 63, 64, 65, 2000):
+    for m_max in (0, 1, 7, 8, 63, 64, 65, 2000):
         want = brute_multiples(S, D, m_max)
         rows = integral_part_multiples(D, S.basis, m_max)
         twisted = pos._Twisted(rows, G.coords)
-        for m in data.draw(st.lists(st.integers(-m_max - 1, m_max), max_size=30)):
+        reads = data.draw(st.lists(st.integers(-m_max - 1, m_max), max_size=30))
+        for _ in range(data.draw(st.integers(0, 4))):
+            start = data.draw(st.integers(0, m_max))
+            step = data.draw(st.sampled_from([1, -1]))
+            length = data.draw(st.sampled_from([2, WALK, WALK + 1, 3 * ROW_BLOCK]))
+            reads += range(start, min(max(start + step * length, -1), m_max + 1), step)
+        first = {}
+        for m in reads:
             row = want[m]
-            assert rows[m].coords == row and rows[m % (m_max + 1)].coords == row
+            V = first.setdefault(m % (m_max + 1), rows[m])
+            assert V.coords == row and rows[m] is V and rows[m % (m_max + 1)] is V
             assert twisted[m] == brute_twisted(G, [row])[0]
-            assert rows[m] is rows[m]
         for view in (rows, twisted):
             assert len(view) == m_max + 1
             for m in (m_max + 1, -m_max - 2):
                 with pytest.raises(IndexError):
                     view[m]
-        assert [V.coords for V in rows] == want
+        built = list(rows)
+        assert [V.coords for V in built] == want
+        assert all(built[m] is V for m, V in first.items())
         assert list(twisted) == brute_twisted(G, want)
+
+
+@pytest.mark.parametrize("D", ["7/3*C0 + 11/5*f", "(1+sqrt(2))*C0 + (3-sqrt(2))*f"])
+def test_a_walk_over_a_column_builds_its_rows_in_blocks(D, monkeypatch):
+    """A walk down every row of a column of 10**5 rows, and one up, enters the floor-scan
+    kernel once per ROW_BLOCK rows and coordinate plus a constant, and computes each
+    floor once: the rows before the walk is seen are one-row scans."""
+    scans = []
+    real = _kernels.floor_multiples_quad
+
+    def counting(*args, **kwargs):
+        scans.append(args[-1] + 1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "floor_multiples_quad", counting)
+    monkeypatch.setattr(_kernels, "floor_quad", None)   # no row is floored outside a scan
+    m_max, rho = 10**5, F2.rho
+    for walk in (range(m_max, -1, -1), range(m_max + 1)):
+        del scans[:]
+        rows = integral_part_multiples(parse_divisor(D), F2.basis, m_max)
+        for m in walk:
+            rows[m]
+        assert sum(scans) == rho * (m_max + 1)
+        assert len(scans) <= rho * (m_max // ROW_BLOCK + 2 + WALK), len(scans)
 
 
 def test_h0_column_is_computed_once_per_evaluation():

@@ -115,7 +115,8 @@ def test_caratheodory_interior_point_is_big():
 
 def test_redundant_generator_certificate_is_verified(monkeypatch):
     """The certificate of a surface with more generators than its rank is verified once,
-    and its lambda, one per generator, is non-zero on at most rank of them."""
+    as its exact values, and its lambda, one per generator, is non-zero on at most rank
+    of them; the strings it emits verify too."""
     S = surface_with_redundant_generator()
     verified = []
     real = pos.verify_big_certificate
@@ -127,8 +128,9 @@ def test_redundant_generator_certificate_is_verified(monkeypatch):
     monkeypatch.setattr(pos, "verify_big_certificate", recording)
     res = pos.is_big(S, RDivisor({"C0": 2, "f": 3}))
     assert res.note == ""
-    assert verified == [res.certificate] and len(res.certificate["lambda"]) == 3
+    assert len(verified) == 1 and verified[0] is res.exact and len(res.certificate["lambda"]) == 3
     assert sum(x != "0" for x in res.certificate["lambda"]) <= S.rho
+    real(S, pos.rdivisor_on(S, RDivisor({"C0": 2, "f": 3})), res.certificate)
 
 
 @pytest.mark.parametrize("D, cert", [
