@@ -277,8 +277,9 @@ def cmd_semigroup(args) -> int:
 def cmd_growth(args) -> int:
     S = resolve_surface(args.surface)
     ev = _evaluation(args, S)
+    h0_counts = ev.h0_counts   # first, so that one iteration builds the rows chi_growth reads
     rows, estimate = pos.chi_growth(S, ev, range(1, args.m_max + 1))
-    table = [{"m": m, "chi": chi, "h0": ev.h0_counts[m]} for m, chi in rows]
+    table = [{"m": m, "chi": chi, "h0": h0_counts[m]} for m, chi in rows]
     growth = pos.big_growth_check(S, ev) if args.m_max >= pos.GROWTH_MIN_M_MAX else None
     payload = {
         "schema_version": "v1",

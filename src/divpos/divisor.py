@@ -242,28 +242,22 @@ def integral_part_multiples(D: RDivisor, basis: Sequence[str], m_max: int) -> "M
     return MultiplesColumn(tuple(D.expand_coefficients(basis)), m_max)
 
 
-ROW_BLOCK = 64  # rows of [mD] that a walk builds together, one kernel scan per coordinate
-WALK = 6  # built rows next to a missing one that make its read part of a walk
-
-
 class MultiplesColumn(Sequence):
     """The rows [mD], m in 0..m_max, of a divisor D with prime ``coefficients``.
 
     A row is built when it is first read and kept, so a row read twice is
     the same object and memory grows with the rows read, not with m_max.
-    A read on its own builds that row alone, one exact floor per
-    coordinate.  A read next to WALK built rows, the ones just below it or
-    just above, is a walk: it builds the rest of its block of ROW_BLOCK rows
-    in that direction through the floor-scan kernel, so a walk over the
-    column costs one kernel scan per block and coordinate.
+    A read builds its row alone, through a one-row floor scan per
+    coordinate.  The first iteration builds every row, one floor scan per
+    coordinate over the whole column, and keeps the rows read before it.
     """
 
-    __slots__ = ("coefficients", "m_max", "_blocks")
+    __slots__ = ("coefficients", "m_max", "_rows")
 
     def __init__(self, coefficients: tuple[QuadExt, ...], m_max: int):
         self.coefficients = coefficients
         self.m_max = m_max
-        self._blocks: dict[int, list[ZDivisor | None]] = {}
+        self._rows: dict[int, ZDivisor] | list[ZDivisor] = {}   # a list once iterated
 
     def rows(self, start: int, n: int) -> list[tuple[int, ...]]:
         """[mD] for m in start..start+n as coordinate tuples, via the floor-scan kernel.
@@ -274,72 +268,37 @@ class MultiplesColumn(Sequence):
         return list(zip(*[_kernels.floor_multiples_quad(c.N, c.M, c.d, c.Q, n, start=start)
                           for c in self.coefficients]))
 
-    def _block(self, b: int) -> list[ZDivisor | None]:
-        """The rows of block b, None where a row is not built; empty on the first call."""
-        block = self._blocks.get(b)
-        if block is None:
-            block = self._blocks[b] = [None] * min(ROW_BLOCK, self.m_max + 1 - b * ROW_BLOCK)
-        return block
-
-    def _build(self, lo: int, hi: int) -> None:
-        """Build the rows lo..hi of one block through the floor-scan kernel; built rows are kept."""
-        block, start = self._block(lo // ROW_BLOCK), lo - lo % ROW_BLOCK
-        rows = map(trusted_zdivisor, self.rows(lo, hi - lo))
-        a, b = lo - start, hi + 1 - start
-        if block[a:b].count(None) == b - a:
-            block[a:b] = rows
-        else:
-            for i, row in zip(range(a, b), rows):
-                if block[i] is None:
-                    block[i] = row
-
     def _read(self, m: int) -> ZDivisor:
-        """Row m, built on its first read: alone, or the rest of its block on a walk."""
+        """Row m of a column not yet iterated, built on its first read."""
         if m < 0:
             m += self.m_max + 1
         if not 0 <= m <= self.m_max:
             raise IndexError(f"row {m} is outside 0..{self.m_max}") from None
-        b, i = divmod(m, ROW_BLOCK)
-        block = self._block(b)
-        if block[i] is None:
-            if self._walked(m, -1):
-                self._build(m, b * ROW_BLOCK + len(block) - 1)
-            elif self._walked(m, 1):
-                self._build(b * ROW_BLOCK, m)
-            else:
-                block[i] = trusted_zdivisor(tuple([
-                    _kernels.floor_multiples_quad(c.N, c.M, c.d, c.Q, 0, start=m)[0]
-                    for c in self.coefficients]))
-        return block[i]
-
-    def _walked(self, m: int, step: int) -> bool:
-        """Whether the WALK rows next to row m, below it (step -1) or above it (1), are built."""
-        blocks = self._blocks
-        for k in range(m + step, m + (WALK + 1) * step, step):
-            block = blocks.get(k // ROW_BLOCK) if 0 <= k <= self.m_max else None
-            if block is None or block[k % ROW_BLOCK] is None:
-                return False
-        return True
+        row = self._rows.get(m)
+        if row is None:
+            row = self._rows[m] = trusted_zdivisor(tuple([
+                _kernels.floor_multiples_quad(c.N, c.M, c.d, c.Q, 0, start=m)[0]
+                for c in self.coefficients]))
+        return row
 
     def __len__(self) -> int:
         return self.m_max + 1
 
     def __getitem__(self, m: int) -> ZDivisor:
-        # a built row is read without a bounds check: a row past m_max in the last
-        # block raises IndexError there, and any row of a block never read KeyError
+        # a list raises IndexError itself; a dict lacks a row not read and a negative m
         try:
-            row = self._blocks[m // ROW_BLOCK][m % ROW_BLOCK]
+            return self._rows[m]
         except KeyError:
             return self._read(m)
-        return row if row is not None else self._read(m)
 
     def __iter__(self):
         """Every row in order (h0_counts reads the whole column)."""
-        for b in range(self.m_max // ROW_BLOCK + 1):
-            block = self._block(b)
-            if None in block:
-                self._build(b * ROW_BLOCK, b * ROW_BLOCK + len(block) - 1)
-            yield from block
+        if isinstance(self._rows, dict):
+            rows = list(map(trusted_zdivisor, self.rows(0, self.m_max)))
+            for m, row in self._rows.items():
+                rows[m] = row
+            self._rows = rows
+        return iter(self._rows)
 
 
 # -- rounding decomposition (general representations) --------------------------

@@ -231,34 +231,37 @@ class Evaluation:
     def tail_start(self, kind: str, G: Optional[ZDivisor] = None) -> Optional[int]:
         """Where a tail scan of kind at G + [mD] (G defaults to 0) may start; None: walk it all.
 
-        The onset bound for a nef D (see onset_bound); where that gives none,
-        the exact tail start region_tail for any D on a surface with regions.
+        The onset bound for a nef D (see onset_bound); where that gives none
+        within m_max, the exact tail start region_tail for any D on a surface
+        with regions.
         """
         G = G if G is not None else trusted_zdivisor((0,) * self.surface.rho)
         bound = self.onset(kind, G) if self._nef else None
-        if bound is None and self.surface.regions is not None:
+        if (bound is None or bound > self.m_max) and self.surface.regions is not None:
             return region_tail(self.surface.regions[kind], self, G)
         return bound
 
     def first_member(self, kind: str) -> Optional[int]:
         """The least m >= 1 with [mD] of kind, m_max + 1 for none; None: walk up to it.
 
-        region_first from m = 1 at twist 0 for a rational D on a surface with
-        regions; for any other D, m_max + 1 where definitive_negative proves
-        that no [mD] is of the kind (the scan then still reads row m_max).
+        m_max + 1 where definitive_negative proves that no [mD] is of the
+        kind (the scan then still reads row m_max); else region_first from
+        m = 1 at twist 0 on a surface with regions.
         """
         if kind not in self._firsts:
             S = self.surface
             self._firsts[kind] = (
-                region_first(S.regions[kind], self, trusted_zdivisor((0,) * S.rho), 1)
-                if self._exact else
-                self.m_max + 1 if definitive_negative(S, self, kind) else None)
+                self.m_max + 1 if definitive_negative(S, self, kind) else
+                None if S.regions is None else
+                region_first(S.regions[kind], self, trusted_zdivisor((0,) * S.rho), 1))
         return self._firsts[kind]
 
-    @property
-    def _exact(self) -> bool:
-        """Whether exact regions decide D's scans: D rational on a surface with regions."""
-        return self.surface.regions is not None and all(c.is_rational for c in self.coefficients)
+    @cached_property
+    def _fraction_tops(self) -> tuple[int, tuple[int, ...]]:
+        """(q, tops): q the common denominator of D's rational coordinates, and per
+        coordinate q times the bound t_i on {m a_i} that _region_spans uses."""
+        q = lcm(*(c.Q for c in self.coefficients if c.is_rational))
+        return q, tuple(q - q // c.Q if c.is_rational else q for c in self.coefficients)
 
     @cached_property
     def big(self) -> BigResult:
@@ -368,134 +371,107 @@ def _first_from(ok: Callable[[object], bool], items: Sequence, lo: int,
     return first if first < len(items) else None
 
 
-# -- exact regions (rational D on a surface with SurfaceModel.regions) ----------
+# -- exact regions (any D on a surface with SurfaceModel.regions) ----------------
 
 
-def _period_forms(region: Region, ev: "Evaluation", G: ZDivisor) -> tuple[int, list[list]]:
-    """(q, pieces) for a rational D, q a common denominator, so [(m + q)D] = [mD] + qD.
-
-    Each form (w, c) of the region becomes (w, c - w.G, w.qD): it holds at
-    G + [mD] iff w.[mD] >= c - w.G, and w.qD is its step from m to m + q.
-    """
-    q = lcm(*(c.Q for c in ev.coefficients))
-    qD = [c.N * (q // c.Q) for c in ev.coefficients]
-    return q, [[(w, c - sum(map(mul, w, G.coords)), sum(map(mul, w, qD))) for w, c in piece]
-               for piece in region]
-
-
-def _region_runs(pieces: list[list], row: Sequence[int], sign: int,
-                 K: int) -> list[tuple[int, int]]:
-    """The k in [0, K] whose row [(m + sign*k*q)D] is in the region, row = [mD].
-
-    One (first, last) run per piece that holds somewhere; pieces as _period_forms.
-    """
-    runs = []
-    for piece in pieces:
-        first, last = 0, K
-        for w, c, s in piece:
-            v = sum(map(mul, w, row)) - c   # the form holds at k iff v + k*s >= 0
-            s *= sign
-            if s > 0:
-                first = max(first, -(v // s))
-            elif s < 0:
-                last = min(last, v // -s)
-            elif v < 0:
-                last = -1
-        if first <= last:
-            runs.append((first, last))
-    return runs
-
-
-def _in_region(region: Region, G: ZDivisor, row: ZDivisor) -> bool:
+def _in_region(region: Region, G: ZDivisor, row: tuple[int, ...]) -> bool:
     """Whether G + row satisfies every form of some piece of the region."""
-    coords = tuple(map(add, G.coords, row.coords))
+    coords = tuple(map(add, G.coords, row))
     return any(all(sum(map(mul, w, coords)) >= c for w, c in piece) for piece in region)
 
 
-def _sure_runs(region: Region, ev: "Evaluation", G: ZDivisor) -> list[tuple[int, int]]:
-    """One (lo, hi) per piece: G + [mD] is in the piece for every m in [lo, hi], if any.
+def _region_spans(region: Region, ev: "Evaluation", G: ZDivisor) -> list[list[int]]:
+    """Per piece [sure_lo, sure_hi, may_lo, may_hi], within [0, m_max]: G + [mD] is in
+    the piece for every m in [sure_lo, sure_hi], and for no m outside [may_lo, may_hi].
 
-    A form (w, c) holds wherever m*(w.D) >= need = _form_need(w, c, G).  The
-    exact slope w.D bounds those m from below (slope > 0), from above
-    (slope < 0: m <= need/slope), or admits all of them (slope 0, need <= 0)
-    or none (slope 0, need > 0).
+    A form (w, c) holds iff w.[mD] >= c' = c - w.G, where w.[mD] = m*s - w.{mD} and
+    s = w.D.  Each {m a_i} lies in [0, t_i]: t_i = (Q_i - 1)/Q_i for a rational
+    a_i = N_i/Q_i, and t_i = 1, never reached, for an irrational one.  So
+    -L <= w.{mD} <= P, with P and L the sums of |w_i|*t_i over w's positive and
+    negative entries.  The integer w.[mD] is then >= c' where m*s - P > c' - 1, and
+    below c' where m*s + L < c'; where some w_i > 0 (w_i < 0) sits on an irrational
+    coordinate, P (L) is never reached, and > (<) may be >= (<=).  Scaled by the common
+    denominator q of the rational coordinates, both bounds compare m*q*s with an integer.
     """
-    runs = []
+    q, tops = ev._fraction_tops
+    spans = []
     for piece in region:
-        lo, hi = 0, ev.m_max
+        span = [0, ev.m_max, 0, ev.m_max]
         for w, c in piece:
-            need, slope = _form_need(w, c, G), ev.slope(w)
-            if slope.sign() > 0:
-                lo = max(lo, ceil_quotient(need, slope))
-            elif slope.sign() < 0:
-                hi = min(hi, (quadext(need) / slope).floor())
-            elif need > 0:
-                hi = -1
-        runs.append((lo, hi))
-    return runs
+            c -= sum(map(mul, w, G.coords))
+            qs = ev.slope(w) * q
+            top = sum(x * t for x, t in zip(w, tops) if x > 0)    # q*P
+            low = sum(x * t for x, t in zip(w, tops) if x < 0)    # -q*L
+            # the signs of w on the irrational coordinates: q*t_i = q there, < q elsewhere
+            signs = {x > 0 for x, t in zip(w, tops) if x and t == q}
+            _narrow(span, 0, qs, q * (c - 1) + top, True in signs)
+            _narrow(span, 2, qs, q * c + low, False not in signs)
+        spans.append(span)
+    return spans
+
+
+def _narrow(span: list[int], i: int, qs: QuadExt, A: int, closed: bool) -> None:
+    """Cut span[i], span[i + 1] down to the integer m with m*qs > A (>= A when closed)."""
+    sign = qs.sign()
+    if sign == 0:
+        if A > 0 or (A == 0 and not closed):
+            span[i + 1] = -1
+        return
+    # k: the last m below the solutions (qs > 0), or the last solution (qs < 0)
+    k = (A / qs).floor() if (sign > 0) != closed else -((-A) / qs).floor() - 1
+    if sign > 0:
+        span[i] = max(span[i], k + 1)
+    else:
+        span[i + 1] = min(span[i + 1], k)
 
 
 def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
     """Least m0 with G + [mD] in the region for every m in [m0, m_max]; None if row m_max is not.
 
-    For a rational D, the rows m - k*q of one residue class step by -qD, so
-    _region_runs decides each class at once.  Classes are visited from the
-    top row down, and the visit stops once no class left can hold a failure
-    above the highest one found: the cost is O(min(q, m_max - m0 + 1)).
-    For an irrational D, the rows are walked down from m_max: a stretch
-    that one piece's _sure_runs interval covers is skipped, and any other
-    row is checked against the forms, with no oracle call, until the first
-    row outside the region.
+    Walks down from m_max over the _region_spans of the pieces: a stretch
+    that a sure interval covers is skipped, a row outside every possible
+    interval ends the walk, and any other row is checked against the forms.
     """
-    rows = ev.multiples
-    if not _in_region(region, G, rows[ev.m_max]):
+    if not _in_region(region, G, ev.multiples[ev.m_max].coords):
         return None   # the common case of a scan that fails at once, without the set-up
-    if not all(c.is_rational for c in ev.coefficients):
-        runs = _sure_runs(region, ev, G)
-        m = ev.m_max - 1
-        while m >= 0:
-            skip = min((lo for lo, hi in runs if lo <= m <= hi), default=None)
-            if skip is not None:
-                m = skip - 1
-            elif _in_region(region, G, rows[m]):
-                m -= 1
-            else:
-                break
-        return m + 1
-    q, pieces = _period_forms(region, ev, G)
-    worst = -1   # the highest m whose row is outside the region
-    m = ev.m_max
-    while m > worst and m > ev.m_max - q:
-        k = 0   # the least k with row m - k*q outside the region
-        for first, last in sorted(_region_runs(pieces, rows[m].coords, -1, m // q)):
-            if first <= k:
-                k = max(k, last + 1)
-        if k <= m // q:
-            worst = max(worst, m - k * q)
-        m -= 1
-    return None if worst == ev.m_max else worst + 1
+    spans = _region_spans(region, ev, G)
+    m = ev.m_max - 1
+    while m >= 0:
+        sure = [a for a, b, _, _ in spans if a <= m <= b]
+        if sure:
+            m = min(sure) - 1
+        elif any(a <= m <= b for _, _, a, b in spans) \
+                and _in_region(region, G, ev.multiples.rows(m, 0)[0]):
+            m -= 1
+        else:
+            break
+    return m + 1
 
 
 def region_first(region: Region, ev: "Evaluation", G: ZDivisor, lo: int) -> int:
     """Least m in [lo, m_max] with G + [mD] in the region; m_max + 1 when there is none.
 
-    D must be rational; the residue classes are visited from lo up, at a
-    cost of O(min(q, first - lo + 1)).  A piece is dropped first when one of
-    its forms fails at every m >= lo: with step s = w.qD <= 0, w.[mD] is at
-    most m*s/q + lift <= lo*s/q + lift, lift the sizes of w's negative entries.
+    Walks up from lo over the _region_spans of the pieces: a row in a sure
+    interval is the answer, a stretch outside every possible interval is
+    skipped, and any other row is checked against the forms.
     """
-    q, pieces = _period_forms(region, ev, G)
-    pieces = [piece for piece in pieces if all(
-        s > 0 or lo * s + q * (-sum(x for x in w if x < 0) - c) >= 0 for w, c, s in piece)]
-    rows = ev.multiples
-    best = ev.m_max + 1
-    m = lo
-    while pieces and m < best and m < lo + q:
-        runs = _region_runs(pieces, rows[m].coords, 1, (ev.m_max - m) // q)
-        if runs:
-            best = min(best, m + q * min(first for first, _ in runs))
-        m += 1
-    return best
+    if lo <= ev.m_max and _in_region(region, G, ev.multiples[lo].coords):
+        return lo
+    spans = _region_spans(region, ev, G)
+    m = lo + 1
+    while m <= ev.m_max:
+        if any(a <= m <= b for a, b, _, _ in spans):
+            return m
+        starts = [max(a, m) for _, _, a, b in spans if m <= b and a <= b]
+        if not starts:
+            break
+        if min(starts) > m:
+            m = min(starts)
+        elif _in_region(region, G, ev.multiples.rows(m, 0)[0]):
+            return m
+        else:
+            m += 1
+    return ev.m_max + 1
 
 
 # The tail scans take a keyword-only onset, where the tail may start
@@ -889,31 +865,15 @@ def definitive_negative(S: SurfaceModel, D: DivisorOrEvaluation, kind: str) -> b
     return all(any(never(w, c) for w, c in piece) for piece in S.regions[kind])
 
 
-def ceil_quotient(need: Union[int, Fraction], slope: QuadExt) -> int:
-    """Least integer m with m*slope >= need (slope > 0); 0 when need <= 0."""
-    if need <= 0:
-        return 0
-    return -(quadext(-need) / slope).floor()
-
-
-def _form_need(w: tuple[int, ...], c: int, G: Optional[ZDivisor]) -> int:
-    """An integer need such that m*(w.D) >= need makes w.(G + [mD]) >= c hold, for any D.
-
-    w.[mD] = m*(w.D) - w.{mD}, and w.{mD} is below P, the sum of w's positive
-    entries, when P > 0 (and <= 0 when P = 0).  So the integer w.[mD] exceeds
-    m*(w.D) - P, and need = c - w.G - 1 + P suffices (c - w.G when P = 0).
-    """
-    overshoot = sum(x for x in w if x > 0)
-    g_w = sum(map(mul, G.coords, w)) if G is not None else 0
-    return c - g_w + max(overshoot - 1, 0)
-
-
 def onset_bound(S: SurfaceModel, D: DivisorOrEvaluation, kind: str,
                 twist: Optional[ZDivisor] = None) -> Optional[int]:
     """Effective bound B: the predicate holds at G + [mD] for every m >= B.
 
     Each form (w, c) of the first piece of the kind's region, a sufficient
-    condition, asks for m*(w.D) >= _form_need(w, c, G).  A positive slope w.D
+    condition, asks for m*(w.D) >= need: w.[mD] = m*(w.D) - w.{mD}, and
+    w.{mD} is below P, the sum of w's positive entries, when P > 0 (and <= 0
+    when P = 0), so the integer w.[mD] exceeds m*(w.D) - P and
+    need = c - w.G - 1 + P suffices (c - w.G when P = 0).  A positive slope w.D
     gives the least such m; a slope <= 0 is skipped when need < 0, and
     otherwise the result is None, as it is for a surface without regions.
     The skip is sound for slope 0 only: m times a negative slope falls
@@ -925,15 +885,17 @@ def onset_bound(S: SurfaceModel, D: DivisorOrEvaluation, kind: str,
     if S.regions is None or kind not in S.regions:
         return None
     ev = _evaluation(S, D, None)
+    g = twist.coords if twist is not None else (0,) * S.rho
     bound = 1
     for w, c in S.regions[kind][0]:
         slope = ev.slope(w)
-        need = _form_need(w, c, twist)
+        need = c - sum(map(mul, g, w)) + max(sum(x for x in w if x > 0) - 1, 0)
         if slope.sign() <= 0:
             if need < 0:
                 continue  # condition already slack for every m
             return None
-        bound = max(bound, ceil_quotient(need, slope))
+        if need > 0:
+            bound = max(bound, -(quadext(-need) / slope).floor())
     return bound
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import divpos.positivity as pos
 from divpos import _kernels
-from divpos.divisor import (ROW_BLOCK, WALK, RDivisor, ZDivisor, integral_part_multiples,
+from divpos.divisor import (RDivisor, ZDivisor, integral_part_multiples,
                             parse_divisor)
 from divpos.errors import InternalError, InvalidInput
 from divpos.exact_numbers import QuadExt
@@ -157,7 +157,7 @@ def test_rows_built_when_read_equal_the_eager_floors(sd, data):
         for _ in range(data.draw(st.integers(0, 4))):
             start = data.draw(st.integers(0, m_max))
             step = data.draw(st.sampled_from([1, -1]))
-            length = data.draw(st.sampled_from([2, WALK, WALK + 1, 3 * ROW_BLOCK]))
+            length = data.draw(st.sampled_from([2, 6, 7, 192]))
             reads += range(start, min(max(start + step * length, -1), m_max + 1), step)
         first = {}
         for m in reads:
@@ -177,10 +177,10 @@ def test_rows_built_when_read_equal_the_eager_floors(sd, data):
 
 
 @pytest.mark.parametrize("D", ["7/3*C0 + 11/5*f", "(1+sqrt(2))*C0 + (3-sqrt(2))*f"])
-def test_a_walk_over_a_column_builds_its_rows_in_blocks(D, monkeypatch):
-    """A walk down every row of a column of 10**5 rows, and one up, enters the floor-scan
-    kernel once per ROW_BLOCK rows and coordinate plus a constant, and computes each
-    floor once: the rows before the walk is seen are one-row scans."""
+def test_a_read_builds_one_row_and_an_iteration_one_scan_per_coordinate(D, monkeypatch):
+    """On a column of 10**5 rows a read enters the floor-scan kernel once per coordinate
+    for its one row, and so does the first iteration, for every row; the rows read
+    before it are the objects it yields, and a second iteration scans nothing."""
     scans = []
     real = _kernels.floor_multiples_quad
 
@@ -188,16 +188,20 @@ def test_a_walk_over_a_column_builds_its_rows_in_blocks(D, monkeypatch):
         scans.append(args[-1] + 1)
         return real(*args, **kwargs)
 
+    want = brute_multiples(F2, parse_divisor(D), 49)
     monkeypatch.setattr(_kernels, "floor_multiples_quad", counting)
     monkeypatch.setattr(_kernels, "floor_quad", None)   # no row is floored outside a scan
     m_max, rho = 10**5, F2.rho
-    for walk in (range(m_max, -1, -1), range(m_max + 1)):
-        del scans[:]
-        rows = integral_part_multiples(parse_divisor(D), F2.basis, m_max)
-        for m in walk:
-            rows[m]
-        assert sum(scans) == rho * (m_max + 1)
-        assert len(scans) <= rho * (m_max // ROW_BLOCK + 2 + WALK), len(scans)
+    rows = integral_part_multiples(parse_divisor(D), F2.basis, m_max)
+    read = {m: rows[m] for m in (0, 7, 64, m_max)}
+    assert scans == [1] * rho * len(read)
+    del scans[:]
+    built = list(rows)
+    assert scans == [m_max + 1] * rho
+    assert all(built[m] is V and rows[m] is V for m, V in read.items())
+    assert [V.coords for V in built[:50]] == want
+    del scans[:]
+    assert list(rows) == built and rows[-1] is built[-1] and scans == []
 
 
 def test_h0_column_is_computed_once_per_evaluation():
@@ -575,14 +579,22 @@ def irrational_divisors(draw):
                                         st.integers(1, 400)), st.data())
 def test_region_tail_of_an_irrational_divisor_matches_the_oracle_walk(sd, m_max, data):
     """For every region kind and a twist G in [-3, 2]^rho, region_tail equals the
-    tail the oracle predicate gives when _tail_from walks G + [mD] with no onset."""
+    tail the oracle predicate gives when _tail_from walks G + [mD] with no onset, and
+    region_first from lo in {0, 1, 2} the first member _first_from finds with no first."""
     S, D = sd
     ev = pos.Evaluation(S, D, m_max)
     G = ZDivisor(data.draw(st.tuples(*[st.integers(-3, 2)] * S.rho)))
     rows = ev.twisted(G)
     for kind, region in S.regions.items():
-        want = pos._tail_from(lambda V: oracle_kinds(S, V)[kind], rows, 0)
+        def ok(V):
+            return oracle_kinds(S, V)[kind]
+
+        want = pos._tail_from(ok, rows, 0)
         assert pos.region_tail(region, ev, G) == want, (S.name, str(D), kind, G, m_max)
+        for lo in (0, 1, 2):
+            first = pos._first_from(ok, rows, lo)
+            assert pos.region_first(region, ev, G, lo) == (m_max + 1 if first is None else first), \
+                (S.name, str(D), kind, G, m_max, lo)
 
 
 @st.composite
@@ -674,16 +686,17 @@ def test_report_builds_the_same_rows_at_m_max_2000_and_a_million(monkeypatch):
         del cells[:]
         pos.build_report(hirzebruch(0), "9/2*C0", m_max)
         built.append(sum(cells))
-    assert abs(built[0] - built[1]) <= 2 * ROW_BLOCK and max(built) <= 8 * ROW_BLOCK, built
+    assert abs(built[0] - built[1]) <= 128 and max(built) <= 512, built
 
 
 @pytest.mark.parametrize("D", ["sqrt(2)*C0 + f",   # not nef
-                               "(2+sqrt(2))*C0 + (4+2*sqrt(2))*f"])   # on the nef boundary
+                               "(2+sqrt(2))*C0 + (4+2*sqrt(2))*f",   # on the nef boundary
+                               "(2+sqrt(2))*C0 + (3+2*sqrt(2))*f"])   # no very-ample multiple
 def test_an_irrational_report_reads_few_rows_and_equals_the_walked_one(D, monkeypatch):
-    """At M_MAX_LIMIT the report of an irrational D on F_2 builds a few blocks of rows,
-    counted in cells per coordinate, where a walk of its tails builds all 1,000,001
-    rows; at m_max 2000 its JSON equals the report whose scans all walk, tail_start
-    handing them no start."""
+    """At M_MAX_LIMIT the report of an irrational D on F_2 builds a few rows, counted in
+    cells per coordinate, where a walk of its tails, or up to its first very-ample
+    multiple, builds all 1,000,001 rows; at m_max 2000 its JSON equals the report whose
+    scans all walk, tail_start and first_member handing them no start."""
     cells = []
     real = _kernels.floor_multiples_quad
 
@@ -693,10 +706,37 @@ def test_an_irrational_report_reads_few_rows_and_equals_the_walked_one(D, monkey
 
     monkeypatch.setattr(_kernels, "floor_multiples_quad", counting)
     pos.build_report(F2, D, pos.M_MAX_LIMIT)
-    assert sum(cells) <= 8 * ROW_BLOCK, sum(cells)
+    assert sum(cells) <= 512, sum(cells)
     handed = pos.build_report(F2, D, 2000).to_json_dict()
     monkeypatch.setattr(pos.Evaluation, "tail_start", lambda self, kind, G=None: None)
+    monkeypatch.setattr(pos.Evaluation, "first_member", lambda self, kind: None)
     assert handed == pos.build_report(F2, D, 2000).to_json_dict()
+
+
+@pytest.mark.parametrize("D", ["1/100000*C0 + 1/100001*f",
+                               f"1/{'9' * 1000}*C0 + 1/{'9' * 999}7*f"],
+                         ids=["six-digit", "thousand-digit"])
+def test_a_nef_divisor_whose_onset_bound_passes_m_max_gets_the_region_tail(D):
+    """On F_0 the twisted scans of an ample D with huge denominators, whose onset bounds
+    lie past m_max, start at the region tail: the same few oracle and cohomology calls at
+    m_max 2000 and 20000, where walking the tails reads every row at each twist."""
+    base = hirzebruch(0)
+    counts = []
+    for m_max in (2000, 20000):
+        oracle_calls = []
+
+        def counting(f):
+            return lambda V: oracle_calls.append(V) or f(V)
+
+        S = dataclasses.replace(base, very_ample=counting(base.very_ample),
+                                globally_generated=counting(base.globally_generated),
+                                h0=counting(base.h0))
+        ev = pos.Evaluation(S, D, m_max)
+        assert ev.onset("vanishing", ZDivisor((-1, 0))) > m_max
+        with counted_cohomology() as calls:
+            pos.build_report(S, ev)
+        counts.append((len(calls), len(oracle_calls)))
+    assert counts[0] == counts[1] and counts[0][0] <= 20 and counts[0][1] <= 50, counts
 
 
 @pytest.mark.parametrize("S, D", [(hirzebruch(1), "-sqrt(2)*C0 + 3*f"),

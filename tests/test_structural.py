@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 import divpos.auditor as auditor
 import divpos.cli as cli
 import divpos.positivity as pos
-from divpos.divisor import RDivisor, ZDivisor, integral_part, integrality_denominator
+from divpos.divisor import (MultiplesColumn, RDivisor, ZDivisor, integral_part,
+                            integrality_denominator)
 from divpos.errors import InternalError
 from divpos.exact_numbers import QuadExt
 from divpos.surface import (SurfaceModel, CurveClass, hirzebruch, projective_plane,
@@ -303,23 +304,28 @@ def test_the_evaluation_alone_decides_where_a_scan_starts():
     """Only Evaluation calls region_tail or region_first, and every onset= or first=
     handed to a scan is ev.tail_start or ev.first_member (or the largest of them), so
     build_report has no scan-start closure of its own.  auditor derives no bound: it
-    calls neither ceil_quotient nor effective_facets.  tail_start hands the
-    region to rational and irrational D alike (it reads no _exact), and the irrational
-    case is a part of region_tail: only region_tail calls _sure_runs."""
-    region_callers, sure_callers, handoffs = set(), set(), []
+    calls neither ceil_quotient nor effective_facets.  One walk serves rational and
+    irrational D alike: only region_tail and region_first call the interval helper
+    _region_spans, the residue-class helpers and _exact are gone from the package, and
+    neither tail_start nor first_member asks whether D is rational."""
+    region_callers, span_callers, handoffs = set(), set(), []
     for path in sorted(Path(pos.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
+        text = path.read_text()
+        gone = ("_period_forms", "_region_runs", "_sure_runs", "_exact")
+        assert [name for name in gone if name in text] == [], path.name
+        tree = ast.parse(text)
         for top in tree.body:
             if _called(top) & {"region_tail", "region_first"}:
                 region_callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-            if "_sure_runs" in _called(top):
-                sure_callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+            if "_region_spans" in _called(top):
+                span_callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
         handoffs += [kw for n in ast.walk(tree) if isinstance(n, ast.Call)
                      for kw in n.keywords if kw.arg in ("onset", "first")]
     assert region_callers == {"positivity.Evaluation"}
-    assert sure_callers == {"positivity.region_tail"}
-    tail_start = ast.parse(textwrap.dedent(inspect.getsource(pos.Evaluation.tail_start)))
-    assert "_exact" not in {getattr(n, "attr", None) for n in ast.walk(tail_start)}
+    assert span_callers == {"positivity.region_tail", "positivity.region_first"}
+    for method in (pos.Evaluation.tail_start, pos.Evaluation.first_member):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+        assert not {"_exact", "is_rational"} & {getattr(n, "attr", None) for n in ast.walk(tree)}
     # five in build_report, three in the nef and bigness suites, two in the bigness
     # suite's kodaira_check and claim_boh_check
     assert len(handoffs) == 10
@@ -388,14 +394,16 @@ def test_the_ampleness_judge_reads_one_criterion_table():
 
 
 def test_the_rows_of_md_have_one_store():
-    """ROW_BLOCK is defined in divisor.py alone, positivity names no second row store or
-    cache, Evaluation keeps its values without __slots__, and a row read twice is the
-    one object the column keeps."""
+    """No row block or walk detection is left in the package, MultiplesColumn keeps its
+    rows in one attribute, positivity names no second row store or cache, Evaluation
+    keeps its values without __slots__, and a row read twice is the one object the
+    column keeps."""
     package = Path(pos.__file__).parent
-    defined = [path.name for path in sorted(package.rglob("*.py"))
-               for n in ast.walk(ast.parse(path.read_text()))
-               if isinstance(n, ast.Assign) and "ROW_BLOCK" in map(ast.unparse, n.targets)]
-    assert defined == ["divisor.py"]
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text()
+        assert [name for name in ("ROW_BLOCK", "WALK", "_blocks") if name in text] == [], \
+            path.name
+    assert MultiplesColumn.__slots__ == ("coefficients", "m_max", "_rows")
     text = (package / "positivity.py").read_text()
     assert [name for name in ("_Rows", "_blocks", "_built", ".coords(") if name in text] == []
     assert "__slots__" not in vars(pos.Evaluation)

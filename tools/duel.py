@@ -13,7 +13,8 @@ alternate op by op, and the side that runs an op first alternates too, so
 both see the same machine.
 
 It prints one JSON object: the change/parent time ratio of each pass,
-their median and quartiles, the ratio of the total times, the full
+their median and quartiles, the passes the change won (it took less time;
+a tie counts for neither side), the ratio of the total times, the full
 (generation-2) garbage collections per op on each side and the count of
 failed ops on each side.
 """
@@ -108,7 +109,7 @@ def duel(parent: Path, change: Path, workload: str, passes: int) -> dict:
         for side in sides:
             side.ask("warm")
         n = len(sides[0].keys)
-        ratios, totals = [], [0.0, 0.0]
+        ratios, totals, wins = [], [0.0, 0.0], 0
         for p in range(passes):
             spent = [0.0, 0.0]
             for i in range(n):
@@ -116,12 +117,13 @@ def duel(parent: Path, change: Path, workload: str, passes: int) -> dict:
                 for k in order:
                     spent[k] += sides[k].run(i)
             ratios.append(spent[1] / spent[0])
+            wins += spent[1] < spent[0]
             totals = [t + s for t, s in zip(totals, spent)]
         q1, median, q3 = quartiles(ratios)
         return {
             "workload": workload, "passes": passes, "ops_per_pass": n,
             "pass_ratios": [round(r, 4) for r in ratios],
-            "median_pass_ratio": round(median, 4),
+            "median_pass_ratio": round(median, 4), "change_wins": wins,
             "pass_ratio_q1": round(q1, 4), "pass_ratio_q3": round(q3, 4),
             "total_ratio": round(totals[1] / totals[0], 4),
             "gen2_per_op_parent": round(sides[0].gen2 / (passes * n), 4),
