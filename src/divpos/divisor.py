@@ -250,6 +250,8 @@ class MultiplesColumn(Sequence):
     A read builds its row alone, through a one-row floor scan per
     coordinate.  The first iteration builds every row, one floor scan per
     coordinate over the whole column, and keeps the rows read before it.
+    ``stretch(start, n)`` builds a run of rows with one floor scan per
+    coordinate and keeps none of them, so a walk costs no memory per row.
     """
 
     __slots__ = ("coefficients", "m_max", "_rows")
@@ -267,6 +269,13 @@ class MultiplesColumn(Sequence):
         """
         return list(zip(*[_kernels.floor_multiples_quad(c.N, c.M, c.d, c.Q, n, start=start)
                           for c in self.coefficients]))
+
+    def stretch(self, start: int, n: int) -> list[ZDivisor]:
+        """Rows start..start+n, within 0..m_max: a slice of the column once iterated,
+        else built by one floor scan per coordinate and not kept."""
+        if isinstance(self._rows, list):
+            return self._rows[start:start + n + 1]
+        return list(map(trusted_zdivisor, self.rows(start, n)))
 
     def _read(self, m: int) -> ZDivisor:
         """Row m of a column not yet iterated, built on its first read."""

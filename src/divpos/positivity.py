@@ -158,7 +158,7 @@ def neighborhood_test(S: SurfaceModel, D: DivisorOrEvaluation, delta: Fraction) 
 # ---------------------------------------------------------------------------
 # bounded m-scans
 
-M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; reading every row there takes ~6 s, 200 MB
+M_MAX_LIMIT = 10**6  # every entry point's cap on m_max; a walk over every row there takes ~1-13 s
 
 
 @dataclass(frozen=True)
@@ -298,6 +298,12 @@ class _Twisted(Sequence):
     def __getitem__(self, m: int) -> ZDivisor:
         return trusted_zdivisor(tuple(map(add, self.g, self.rows[m].coords)))
 
+    def stretch(self, start: int, n: int) -> list[ZDivisor]:
+        """Rows start..start+n, from one MultiplesColumn.stretch."""
+        g = self.g
+        return [trusted_zdivisor(tuple(map(add, g, V.coords)))
+                for V in self.rows.stretch(start, n)]
+
 
 def check_digits(ev: Evaluation, field: str) -> Evaluation:
     """ev, unless its divisor passes DIVISOR_DIGITS; then InvalidInput naming field and bound."""
@@ -340,7 +346,8 @@ def _tail_from(ok: Callable[[object], bool], items: Sequence, lo: int,
     not read.  The last item is still read first, and a failure there
     still returns None; then items[max(onset, lo)] is read, and a failure
     there contradicts the bound and raises InternalError.  So every run
-    re-verifies the bound at two points.  The walk goes on down from there.
+    re-verifies the bound at two points.  The walk goes on down from there
+    (_walk); items is a column or a twisted view.
     """
     i = len(items) - 1
     if not ok(items[i]):
@@ -350,7 +357,9 @@ def _tail_from(ok: Callable[[object], bool], items: Sequence, lo: int,
         if not ok(items[i]):
             raise InternalError(f"onset bound {onset} contradicted: "
                                 f"the predicate fails at m = {i}")
-    while i > lo and ok(items[i - 1]):
+    for V in _walk(items, i - 1, lo, -1):
+        if not ok(V):
+            break
         i -= 1
     return i
 
@@ -359,16 +368,44 @@ def _first_from(ok: Callable[[object], bool], items: Sequence, lo: int,
                 first: Optional[int] = None) -> Optional[int]:
     """Least i >= lo with ok(items[i]); None if there is none.
 
+    With no first, walks up from lo (_walk).
+
     first, when given, is that index as Evaluation.first_member decides it,
     and len(items) when there is no member.  Then only items[first] and
     items[first - 1] (when first > lo) are read: the first must pass and
     the second fail, else InternalError.
     """
     if first is None:
-        return next((i for i in range(lo, len(items)) if ok(items[i])), None)
+        walk = _walk(items, lo, len(items) - 1, 1)
+        return next((i for i, V in zip(range(lo, len(items)), walk) if ok(V)), None)
     if (first < len(items) and not ok(items[first])) or (first > lo and ok(items[first - 1])):
         raise InternalError(f"region's first member m = {first} contradicted by the predicate")
     return first if first < len(items) else None
+
+
+STRETCH = 4096  # the most rows of a walk built by one kernel scan per coordinate
+
+
+def _walk(items: Sequence, start: int, stop: int, step: int) -> Iterable[ZDivisor]:
+    """items[start], items[start + step], ... up to items[stop]; step is 1 or -1.
+
+    items is a column or a twisted view.  The first row is read through
+    items, so the column keeps it: the row next to a scan's start is the
+    one every scan from that start reads.  The rest come from items.stretch
+    runs of 1, 2, 4, ... up to STRETCH rows, which the column does not
+    keep, so a walk that stops after k rows builds fewer than 2k + STRETCH
+    of them, with O(log k + k / STRETCH) kernel scans.
+    """
+    if (stop - start) * step < 0:
+        return
+    yield items[start]
+    start, n = start + step, 1
+    while (stop - start) * step >= 0:
+        end = start + step * (n - 1)
+        end = min(end, stop) if step > 0 else max(end, stop)
+        rows = items.stretch(min(start, end), abs(end - start))
+        yield from (rows if step > 0 else reversed(rows))
+        start, n = end + step, min(2 * n, STRETCH)
 
 
 # -- exact regions (any D on a surface with SurfaceModel.regions) ----------------
@@ -430,7 +467,8 @@ def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
 
     Walks down from m_max over the _region_spans of the pieces: a stretch
     that a sure interval covers is skipped, a row outside every possible
-    interval ends the walk, and any other row is checked against the forms.
+    interval ends the walk, and the rows of any other stretch are checked
+    against the forms.
     """
     if not _in_region(region, G, ev.multiples[ev.m_max].coords):
         return None   # the common case of a scan that fails at once, without the set-up
@@ -440,11 +478,16 @@ def region_tail(region: Region, ev: "Evaluation", G: ZDivisor) -> Optional[int]:
         sure = [a for a, b, _, _ in spans if a <= m <= b]
         if sure:
             m = min(sure) - 1
-        elif any(a <= m <= b for _, _, a, b in spans) \
-                and _in_region(region, G, ev.multiples.rows(m, 0)[0]):
-            m -= 1
-        else:
+            continue
+        may = [a for _, _, a, b in spans if a <= m <= b]
+        if not may:
             break
+        # rows m down to stop lie in a possible interval and in no sure one
+        stop = max([min(may)] + [b + 1 for a, b, _, _ in spans if a <= b < m])
+        for V in _walk(ev.multiples, m, stop, -1):
+            if not _in_region(region, G, V.coords):
+                return m + 1
+            m -= 1
     return m + 1
 
 
@@ -453,7 +496,7 @@ def region_first(region: Region, ev: "Evaluation", G: ZDivisor, lo: int) -> int:
 
     Walks up from lo over the _region_spans of the pieces: a row in a sure
     interval is the answer, a stretch outside every possible interval is
-    skipped, and any other row is checked against the forms.
+    skipped, and the rows of any other stretch are checked against the forms.
     """
     if lo <= ev.m_max and _in_region(region, G, ev.multiples[lo].coords):
         return lo
@@ -462,14 +505,18 @@ def region_first(region: Region, ev: "Evaluation", G: ZDivisor, lo: int) -> int:
     while m <= ev.m_max:
         if any(a <= m <= b for a, b, _, _ in spans):
             return m
-        starts = [max(a, m) for _, _, a, b in spans if m <= b and a <= b]
-        if not starts:
-            break
-        if min(starts) > m:
+        may = [b for _, _, a, b in spans if a <= m <= b]
+        if not may:
+            starts = [a for _, _, a, b in spans if m < a <= b]
+            if not starts:
+                break
             m = min(starts)
-        elif _in_region(region, G, ev.multiples.rows(m, 0)[0]):
-            return m
-        else:
+            continue
+        # rows m up to stop lie in a possible interval and in no sure one
+        stop = min([max(may)] + [a - 1 for a, b, _, _ in spans if m < a <= b])
+        for V in _walk(ev.multiples, m, stop, 1):
+            if _in_region(region, G, V.coords):
+                return m
             m += 1
     return ev.m_max + 1
 

@@ -204,6 +204,77 @@ def test_a_read_builds_one_row_and_an_iteration_one_scan_per_coordinate(D, monke
     assert list(rows) == built and rows[-1] is built[-1] and scans == []
 
 
+@pytest.mark.parametrize("D", ["7/3*C0 + 11/5*f", "(1+sqrt(2))*C0 + (3-sqrt(2))*f"])
+def test_a_stretch_builds_its_rows_in_one_scan_per_coordinate_and_keeps_none(D, monkeypatch):
+    """stretch(start, n) enters the floor-scan kernel once per coordinate for its rows and
+    keeps none of them, so a later read builds its row again; once the column is
+    iterated, a stretch is a slice of the rows it keeps and scans nothing."""
+    scans = []
+    real = _kernels.floor_multiples_quad
+
+    def counting(*args, **kwargs):
+        scans.append(args[-1] + 1)
+        return real(*args, **kwargs)
+
+    want = brute_multiples(F2, parse_divisor(D), 199)[100:]
+    monkeypatch.setattr(_kernels, "floor_multiples_quad", counting)
+    rows = integral_part_multiples(parse_divisor(D), F2.basis, 1000)
+    assert [V.coords for V in rows.stretch(100, 99)] == want and scans == [100] * F2.rho
+    del scans[:]
+    rows[150]
+    assert scans == [1] * F2.rho
+    built = list(rows)
+    del scans[:]
+    got = rows.stretch(100, 99)
+    assert scans == [] and all(V is W for V, W in zip(got, built[100:200], strict=True))
+
+
+def test_a_walk_without_regions_builds_its_rows_in_doubling_stretches(monkeypatch):
+    """On F_2 without regions the very-ample tail scan of 1/3*C0 + 5/7*f walks every row
+    from m_max = 20000 down to m = 19.  It builds them in stretches of 1, 2, 4, ... up to
+    STRETCH rows: a few dozen kernel scans per coordinate, fewer than twice the rows it
+    reads, and the column keeps only the rows read one by one."""
+    scans = []
+    real = _kernels.floor_multiples_quad
+
+    def counting(*args, **kwargs):
+        scans.append(args[-1] + 1)
+        return real(*args, **kwargs)
+
+    S, D, m_max = dataclasses.replace(F2, regions=None), "1/3*C0 + 5/7*f", 20000
+    va = [F2.very_ample(ZDivisor(r)) for r in brute_multiples(F2, parse_divisor(D), m_max)]
+    monkeypatch.setattr(_kernels, "floor_multiples_quad", counting)
+    ev = pos.Evaluation(S, D, m_max)
+    assert pos.very_ample_multiples(S, ev) == pos.VAMultiples(va.index(True, 1),
+                                                              brute_tail(va, 1))
+    assert brute_tail(va, 1) == 19
+    assert len(scans) <= 40 * S.rho and sum(scans) < 2 * (m_max + 1) * S.rho, scans
+    assert len(ev.multiples._rows) <= 4
+
+
+def test_a_region_walk_over_a_slope_zero_form_builds_its_rows_in_stretches(monkeypatch):
+    """On F_4, b = 4a exactly for (1/3 - t)*C0 + (4/3 - 4t)*f with t = sqrt(3)/50000000,
+    so b - 4a has slope 0 and no sure interval covers the rows where it holds: the region
+    walks check every row.  At m_max 20000 they build those rows in doubling stretches,
+    a few dozen kernel scans per walk and coordinate; at 2000 the report equals the one
+    whose scans all walk."""
+    scans = []
+    real = _kernels.floor_multiples_quad
+
+    def counting(*args, **kwargs):
+        scans.append(args[-1] + 1)
+        return real(*args, **kwargs)
+
+    S, D = hirzebruch(4), "(1/3-1/50000000*sqrt(3))*C0 + (4/3-1/12500000*sqrt(3))*f"
+    monkeypatch.setattr(_kernels, "floor_multiples_quad", counting)
+    pos.build_report(S, D, 20000)
+    assert len(scans) <= 200 * S.rho and sum(scans) > 40000 * S.rho, (len(scans), sum(scans))
+    handed = pos.build_report(S, D, 2000).to_json_dict()
+    monkeypatch.setattr(pos.Evaluation, "tail_start", lambda self, kind, G=None: None)
+    monkeypatch.setattr(pos.Evaluation, "first_member", lambda self, kind: None)
+    assert handed == pos.build_report(S, D, 2000).to_json_dict()
+
+
 def test_h0_column_is_computed_once_per_evaluation():
     calls = []
 

@@ -304,10 +304,11 @@ def test_the_evaluation_alone_decides_where_a_scan_starts():
     """Only Evaluation calls region_tail or region_first, and every onset= or first=
     handed to a scan is ev.tail_start or ev.first_member (or the largest of them), so
     build_report has no scan-start closure of its own.  auditor derives no bound: it
-    calls neither ceil_quotient nor effective_facets.  One walk serves rational and
-    irrational D alike: only region_tail and region_first call the interval helper
-    _region_spans, the residue-class helpers and _exact are gone from the package, and
-    neither tail_start nor first_member asks whether D is rational."""
+    names none of _region_spans, onset_bound and effective_facets (it reads ev.onset).
+    One walk serves rational and irrational D alike: only region_tail and region_first
+    call the interval helper _region_spans, the residue-class helpers and _exact are
+    gone from the package, and neither tail_start nor first_member asks whether D is
+    rational."""
     region_callers, span_callers, handoffs = set(), set(), []
     for path in sorted(Path(pos.__file__).parent.glob("*.py")):
         text = path.read_text()
@@ -335,7 +336,7 @@ def test_the_evaluation_alone_decides_where_a_scan_starts():
             and called & {"tail_start", "first_member"}, ast.unparse(kw)
     tree = ast.parse(Path(auditor.__file__).read_text())
     names = {getattr(n, "attr", None) or getattr(n, "id", None) for n in ast.walk(tree)}
-    assert not names & {"ceil_quotient", "effective_facets"}
+    assert not names & {"_region_spans", "onset_bound", "effective_facets"}
 
 
 # -- one bigness test ------------------------------------------------------------------
